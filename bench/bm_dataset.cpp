@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -64,8 +65,10 @@ void BM_DatasetBuildThreads(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(w.crawl.samples.size()));
 }
+// Wall time: the shards run on pool workers, so the main thread's CPU time
+// (google-benchmark's default clock) would miss most of the work.
 BENCHMARK(BM_DatasetBuildThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(0)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // The same build with the per-shard lookup memo disabled — the delta is
 // what IP repetition in the crawl buys the geo-mapping stage.
@@ -81,7 +84,8 @@ void BM_DatasetBuildNoMemo(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(w.crawl.samples.size()));
 }
-BENCHMARK(BM_DatasetBuildNoMemo)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DatasetBuildNoMemo)->Arg(1)->Arg(0)->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // Marginal cost of the streaming path: windows 0..4 are ingested outside the
 // timed region, then only the final window's ingest is measured.  Work should
@@ -91,15 +95,20 @@ void BM_StreamingIngestLastWindow(benchmark::State& state) {
   const auto& w = world();
   const auto windows = crawl_windows();
   const auto threads = static_cast<std::size_t>(state.range(0));  // 0 = hardware
+  // The builder outlives its iteration so its teardown (about as long as
+  // the timed ingest) runs in the next iteration's paused set-up, or after
+  // the loop, never inside the timed region.
+  std::optional<core::StreamingDatasetBuilder> stream;
   for (auto _ : state) {
     state.PauseTiming();
-    core::StreamingDatasetBuilder stream = w.pipeline.streaming_builder();
+    stream.reset();
+    stream.emplace(w.primary, w.secondary, w.mapper, w.pipeline.config().dataset);
     for (std::size_t k = 0; k + 1 < windows.size(); ++k) {
-      stream.ingest(windows[k], threads);
+      stream->ingest(windows[k], threads);
     }
     state.ResumeTiming();
-    stream.ingest(windows.back(), threads);
-    benchmark::DoNotOptimize(stream.unique_samples());
+    stream->ingest(windows.back(), threads);
+    benchmark::DoNotOptimize(stream->unique_samples());
   }
   state.SetLabel(std::to_string(windows.back().size()) + " samples in window " +
                  std::to_string(windows.size() - 1) + " of " +
@@ -108,7 +117,7 @@ void BM_StreamingIngestLastWindow(benchmark::State& state) {
                           static_cast<std::int64_t>(windows.back().size()));
 }
 BENCHMARK(BM_StreamingIngestLastWindow)->Arg(1)->Arg(0)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // The full longitudinal workload, streaming path: ingest each window and
 // re-filter (finalize) after every snapshot, as repro_churn does.
@@ -129,7 +138,7 @@ void BM_LongitudinalStreamingTotal(benchmark::State& state) {
                           static_cast<std::int64_t>(w.crawl.samples.size()));
 }
 BENCHMARK(BM_LongitudinalStreamingTotal)->Arg(1)->Arg(0)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // The rebuild axis the streaming path replaces: after each snapshot, rebuild
 // the conditioned dataset from scratch over the cumulative prefix.  Pays the
@@ -152,7 +161,7 @@ void BM_LongitudinalRebuildTotal(benchmark::State& state) {
                           static_cast<std::int64_t>(w.crawl.samples.size()));
 }
 BENCHMARK(BM_LongitudinalRebuildTotal)->Arg(1)->Arg(0)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 /// Scratch directory for the snapshot benchmarks, reset per run so the
 /// generation counter and prune set start from a known state.
@@ -251,7 +260,8 @@ void BM_KdeSeparable(benchmark::State& state) {
                  std::to_string(cells) + " cells, 121-tap kernel");
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(cells));
 }
-BENCHMARK(BM_KdeSeparable)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KdeSeparable)->Arg(1)->Arg(0)->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // ---- Serving-artifact economics (core/artifact.hpp): the zero-copy mmap
 // restore path.  Write side prices publish-time emission; the open side is

@@ -102,7 +102,7 @@ void BM_PipelineAnalyzeAllThreads(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(ases.size()));
 }
 BENCHMARK(BM_PipelineAnalyzeAllThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(0)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_PopFootprintBandwidth(benchmark::State& state) {
   const auto& w = world();

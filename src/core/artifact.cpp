@@ -1214,7 +1214,7 @@ AsAnalysis ArtifactView::AsView::materialize() const {
     // open-time walk guaranteed the runs stay inside it and consume exactly
     // the nonzero arena range.
     const std::span<const double> values = grid_nonzero_values();
-    const std::span<double> dense = grid.values();
+    const std::span<double> dense = grid.mutable_values();
     std::size_t cursor = 0;
     for (std::size_t r = 0; r < grid_run_count(); ++r) {
       const GridRun run = grid_run(r);

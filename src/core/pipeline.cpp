@@ -1,5 +1,7 @@
 #include "core/pipeline.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -48,26 +50,38 @@ std::vector<AsAnalysis> EyeballPipeline::refresh_analyses(
 
   const auto ases = dataset.ases();
   std::vector<std::optional<AsAnalysis>> slots(ases.size());
-  std::vector<std::size_t> stale;  // indices that need a fresh analyze()
   for (std::size_t i = 0; i < ases.size(); ++i) {
     const std::uint32_t asn_value = net::value_of(ases[i].asn);
     const auto hit = reusable.find(asn_value);
-    if (hit != reusable.end() && !dirty.contains(asn_value)) {
-      slots[i] = *hit->second;
-    } else {
-      stale.push_back(i);
-    }
+    if (hit != reusable.end() && !dirty.contains(asn_value)) slots[i] = *hit->second;
   }
-  // Same fan-out shape as analyze_all: contiguous chunks of the stale list,
-  // disjoint output slots, input-order collection.
+  return fill_slots(ases, std::move(slots), config_.threads);
+}
+
+std::vector<AsAnalysis> EyeballPipeline::fill_slots(
+    std::span<const AsPeerSet> ases, std::vector<std::optional<AsAnalysis>> slots,
+    std::size_t threads) const {
+  // Empty slots are handed out largest peer set first, from one shared
+  // cursor: a big AS starts early instead of landing last in some worker's
+  // contiguous chunk, and a worker that finishes takes the next AS rather
+  // than idling.  The order only schedules work; each AS writes just its
+  // own slot, so the output is the same at any thread count.
+  std::vector<std::size_t> order;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (!slots[i]) order.push_back(i);
+  }
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return ases[a].peers.size() > ases[b].peers.size();
+  });
   auto& pool = util::ThreadPool::shared();
-  const std::size_t ways =
-      config_.threads == 0 ? pool.worker_count() : config_.threads;
+  const std::size_t ways = threads == 0 ? pool.worker_count() : threads;
+  std::atomic<std::size_t> cursor{0};
   pool.parallel_for(
-      0, stale.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          slots[stale[i]] = analyze(ases[stale[i]]);
+      0, std::min(ways, order.size()),
+      [&](std::size_t, std::size_t) {
+        for (std::size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
+             k < order.size(); k = cursor.fetch_add(1, std::memory_order_relaxed)) {
+          slots[order[k]] = analyze(ases[order[k]]);
         }
       },
       ways);
@@ -100,21 +114,7 @@ std::vector<AsAnalysis> EyeballPipeline::analyze_all(
 
 std::vector<AsAnalysis> EyeballPipeline::analyze_all(std::span<const AsPeerSet> ases,
                                                      std::size_t threads) const {
-  auto& pool = util::ThreadPool::shared();
-  const std::size_t ways = threads == 0 ? pool.worker_count() : threads;
-  // Slots keep the output in input order whatever the chunk schedule; each
-  // chunk only touches its own indices, so no synchronization is needed.
-  std::vector<std::optional<AsAnalysis>> slots(ases.size());
-  pool.parallel_for(
-      0, ases.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) slots[i] = analyze(ases[i]);
-      },
-      ways);
-  std::vector<AsAnalysis> out;
-  out.reserve(slots.size());
-  for (auto& slot : slots) out.push_back(std::move(*slot));
-  return out;
+  return fill_slots(ases, std::vector<std::optional<AsAnalysis>>(ases.size()), threads);
 }
 
 }  // namespace eyeball::core

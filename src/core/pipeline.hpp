@@ -23,10 +23,11 @@ struct PipelineConfig {
   DatasetConfig dataset{};
   FootprintConfig footprint{};
   double classify_threshold = 0.95;
-  /// Per-AS fan-out concurrency for analyze_all(): ASes are distributed in
-  /// contiguous chunks over util::ThreadPool::shared().  1 = serial, 0 = one
-  /// chunk per hardware thread.  Results are collected in AS order and are
-  /// bit-identical to the serial path regardless of the setting.
+  /// Per-AS fan-out concurrency for analyze_all() and refresh_analyses():
+  /// this many workers on util::ThreadPool::shared() take ASes one at a
+  /// time, largest peer set first.  1 = serial, 0 = one worker per hardware
+  /// thread.  Results are collected in AS order and are bit-identical to
+  /// the serial path regardless of the setting.
   std::size_t threads = 1;
 };
 
@@ -90,6 +91,13 @@ class EyeballPipeline {
                                            double bandwidth_km) const;
 
  private:
+  /// Analyzes ases[i] into every empty slot i on `threads` workers (the
+  /// shared fan-out of analyze_all and refresh_analyses), then unwraps the
+  /// slots in order.
+  [[nodiscard]] std::vector<AsAnalysis> fill_slots(
+      std::span<const AsPeerSet> ases, std::vector<std::optional<AsAnalysis>> slots,
+      std::size_t threads) const;
+
   const gazetteer::Gazetteer& gaz_;
   DatasetBuilder builder_;
   AsClassifier classifier_;

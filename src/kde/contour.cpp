@@ -30,18 +30,21 @@ Footprint extract_footprint(const DensityGrid& grid, double level) {
   Footprint footprint;
   footprint.level = level;
 
-  // Connected components (4-connectivity) of cells above the level.
-  std::vector<char> visited(rows * cols, 0);
+  // Connected components (4-connectivity) of cells above the level.  The
+  // level is positive, so every inside cell lies in the grid's support: the
+  // scan and the visited set cover the support only, in the dense scan's
+  // row-major order (partitions come out in the same order).
+  SupportFlags visited{grid};
   for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      if (visited[r * cols + c] || !inside(r, c)) continue;
+    const DensityGrid::RowSpan span = grid.row_support(r);
+    for (std::size_t c = span.lo; c < span.hi; ++c) {
+      if (!inside(r, c) || visited.test_and_set(r, c)) continue;
       FootprintPartition part;
       part.min_lat = part.max_lat = grid.center_of(r, c).lat_deg;
       part.min_lon = part.max_lon = grid.center_of(r, c).lon_deg;
 
       std::queue<std::pair<std::size_t, std::size_t>> frontier;
       frontier.push({r, c});
-      visited[r * cols + c] = 1;
       while (!frontier.empty()) {
         const auto [cr, cc] = frontier.front();
         frontier.pop();
@@ -70,8 +73,7 @@ Footprint extract_footprint(const DensityGrid& grid, double level) {
           }
           const auto ur = static_cast<std::size_t>(nr);
           const auto uc = static_cast<std::size_t>(nc);
-          if (!visited[ur * cols + uc] && inside(ur, uc)) {
-            visited[ur * cols + uc] = 1;
+          if (inside(ur, uc) && !visited.test_and_set(ur, uc)) {
             frontier.push({ur, uc});
           }
         }
@@ -86,7 +88,10 @@ Footprint extract_footprint(const DensityGrid& grid, double level) {
 
   // Marching squares: one segment per boundary crossing, linear
   // interpolation along cell edges.  (Segments are unordered; consumers
-  // that need closed rings can stitch them by endpoint.)
+  // that need closed rings can stitch them by endpoint.)  A square emits
+  // only when one of its corners is inside, i.e. in the support of row r or
+  // r + 1, so each row pair walks the squares touching either span, in
+  // ascending column order like the dense walk.
   const auto interpolate = [&](const geo::GeoPoint& a, double va, const geo::GeoPoint& b,
                                double vb) {
     const double t = (va == vb) ? 0.5 : (level - va) / (vb - va);
@@ -94,7 +99,14 @@ Footprint extract_footprint(const DensityGrid& grid, double level) {
                          a.lon_deg + t * (b.lon_deg - a.lon_deg)};
   };
   for (std::size_t r = 0; r + 1 < rows; ++r) {
-    for (std::size_t c = 0; c + 1 < cols; ++c) {
+    DensityGrid::RowSpan span = grid.row_support(r);
+    const DensityGrid::RowSpan upper = grid.row_support(r + 1);
+    if (upper.lo != upper.hi) span.cover(upper.lo, upper.hi);
+    if (span.lo == span.hi) continue;
+    // Square c has corners c and c + 1: it touches the span when c is in
+    // [lo - 1, hi), and the last square starts at cols - 2.
+    for (std::size_t c = span.lo == 0 ? 0 : span.lo - 1; c < std::min(span.hi, cols - 1);
+         ++c) {
       // Corners: 0 = (r,c), 1 = (r,c+1), 2 = (r+1,c+1), 3 = (r+1,c).
       const double v0 = grid.value(r, c);
       const double v1 = grid.value(r, c + 1);

@@ -1,8 +1,9 @@
-// Internal: the register-tiled 1-D convolution kernels behind
+// Internal: the kernels and register-tiled 1-D convolutions behind
 // KernelDensityEstimator::estimate (see DESIGN.md "Data layout &
 // vectorization").  Exposed in a header so tests/kde_simd_test.cpp can pin
-// the tiled implementations bit-for-bit against a naive scalar reference —
-// production code should go through the estimator, not call these.
+// the tiled implementations and the sparse estimate bit-for-bit against a
+// naive scalar reference — production code should go through the
+// estimator, not call these.
 //
 // Both functions clip taps that fall outside the range (edge mass is
 // dropped) and accumulate each output cell's taps in ascending index
@@ -10,8 +11,22 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
+
+#include "kde/grid.hpp"
 
 namespace eyeball::kde::detail {
+
+/// Normalized, truncated 1-D Gaussian taps for a sigma given in cells:
+/// 2 * ceil(sigma_cells * truncate_sigmas) + 1 of them.
+[[nodiscard]] std::vector<double> gaussian_taps(double sigma_cells, double truncate_sigmas);
+
+/// Sigma, in cells, of a grid row's horizontal kernel: the bandwidth over
+/// the row's physical cell width, quantized to 1/64 cell so rows share
+/// kernels, and clamped to >= 1/64 (a coarse grid can push sigma below half
+/// a step, and a zero sigma would make NaN taps).
+[[nodiscard]] double row_sigma_cells(const DensityGrid& grid, std::size_t row,
+                                     double bandwidth_km);
 
 /// Number of adjacent columns the vertical pass processes per tile (and the
 /// horizontal pass's output-tile width).  32 doubles of accumulators — four

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -12,21 +13,6 @@
 
 namespace eyeball::kde {
 namespace {
-
-/// Normalized, truncated 1-D Gaussian taps for a given sigma (in cells).
-std::vector<double> make_kernel(double sigma_cells, double truncate_sigmas) {
-  EYEBALL_DCHECK(sigma_cells > 0.0, "kernel sigma must be positive (NaN taps otherwise)");
-  const auto radius = static_cast<std::size_t>(std::ceil(sigma_cells * truncate_sigmas));
-  std::vector<double> taps(2 * radius + 1);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < taps.size(); ++i) {
-    const double x = (static_cast<double>(i) - static_cast<double>(radius)) / sigma_cells;
-    taps[i] = std::exp(-0.5 * x * x);
-    sum += taps[i];
-  }
-  for (auto& t : taps) t /= sum;
-  return taps;
-}
 
 /// Dense per-row kernel table: every distinct quantized kernel's taps live
 /// back-to-back in one arena and `row_kernels` maps a grid row to its
@@ -38,9 +24,9 @@ std::vector<double> make_kernel(double sigma_cells, double truncate_sigmas) {
 /// local BEFORE any parallel_for, so worker lambdas can only ever see an
 /// immutable arena — the contract is enforced by the type system (no
 /// non-const access exists inside the parallel region), which is why this
-/// carries no capability annotation.  The mutable state of the passes
-/// lives in `scratch_storage` (estimate()'s intermediate buffer), which
-/// the workers share deliberately but write in disjoint row/column tiles.
+/// carries no capability annotation.  The mutable state of the passes is
+/// the grid itself, which the workers share deliberately but write in
+/// disjoint rows and column tiles, plus per-chunk run and band buffers.
 struct KernelArena {
   struct Slice {
     std::size_t offset = 0;
@@ -57,44 +43,114 @@ struct KernelArena {
   }
 };
 
-/// Builds the quantized per-row kernel set (sigma quantized to 1/64 cell,
-/// clamped to >= 1 step: a coarse grid can push sigma below half a step, and
-/// a key of 0 would ask for a sigma-0 kernel whose taps are NaN).  Each
-/// distinct key's taps are computed once into the arena.
+/// Builds the per-row kernel set (see detail::row_sigma_cells for the
+/// quantization).  Each distinct sigma's taps are computed once into the
+/// arena.
 KernelArena build_row_kernels(const DensityGrid& grid, double bandwidth_km,
                               double truncate_sigmas) {
   const std::size_t rows = grid.rows();
-  std::vector<long> keys(rows);
-  std::vector<long> unique;
+  std::vector<double> sigmas(rows);
   for (std::size_t r = 0; r < rows; ++r) {
-    const double sigma_cells = bandwidth_km / std::max(1e-6, grid.cell_width_km(r));
-    keys[r] = std::max(1L, std::lround(sigma_cells * 64.0));
-    EYEBALL_DCHECK(keys[r] >= 1, "quantized kernel cache key must stay >= 1");
-    unique.push_back(keys[r]);
+    sigmas[r] = detail::row_sigma_cells(grid, r, bandwidth_km);
   }
+  std::vector<double> unique = sigmas;
   std::sort(unique.begin(), unique.end());
   unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
 
   KernelArena out;
   std::vector<KernelArena::Slice> slices(unique.size());
   for (std::size_t k = 0; k < unique.size(); ++k) {
-    const auto taps =
-        make_kernel(static_cast<double>(unique[k]) / 64.0, truncate_sigmas);
+    const auto taps = detail::gaussian_taps(unique[k], truncate_sigmas);
     slices[k] = {out.arena.size(), taps.size()};
     out.arena.insert(out.arena.end(), taps.begin(), taps.end());
   }
   out.row_kernels.resize(rows);
   for (std::size_t r = 0; r < rows; ++r) {
-    const auto it = std::lower_bound(unique.begin(), unique.end(), keys[r]);
+    const auto it = std::lower_bound(unique.begin(), unique.end(), sigmas[r]);
     out.row_kernels[r] =
         slices[static_cast<std::size_t>(std::distance(unique.begin(), it))];
   }
   return out;
 }
 
+/// The horizontal pass's work list: per grid row, its disjoint output
+/// column runs in ascending order (row r's runs are
+/// spans[begin[r] .. begin[r + 1])).
+struct RowRuns {
+  std::vector<DensityGrid::RowSpan> spans;
+  std::vector<std::size_t> begin;  // rows + 1 offsets into spans
+
+  [[nodiscard]] std::span<const DensityGrid::RowSpan> of(std::size_t row) const noexcept {
+    return std::span{spans}.subspan(begin[row], begin[row + 1] - begin[row]);
+  }
+  /// True when one of the row's runs overlaps columns [lo, hi).
+  [[nodiscard]] bool reach(std::size_t row, std::size_t lo, std::size_t hi) const noexcept {
+    for (const auto& span : of(row)) {
+      if (span.lo >= hi) return false;
+      if (span.hi > lo) return true;
+    }
+    return false;
+  }
+};
+
+/// Output runs of the horizontal pass over the binned counts: each row's
+/// nonzero cells grouped into clusters, split where two nonzero cells are
+/// more than two kernel radii apart (their widened outputs cannot meet),
+/// each cluster widened by the row's radius and clipped to the row.  Within
+/// one radius outside a run every input cell is zero.
+RowRuns horizontal_runs(std::span<const double> cells, std::size_t cols,
+                        std::span<const DensityGrid::RowSpan> occupied,
+                        const KernelArena& kernels) {
+  RowRuns out;
+  out.begin.reserve(occupied.size() + 1);
+  for (std::size_t r = 0; r < occupied.size(); ++r) {
+    out.begin.push_back(out.spans.size());
+    const DensityGrid::RowSpan span = occupied[r];
+    if (span.lo == span.hi) continue;
+    const std::size_t radius = kernels.tap_count(r) / 2;
+    const auto emit = [&](std::size_t first, std::size_t last) {
+      out.spans.push_back({first >= radius ? first - radius : 0,
+                           std::min(cols, last + 1 + radius)});
+    };
+    const double* row = cells.data() + r * cols;
+    std::size_t first = span.lo;  // binned, hence nonzero
+    std::size_t last = span.lo;
+    for (std::size_t c = span.lo + 1; c < span.hi; ++c) {
+      if (row[c] == 0.0) continue;
+      if (c - last > 2 * radius) {
+        emit(first, last);
+        first = c;
+      }
+      last = c;
+    }
+    emit(first, last);
+  }
+  out.begin.push_back(out.spans.size());
+  return out;
+}
+
 }  // namespace
 
 namespace detail {
+
+std::vector<double> gaussian_taps(double sigma_cells, double truncate_sigmas) {
+  EYEBALL_DCHECK(sigma_cells > 0.0, "kernel sigma must be positive (NaN taps otherwise)");
+  const auto radius = static_cast<std::size_t>(std::ceil(sigma_cells * truncate_sigmas));
+  std::vector<double> taps(2 * radius + 1);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < taps.size(); ++i) {
+    const double x = (static_cast<double>(i) - static_cast<double>(radius)) / sigma_cells;
+    taps[i] = std::exp(-0.5 * x * x);
+    sum += taps[i];
+  }
+  for (auto& t : taps) t /= sum;
+  return taps;
+}
+
+double row_sigma_cells(const DensityGrid& grid, std::size_t row, double bandwidth_km) {
+  const double sigma_cells = bandwidth_km / std::max(1e-6, grid.cell_width_km(row));
+  return static_cast<double>(std::max(1L, std::lround(sigma_cells * 64.0))) / 64.0;
+}
 
 /// Contiguous (stride-1) 1-D convolution with the edge-clipped prologue and
 /// epilogue peeled off: the interior runs a branchless dot product the
@@ -274,12 +330,18 @@ DensityGrid KernelDensityEstimator::estimate(std::span<const geo::GeoPoint> poin
     throw std::invalid_argument{"KernelDensityEstimator::estimate: no points"};
   }
   DensityGrid grid{box, config_.cell_km, config_.max_cells};
+  const std::size_t rows = grid.rows();
+  const std::size_t cols = grid.cols();
+  const std::span<double> cells = grid.mutable_values();
 
-  // Bin.
+  // Bin, noting each row's occupied column range.
+  std::vector<DensityGrid::RowSpan> occupied(rows);
   std::size_t used = 0;
   for (const auto& p : points) {
     if (const auto cell = grid.cell_of(p)) {
-      grid.at(cell->first, cell->second) += 1.0;
+      const auto [r, c] = *cell;
+      cells[r * cols + c] += 1.0;
+      occupied[r].cover(c, c + 1);
       ++used;
     }
   }
@@ -287,59 +349,116 @@ DensityGrid KernelDensityEstimator::estimate(std::span<const geo::GeoPoint> poin
     throw std::invalid_argument{"KernelDensityEstimator::estimate: no points inside box"};
   }
 
-  const std::size_t rows = grid.rows();
-  const std::size_t cols = grid.cols();
-  // Intermediate buffer between the two passes, reused across calls (the
-  // horizontal pass writes every cell before the vertical pass reads any,
-  // so stale contents are unobservable).  thread_local rather than a member
-  // keeps estimate() const and concurrent-caller-safe.  The named reference
-  // matters: lambdas do not capture thread_local variables, so without it
-  // each pool worker below would touch its own (empty) instance instead of
-  // the caller's buffer (kde_simd_test crashes without this).
-  thread_local std::vector<double> scratch_storage;
-  std::vector<double>& scratch = scratch_storage;
-  if (scratch.size() < grid.values().size()) scratch.resize(grid.values().size());
+  // Both passes below run only where their output can be nonzero (see
+  // DESIGN.md "Sparse support").  Every count and every tap is
+  // non-negative, so each term a pass skips would add exactly +0.0 to a sum
+  // that is never -0.0: the sparse passes are bit-identical to convolving
+  // the whole box.
+  //
+  // The whole quantized kernel set is built up front into one flat arena so
+  // the parallel regions only read const data — no locking.
+  const KernelArena kernels =
+      build_row_kernels(grid, config_.bandwidth_km, config_.truncate_sigmas);
+  const auto vertical = detail::gaussian_taps(
+      config_.bandwidth_km / grid.cell_height_km(), config_.truncate_sigmas);
+  const std::size_t vradius = vertical.size() / 2;
+  const RowRuns runs = horizontal_runs(cells, cols, occupied, kernels);
 
   auto& pool = util::ThreadPool::shared();
   const std::size_t ways =
       config_.threads == 0 ? pool.worker_count() : config_.threads;
 
-  // Horizontal pass: per-row kernel width (cells shrink toward the poles).
-  // The whole quantized kernel set is built up front into one flat arena so
-  // the parallel region only reads const data — no locking.
-  const KernelArena kernels =
-      build_row_kernels(grid, config_.bandwidth_km, config_.truncate_sigmas);
+  // Horizontal pass, in place: per-row kernel width (cells shrink toward
+  // the poles), one convolution per run through a run-sized buffer.  A run
+  // reads only its own columns, and the cells just outside it, up to one
+  // radius away, are zero by construction of the runs, so the clipping at
+  // the run's edges drops only zero terms.  Afterwards the grid holds the
+  // horizontal result, zero outside the runs.
   pool.parallel_for(
       0, rows,
       [&](std::size_t lo, std::size_t hi) {
+        std::vector<double> out;
         for (std::size_t r = lo; r < hi; ++r) {
-          detail::convolve_row(grid.values().data() + r * cols,
-                               scratch.data() + r * cols, cols, kernels.taps_of(r),
-                               kernels.tap_count(r));
+          for (const auto& span : runs.of(r)) {
+            double* row = cells.data() + r * cols + span.lo;
+            out.resize(span.hi - span.lo);
+            detail::convolve_row(row, out.data(), out.size(), kernels.taps_of(r),
+                                 kernels.tap_count(r));
+            std::copy(out.begin(), out.end(), row);
+          }
         }
       },
       ways);
 
-  // Vertical pass: constant kernel width, tiled over column groups so every
-  // load is unit-stride (see convolve_columns_tile).  Tiles are disjoint and
-  // the chunk boundaries depend only on the tile count and `ways`, so the
-  // pass stays bit-identical at any thread count.
-  const auto vertical = make_kernel(
-      config_.bandwidth_km / grid.cell_height_km(), config_.truncate_sigmas);
+  // Vertical pass, in place: constant kernel width, tiled over column
+  // groups.  Within a tile, the rows whose horizontal runs reach it are
+  // grouped into bands, split where two such rows are more than two radii
+  // apart.  Each band, widened by the radius, is gathered into a compact
+  // rows x width buffer (unit stride for convolve_columns_tile), convolved
+  // and written back; its clipped edges drop only rows that are zero in
+  // the tile, and the widened bands of one tile never overlap.  Rows
+  // outside every band are zero in the tile and stay so.  Tiles are
+  // disjoint and the chunk boundaries depend only on the tile count and
+  // `ways`, so the pass stays bit-identical at any thread count.
   const std::size_t tiles =
       (cols + detail::kConvolveTile - 1) / detail::kConvolveTile;
   pool.parallel_for(
       0, tiles,
       [&](std::size_t lo, std::size_t hi) {
+        std::vector<double> in;
+        std::vector<double> out;
         for (std::size_t t = lo; t < hi; ++t) {
           const std::size_t col = t * detail::kConvolveTile;
-          detail::convolve_columns_tile(
-              scratch.data(), grid.values().data(), rows, cols, col,
-              std::min(detail::kConvolveTile, cols - col), vertical.data(),
-              vertical.size());
+          const std::size_t width = std::min(detail::kConvolveTile, cols - col);
+          const auto band = [&](std::size_t first, std::size_t last) {
+            const std::size_t top = first >= vradius ? first - vradius : 0;
+            const std::size_t height = std::min(rows, last + 1 + vradius) - top;
+            in.resize(height * width);
+            out.resize(height * width);
+            for (std::size_t i = 0; i < height; ++i) {
+              std::copy_n(cells.data() + (top + i) * cols + col, width,
+                          in.data() + i * width);
+            }
+            detail::convolve_columns_tile(in.data(), out.data(), height, width, 0, width,
+                                          vertical.data(), vertical.size());
+            for (std::size_t i = 0; i < height; ++i) {
+              std::copy_n(out.data() + i * width, width,
+                          cells.data() + (top + i) * cols + col);
+            }
+          };
+          bool open = false;
+          std::size_t first = 0;
+          std::size_t last = 0;
+          for (std::size_t r = 0; r < rows; ++r) {
+            if (!runs.reach(r, col, col + width)) continue;
+            if (open && r - last > 2 * vradius) {
+              band(first, last);
+              open = false;
+            }
+            if (!open) {
+              open = true;
+              first = r;
+            }
+            last = r;
+          }
+          if (open) band(first, last);
         }
       },
       ways);
+
+  // The result's support: a row's output can be nonzero only in columns
+  // some horizontal run within one vertical radius covers.
+  std::vector<DensityGrid::RowSpan> support(rows);
+  for (std::size_t j = 0; j < rows; ++j) {
+    const auto row_runs = runs.of(j);
+    if (row_runs.empty()) continue;
+    const std::size_t lo = row_runs.front().lo;
+    const std::size_t hi = row_runs.back().hi;
+    for (std::size_t r = j >= vradius ? j - vradius : 0;
+         r < std::min(rows, j + vradius + 1); ++r) {
+      support[r].cover(lo, hi);
+    }
+  }
 
   // Normalize: expected count per cell -> probability density per km^2.
   pool.parallel_for(
@@ -348,11 +467,12 @@ DensityGrid KernelDensityEstimator::estimate(std::span<const geo::GeoPoint> poin
         for (std::size_t r = lo; r < hi; ++r) {
           const double scale =
               1.0 / (static_cast<double>(used) * grid.cell_area_km2(r));
-          double* row = grid.values().data() + r * cols;
-          for (std::size_t c = 0; c < cols; ++c) row[c] *= scale;
+          double* row = cells.data() + r * cols;
+          for (std::size_t c = support[r].lo; c < support[r].hi; ++c) row[c] *= scale;
         }
       },
       ways);
+  grid.restrict_support(std::move(support));
   return grid;
 }
 

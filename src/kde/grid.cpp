@@ -1,7 +1,9 @@
 #include "kde/grid.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace eyeball::kde {
@@ -34,6 +36,28 @@ DensityGrid::DensityGrid(const geo::BoundingBox& box, double cell_km,
   }
   EYEBALL_DCHECK(rows_ * cols_ <= max_cells, "cell budget violated after coarsening");
   values_.assign(rows_ * cols_, 0.0);
+  support_.assign(rows_, RowSpan{0, cols_});
+}
+
+std::span<double> DensityGrid::mutable_values() noexcept {
+  std::fill(support_.begin(), support_.end(), RowSpan{0, cols_});
+  return values_;
+}
+
+void DensityGrid::restrict_support(std::vector<RowSpan> support) {
+  EYEBALL_DCHECK(support.size() == rows_, "support needs one span per row");
+#if EYEBALL_DCHECK_ENABLED
+  for (std::size_t r = 0; r < rows_; ++r) {
+    const RowSpan span = support[r];
+    EYEBALL_DCHECK(span.lo <= span.hi && span.hi <= cols_, "support span out of bounds");
+    for (std::size_t c = 0; c < cols_; ++c) {
+      EYEBALL_DCHECK((c >= span.lo && c < span.hi) ||
+                         std::bit_cast<std::uint64_t>(value(r, c)) == 0,
+                     "nonzero cell outside the declared support");
+    }
+  }
+#endif
+  support_ = std::move(support);
 }
 
 geo::GeoPoint DensityGrid::center_of(std::size_t row, std::size_t col) const noexcept {
@@ -70,21 +94,43 @@ double DensityGrid::cell_area_km2(std::size_t row) const noexcept {
 }
 
 std::optional<DensityGrid::MaxCell> DensityGrid::max_cell() const noexcept {
-  const auto it = std::max_element(values_.begin(), values_.end());
-  if (it == values_.end() || *it <= 0.0) return std::nullopt;
-  const auto index = static_cast<std::size_t>(it - values_.begin());
-  return MaxCell{index / cols_, index % cols_, *it};
+  // First maximum in row-major order, like std::max_element over the dense
+  // values: the cells skipped outside the support are +0.0, so they can
+  // neither beat nor tie a positive maximum.
+  std::optional<MaxCell> best;
+  for (std::size_t r = 0; r < rows_; ++r) {
+    const RowSpan span = support_[r];
+    for (std::size_t c = span.lo; c < span.hi; ++c) {
+      const double v = values_[r * cols_ + c];
+      if (!best || best->value < v) best = MaxCell{r, c, v};
+    }
+  }
+  if (!best || best->value <= 0.0) return std::nullopt;
+  return best;
 }
 
 double DensityGrid::integral() const noexcept {
+  // Skipped cells add exactly +0.0 to a sum that can never be -0.0.
   double total = 0.0;
   for (std::size_t r = 0; r < rows_; ++r) {
-    const double area = cell_area_km2(r);
+    const RowSpan span = support_[r];
+    if (span.lo == span.hi) continue;
     double row_sum = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) row_sum += value(r, c);
-    total += row_sum * area;
+    for (std::size_t c = span.lo; c < span.hi; ++c) row_sum += value(r, c);
+    total += row_sum * cell_area_km2(r);
   }
   return total;
+}
+
+SupportFlags::SupportFlags(const DensityGrid& grid)
+    : grid_(grid), offsets_(grid.rows()) {
+  std::size_t total = 0;
+  for (std::size_t r = 0; r < grid.rows(); ++r) {
+    offsets_[r] = total;
+    const DensityGrid::RowSpan span = grid.row_support(r);
+    total += span.hi - span.lo;
+  }
+  flags_.assign(total, 0);
 }
 
 }  // namespace eyeball::kde

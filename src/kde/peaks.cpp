@@ -54,17 +54,19 @@ std::vector<Peak> find_peaks(const DensityGrid& grid, const PeakConfig& config) 
   };
 
   // Collect candidate cells and collapse plateaus: adjacent candidates with
-  // (near-)equal value belong to one peak.
-  std::vector<char> visited(rows * cols, 0);
+  // (near-)equal value belong to one peak.  A candidate is positive, so the
+  // scan and the visited set cover the grid's support only; the row-major
+  // order of the scan, and with it the order peaks are found, is unchanged.
+  SupportFlags visited{grid};
   std::vector<Peak> peaks;
   for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      if (visited[r * cols + c] || !is_candidate(r, c)) continue;
+    const DensityGrid::RowSpan span = grid.row_support(r);
+    for (std::size_t c = span.lo; c < span.hi; ++c) {
+      if (!is_candidate(r, c) || visited.test_and_set(r, c)) continue;
 
       // Flood over the connected plateau of candidates.
       std::queue<std::pair<std::size_t, std::size_t>> frontier;
       frontier.push({r, c});
-      visited[r * cols + c] = 1;
       std::size_t best_r = r;
       std::size_t best_c = c;
       while (!frontier.empty()) {
@@ -84,8 +86,7 @@ std::vector<Peak> find_peaks(const DensityGrid& grid, const PeakConfig& config) 
             }
             const auto ur = static_cast<std::size_t>(nr);
             const auto uc = static_cast<std::size_t>(nc);
-            if (!visited[ur * cols + uc] && is_candidate(ur, uc)) {
-              visited[ur * cols + uc] = 1;
+            if (is_candidate(ur, uc) && !visited.test_and_set(ur, uc)) {
               frontier.push({ur, uc});
             }
           }

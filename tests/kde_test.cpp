@@ -100,6 +100,40 @@ TEST(DensityGrid, MaxCellFindsMaximum) {
   EXPECT_DOUBLE_EQ(max->value, 9.0);
 }
 
+TEST(DensityGrid, SupportStartsFullAndOnlyWidensUnderMutation) {
+  const geo::BoundingBox box{40.0, 41.0, 10.0, 11.0};
+  DensityGrid grid{box, 10.0};
+  ASSERT_GE(grid.cols(), 4u);
+  // A fresh grid's support is every row in full.
+  for (std::size_t r = 0; r < grid.rows(); ++r) {
+    EXPECT_EQ(grid.row_support(r).lo, 0u);
+    EXPECT_EQ(grid.row_support(r).hi, grid.cols());
+  }
+  std::vector<DensityGrid::RowSpan> support(grid.rows());
+  support[1] = {1, 2};
+  grid.at(1, 1) = 3.0;
+  grid.restrict_support(support);
+  EXPECT_EQ(grid.row_support(0).hi, 0u);
+  // at() widens, never narrows; a write into an empty row opens a span.
+  grid.at(1, 3) = 4.0;
+  grid.at(0, 2) = 1.0;
+  EXPECT_EQ(grid.row_support(1).lo, 1u);
+  EXPECT_EQ(grid.row_support(1).hi, 4u);
+  EXPECT_EQ(grid.row_support(0).lo, 2u);
+  EXPECT_EQ(grid.row_support(0).hi, 3u);
+  const auto max = grid.max_cell();
+  ASSERT_TRUE(max);
+  EXPECT_EQ(max->row, 1u);
+  EXPECT_EQ(max->col, 3u);
+  EXPECT_DOUBLE_EQ(grid.integral(),
+                   1.0 * grid.cell_area_km2(0) + 7.0 * grid.cell_area_km2(1));
+  // The dense mutable view gives the whole rows back.
+  grid.mutable_values()[0] = 2.0;
+  EXPECT_EQ(grid.row_support(0).lo, 0u);
+  EXPECT_EQ(grid.row_support(0).hi, grid.cols());
+  EXPECT_EQ(grid.row_support(grid.rows() - 1).hi, grid.cols());
+}
+
 TEST(Estimator, ConfigValidation) {
   KdeConfig bad;
   bad.bandwidth_km = 0.0;

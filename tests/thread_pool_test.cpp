@@ -1,15 +1,19 @@
 // util::ThreadPool unit tests plus the determinism contract of the parallel
 // execution engine: the KDE convolution passes and the pipeline's per-AS
-// fan-out must produce bit-identical results at any thread count.
+// fan-out (analyze_all and refresh_analyses, including on a skewed AS mix)
+// must produce bit-identical results at any thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <numeric>
 #include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "core/artifact.hpp"
 #include "core/multi_bandwidth.hpp"
 #include "kde/estimator.hpp"
 #include "pipeline_fixture.hpp"
@@ -287,6 +291,86 @@ TEST(ParallelPipeline, AnalyzeAllMatchesSerialOnSyntheticTopology) {
       EXPECT_TRUE(same_analysis(serial[i], parallel[i]))
           << "threads=" << threads << " as index " << i;
     }
+  }
+}
+
+/// One huge AS among many small ones — the shape that starves a contiguous
+/// chunking of the AS list.  The huge AS repeats the fixture's largest
+/// peer set under a fresh ASN; the small ones are the first peers of every
+/// other fixture AS.
+core::TargetDataset skewed_dataset() {
+  const auto ases = testing::shared_fixture().dataset.ases();
+  const auto largest = std::max_element(
+      ases.begin(), ases.end(), [](const core::AsPeerSet& a, const core::AsPeerSet& b) {
+        return a.peers.size() < b.peers.size();
+      });
+  std::vector<core::AsPeerSet> out;
+  for (auto it = ases.begin(); it != ases.end(); ++it) {
+    if (it == largest) continue;
+    const std::size_t keep = std::min<std::size_t>(it->peers.size(), 60);
+    out.push_back({it->asn, {it->peers.begin(),
+                             it->peers.begin() + static_cast<std::ptrdiff_t>(keep)}});
+  }
+  core::AsPeerSet huge{net::Asn{4200000000U}, {}};
+  for (int copy = 0; copy < 3; ++copy) {
+    huge.peers.insert(huge.peers.end(), largest->peers.begin(), largest->peers.end());
+  }
+  out.insert(out.begin() + static_cast<std::ptrdiff_t>(out.size() / 3), std::move(huge));
+  return core::TargetDataset{std::move(out), core::DatasetStats{}};
+}
+
+std::vector<std::byte> encode_epoch(const core::TargetDataset& dataset,
+                                    std::span<const core::AsAnalysis> analyses) {
+  std::vector<std::byte> bytes;
+  const auto status = core::ArtifactCodec::encode(dataset, analyses, 1, 0, bytes);
+  EXPECT_TRUE(status.ok()) << status.message();
+  return bytes;
+}
+
+TEST(ParallelPipeline, BalancedFanOutByteIdenticalOnSkewedAses) {
+  const auto& f = testing::shared_fixture();
+  const auto& pipeline = f.pipeline;
+  const core::TargetDataset dataset = skewed_dataset();
+  const auto ases = dataset.ases();
+  ASSERT_GT(ases.size(), 8U);
+
+  const auto serial = pipeline.analyze_all(ases, 1);
+  ASSERT_EQ(serial.size(), ases.size());
+  for (std::size_t i = 0; i < ases.size(); ++i) {
+    ASSERT_TRUE(same_analysis(serial[i], pipeline.analyze(ases[i]))) << i;
+  }
+  const auto reference = encode_epoch(dataset, serial);
+
+  // A partial previous epoch: every other AS is missing, and the entries
+  // named in `changed` hold a wrong analysis (another AS's, under their
+  // ASN), so reusing one of them instead of re-analyzing shows in the bytes.
+  std::vector<core::AsAnalysis> previous;
+  std::vector<net::Asn> changed;
+  for (std::size_t i = 0; i < serial.size(); i += 2) {
+    if (i % 6 != 0) {
+      previous.push_back(serial[i]);
+      continue;
+    }
+    previous.push_back(serial[(i + 1) % serial.size()]);
+    previous.back().asn = serial[i].asn;
+    changed.push_back(serial[i].asn);
+  }
+  changed.push_back(ases[ases.size() / 3].asn);  // the huge AS
+
+  // refresh_analyses fans out at PipelineConfig::threads.
+  core::PipelineConfig config = pipeline.config();
+
+  for (const std::size_t threads : {1u, 2u, 3u, 0u}) {
+    EXPECT_EQ(encode_epoch(dataset, pipeline.analyze_all(ases, threads)), reference)
+        << "analyze_all threads=" << threads;
+    config.threads = threads;
+    const core::EyeballPipeline refresher{f.gaz, f.primary, f.secondary, f.mapper, config};
+    EXPECT_EQ(encode_epoch(dataset, refresher.refresh_analyses(dataset, {}, {})),
+              reference)
+        << "refresh from empty, threads=" << threads;
+    EXPECT_EQ(encode_epoch(dataset, refresher.refresh_analyses(dataset, previous, changed)),
+              reference)
+        << "refresh from partial, threads=" << threads;
   }
 }
 
