@@ -341,8 +341,8 @@ void BM_ArtifactOpen(benchmark::State& state) {
 BENCHMARK(BM_ArtifactOpen)->Unit(benchmark::kMillisecond);
 
 // Point lookups answered in place from the mapped image (no materialize):
-// the artifact sibling of BM_DatasetFind below, plus a peer sweep so the
-// loop actually touches mapped arena bytes, not just the index.
+// the artifact sibling of BM_DatasetFind below, plus a first-PoP read so
+// the loop actually touches mapped arena bytes, not just the index.
 void BM_ArtifactFindThroughView(benchmark::State& state) {
   const auto& w = world();
   static const std::vector<std::byte>& image = [] {
@@ -366,7 +366,7 @@ void BM_ArtifactFindThroughView(benchmark::State& state) {
     const auto index = view.find_index(ases[cursor].asn);
     const auto as = view.as_at(*index);
     sink += as.dominant_share();
-    if (as.peer_count() != 0) sink += as.peer(0).location.lat_deg;
+    if (as.pop_count() != 0) sink += as.pop(0).peak_location.lat_deg;
     cursor = (cursor + 1) % ases.size();
   }
   benchmark::DoNotOptimize(sink);

@@ -1,20 +1,16 @@
 #include "core/artifact.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
-#include <new>
 #include <numeric>
 #include <utility>
 
+#include "core/byte_io.hpp"
 #include "util/check.hpp"
 #include "util/crc32c.hpp"
-
-#if defined(EYEBALL_HAS_ZSTD)
-#include <zstd.h>
-#endif
 
 // EYBART1 encoder / validator / in-place reader.  The format contract
 // (layout, relocation rules, validation order) lives in artifact.hpp; this
@@ -24,6 +20,13 @@
 namespace eyeball::core {
 
 namespace {
+
+using byte_io::load_f64;
+using byte_io::load_u32;
+using byte_io::load_u64;
+using byte_io::put_f64;
+using byte_io::put_u32;
+using byte_io::put_u64;
 
 // In-place f64 arena reads reinterpret mapped little-endian IEEE-754 bytes;
 // everything else is decoded byte-by-byte (endian-portable).  The
@@ -46,61 +49,33 @@ constexpr std::size_t kMetaCrcOffset = 48;  // u32 at [48], reserved u32 at [52]
 constexpr std::size_t kTableEntrySize = 40;
 constexpr std::size_t kTailSize = 8;
 
-constexpr std::size_t kAsEntrySize = 240;
+constexpr std::size_t kAsEntrySize = 224;
 constexpr std::size_t kGridRunRecordSize = 16;
-constexpr std::size_t kPeerRecordSize = 40;
 constexpr std::size_t kPartitionRecordSize = 80;
 constexpr std::size_t kSegmentRecordSize = 32;
 constexpr std::size_t kPeakRecordSize = 40;
 constexpr std::size_t kPopRecordSize = 40;
-constexpr std::size_t kStatsFixedSize = 88;  // 10 counters + window count
-constexpr std::size_t kWindowRecordSize = 40;
 
 /// Section ids, in the exact file order the table must carry.
 enum SectionId : std::uint32_t {
   kSecStats = 1,
   kSecAsIndex = 2,
   kSecAsnOrder = 3,
-  kSecPeers = 4,
-  kSecGridRuns = 5,
-  kSecGridValues = 6,
-  kSecPartitions = 7,
-  kSecBoundary = 8,
-  kSecPeaks = 9,
-  kSecPops = 10,
-  kSecRegions = 11,
+  kSecGridRuns = 4,
+  kSecGridValues = 5,
+  kSecPartitions = 6,
+  kSecBoundary = 7,
+  kSecPeaks = 8,
+  kSecPops = 9,
+  kSecRegions = 10,
 };
-constexpr std::size_t kSectionCount = 11;
-
-constexpr std::uint32_t kEncodingRaw = 0;
-constexpr std::uint32_t kEncodingZstd = 1;
-
-// Hard ceiling on a zstd section's declared expansion: one compressed block
-// can emit at most 128 KiB from a ~4-byte RLE header, so 32768x is past the
-// format's physical maximum and a table claiming more is provably corrupt.
-constexpr std::uint64_t kMaxZstdExpansion = 32768;
+constexpr std::size_t kSectionCount = 10;
 
 [[nodiscard]] constexpr std::size_t align8(std::size_t n) noexcept {
   return (n + 7U) & ~std::size_t{7};
 }
 
-// ---- little-endian writers (canonical bytes, host-independent) -----------
-
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::byte>((v >> shift) & 0xffU));
-  }
-}
-
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::byte>((v >> shift) & 0xffU));
-  }
-}
-
-void put_f64(std::vector<std::byte>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
+// ---- byte helpers beyond the shared layer (core/byte_io.hpp) -------------
 
 void put_u32_at(std::span<std::byte> out, std::size_t at, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -113,135 +88,29 @@ void pad8(std::vector<std::byte>& out) {
   while ((out.size() & 7U) != 0) out.push_back(std::byte{0});
 }
 
-// ---- little-endian readers (callers guarantee bounds) --------------------
-
-[[nodiscard]] std::uint32_t load_u32(std::span<const std::byte> bytes,
-                                     std::size_t at) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(bytes[at + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  return v;
-}
-
-[[nodiscard]] std::uint64_t load_u64(std::span<const std::byte> bytes,
-                                     std::size_t at) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(bytes[at + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  return v;
-}
-
-[[nodiscard]] double load_f64(std::span<const std::byte> bytes,
-                              std::size_t at) noexcept {
-  return std::bit_cast<double>(load_u64(bytes, at));
-}
-
-// ---- grid geometry (mirror of DensityGrid's constructor math) ------------
-
-/// Re-derives the row/col counts DensityGrid computes from (box, cell_km).
-/// The artifact stores the POST-coarsening cell size, so one evaluation of
-/// the formula (no budget loop) must reproduce the stored counts exactly —
-/// any drift between this and kde/grid.cpp fails the differential test.
-/// Returns false when the inputs cannot have come from a real grid.
-[[nodiscard]] bool derive_grid_shape(double min_lat, double max_lat, double min_lon,
-                                     double max_lon, double cell_km,
-                                     std::uint64_t& rows,
-                                     std::uint64_t& cols) noexcept {
-  if (!(cell_km > 0.0) || !std::isfinite(cell_km)) return false;
-  const double mid_lat = (min_lat + max_lat) / 2.0;
-  const double lon_scale = std::max(1.0, geo::km_per_degree_lon(mid_lat));
-  const double dlat_deg = cell_km / geo::kKmPerDegreeLat;
-  const double dlon_deg = cell_km / lon_scale;
-  const double want_rows = std::max(1.0, std::ceil((max_lat - min_lat) / dlat_deg));
-  const double want_cols = std::max(1.0, std::ceil((max_lon - min_lon) / dlon_deg));
-  // 2^31 caps each axis so rows*cols cannot overflow u64 downstream; a real
-  // grid is orders of magnitude below this (DensityGrid's cell budget).
-  constexpr double kAxisCap = 2147483648.0;
-  if (!(want_rows >= 1.0) || !(want_cols >= 1.0)) return false;
-  if (want_rows >= kAxisCap || want_cols >= kAxisCap) return false;
-  rows = static_cast<std::uint64_t>(want_rows);
-  cols = static_cast<std::uint64_t>(want_cols);
-  return true;
-}
-
 [[nodiscard]] util::Status corruption_at(const char* what) {
   return util::Status::corruption(std::string{"artifact: "} + what);
 }
-
-#if defined(EYEBALL_HAS_ZSTD)
-[[nodiscard]] util::Status zstd_compress(std::span<const std::byte> raw,
-                                         std::vector<std::byte>& out) {
-  const std::size_t bound = ZSTD_compressBound(raw.size());
-  out.assign(bound, std::byte{0});
-  // Level 3: the zstd default; cold-section reads decompress once at open,
-  // so the write-side ratio/speed tradeoff is not hot either way.
-  const std::size_t got = ZSTD_compress(out.data(), bound, raw.data(), raw.size(), 3);
-  if (ZSTD_isError(got) != 0U) {
-    return util::Status::io_error(std::string{"artifact: zstd compress: "} +
-                                  ZSTD_getErrorName(got));
-  }
-  out.resize(got);
-  return util::Status{};
-}
-#endif
 
 }  // namespace
 
 // ---- encoder --------------------------------------------------------------
 
-bool ArtifactCodec::zstd_supported() noexcept {
-#if defined(EYEBALL_HAS_ZSTD)
-  return true;
-#else
-  return false;
-#endif
-}
-
 util::Status ArtifactCodec::encode(const TargetDataset& dataset,
                                    std::span<const AsAnalysis> analyses,
                                    std::uint64_t epoch,
                                    std::uint64_t config_fingerprint,
-                                   std::vector<std::byte>& out,
-                                   const EncodeOptions& options) {
+                                   std::vector<std::byte>& out) {
   const std::span<const AsPeerSet> ases = dataset.ases();
   if (analyses.size() != ases.size()) {
     return util::Status::invalid_argument(
         "artifact: analyses must be parallel to the dataset's ASes");
   }
-  if (options.compress_cold && !zstd_supported()) {
-    return util::Status::invalid_argument(
-        "artifact: compress_cold requested but this binary was built without zstd");
-  }
   const std::size_t n = ases.size();
 
   // -- stats section --------------------------------------------------------
   std::vector<std::byte> stats_pay;
-  {
-    const DatasetStats& s = dataset.stats();
-    stats_pay.reserve(kStatsFixedSize + s.windows.size() * kWindowRecordSize);
-    put_u64(stats_pay, s.raw_samples);
-    put_u64(stats_pay, s.missing_geo);
-    put_u64(stats_pay, s.high_error);
-    put_u64(stats_pay, s.unmapped_as);
-    put_u64(stats_pay, s.peers_in_small_ases);
-    put_u64(stats_pay, s.ases_below_min_peers);
-    put_u64(stats_pay, s.ases_above_p90_error);
-    put_u64(stats_pay, s.final_peers);
-    put_u64(stats_pay, s.final_ases);
-    put_u64(stats_pay, s.rejected_samples);
-    put_u64(stats_pay, s.windows.size());
-    for (const WindowStats& w : s.windows) {
-      put_u64(stats_pay, w.offered);
-      put_u64(stats_pay, w.duplicates);
-      put_u64(stats_pay, w.admitted);
-      put_u64(stats_pay, w.cumulative_unique);
-      put_u64(stats_pay, w.rejected);
-    }
-  }
+  byte_io::put_stats(stats_pay, dataset.stats());
 
   // -- ASN order (TargetDataset::find's index, persisted) -------------------
   std::vector<std::uint32_t> order(n);
@@ -259,7 +128,6 @@ util::Status ArtifactCodec::encode(const TargetDataset& dataset,
 
   // -- per-AS index + arenas ------------------------------------------------
   std::vector<std::byte> index_pay;
-  std::vector<std::byte> peers_pay;
   std::vector<std::byte> runs_pay;
   std::vector<std::byte> grid_pay;
   std::vector<std::byte> parts_pay;
@@ -268,11 +136,6 @@ util::Status ArtifactCodec::encode(const TargetDataset& dataset,
   std::vector<std::byte> pops_pay;
   std::vector<std::byte> regions_pay;
   index_pay.reserve(n * kAsEntrySize);
-  {
-    std::size_t total_peers = 0;
-    for (std::size_t i = 0; i < n; ++i) total_peers += ases[i].peers.size();
-    peers_pay.reserve(total_peers * kPeerRecordSize);
-  }
 
   for (std::size_t i = 0; i < n; ++i) {
     const AsPeerSet& as = ases[i];
@@ -324,8 +187,6 @@ util::Status ArtifactCodec::encode(const TargetDataset& dataset,
     put_f64(index_pay, analysis.classification.dominant_share);
     put_u64(index_pay, regions_pay.size());
     put_u64(index_pay, analysis.classification.dominant_region.size());
-    put_u64(index_pay, peers_pay.size() / kPeerRecordSize);
-    put_u64(index_pay, as.peers.size());
     put_u64(index_pay, grid_run_offset);
     put_u64(index_pay, grid_run_count);
     put_u64(index_pay, grid_value_offset);
@@ -352,15 +213,6 @@ util::Status ArtifactCodec::encode(const TargetDataset& dataset,
 
     for (const char c : analysis.classification.dominant_region) {
       regions_pay.push_back(static_cast<std::byte>(c));
-    }
-    for (const PeerRecord& peer : as.peers) {
-      put_u32(peers_pay, peer.ip.value());
-      put_u32(peers_pay, static_cast<std::uint32_t>(peer.app));
-      put_u32(peers_pay, peer.reported_city);
-      put_u32(peers_pay, 0);  // reserved
-      put_f64(peers_pay, peer.location.lat_deg);
-      put_f64(peers_pay, peer.location.lon_deg);
-      put_f64(peers_pay, peer.geo_error_km);
     }
     for (const kde::FootprintPartition& p : contour.partitions) {
       put_u64(parts_pay, p.cell_count);
@@ -399,41 +251,16 @@ util::Status ArtifactCodec::encode(const TargetDataset& dataset,
   }
   pad8(regions_pay);
 
-  // -- optional cold-section compression ------------------------------------
   struct SectionPlan {
     std::uint32_t id;
-    std::uint32_t encoding;
-    const std::vector<std::byte>* stored;
-    std::uint64_t raw_size;
+    const std::vector<std::byte>* payload;
   };
-  std::vector<std::byte> peers_stored;
-  std::uint32_t peers_encoding = kEncodingRaw;
-  std::uint64_t peers_raw_size = peers_pay.size();
-  const std::vector<std::byte>* peers_section = &peers_pay;
-#if defined(EYEBALL_HAS_ZSTD)
-  if (options.compress_cold && !peers_pay.empty()) {
-    if (util::Status status = zstd_compress(peers_pay, peers_stored); !status.ok()) {
-      return status;
-    }
-    peers_encoding = kEncodingZstd;
-    peers_section = &peers_stored;
-  }
-#else
-  static_cast<void>(peers_stored);  // unreferenced without zstd
-#endif
-
   const SectionPlan plan[kSectionCount] = {
-      {kSecStats, kEncodingRaw, &stats_pay, stats_pay.size()},
-      {kSecAsIndex, kEncodingRaw, &index_pay, index_pay.size()},
-      {kSecAsnOrder, kEncodingRaw, &order_pay, order_pay.size()},
-      {kSecPeers, peers_encoding, peers_section, peers_raw_size},
-      {kSecGridRuns, kEncodingRaw, &runs_pay, runs_pay.size()},
-      {kSecGridValues, kEncodingRaw, &grid_pay, grid_pay.size()},
-      {kSecPartitions, kEncodingRaw, &parts_pay, parts_pay.size()},
-      {kSecBoundary, kEncodingRaw, &bound_pay, bound_pay.size()},
-      {kSecPeaks, kEncodingRaw, &peaks_pay, peaks_pay.size()},
-      {kSecPops, kEncodingRaw, &pops_pay, pops_pay.size()},
-      {kSecRegions, kEncodingRaw, &regions_pay, regions_pay.size()},
+      {kSecStats, &stats_pay},       {kSecAsIndex, &index_pay},
+      {kSecAsnOrder, &order_pay},    {kSecGridRuns, &runs_pay},
+      {kSecGridValues, &grid_pay},   {kSecPartitions, &parts_pay},
+      {kSecBoundary, &bound_pay},    {kSecPeaks, &peaks_pay},
+      {kSecPops, &pops_pay},         {kSecRegions, &regions_pay},
   };
 
   // -- assembly: header + table + packed sections + tail --------------------
@@ -443,7 +270,7 @@ util::Status ArtifactCodec::encode(const TargetDataset& dataset,
   for (std::size_t s = 0; s < kSectionCount; ++s) {
     cursor = align8(cursor);
     offsets[s] = cursor;
-    cursor += plan[s].stored->size();
+    cursor += plan[s].payload->size();
   }
   const std::size_t file_size = align8(cursor) + kTailSize;
 
@@ -462,11 +289,11 @@ util::Status ArtifactCodec::encode(const TargetDataset& dataset,
 
   for (std::size_t s = 0; s < kSectionCount; ++s) {
     put_u32(buffer, plan[s].id);
-    put_u32(buffer, plan[s].encoding);
+    put_u32(buffer, 0);  // reserved
     put_u64(buffer, offsets[s]);
-    put_u64(buffer, plan[s].stored->size());
-    put_u64(buffer, plan[s].raw_size);
-    put_u32(buffer, util::crc32c_fast(*plan[s].stored));
+    put_u64(buffer, plan[s].payload->size());
+    put_u64(buffer, 0);  // reserved
+    put_u32(buffer, util::crc32c_fast(*plan[s].payload));
     put_u32(buffer, 0);  // reserved
   }
 
@@ -476,7 +303,7 @@ util::Status ArtifactCodec::encode(const TargetDataset& dataset,
 
   for (std::size_t s = 0; s < kSectionCount; ++s) {
     while (buffer.size() < offsets[s]) buffer.push_back(std::byte{0});
-    buffer.insert(buffer.end(), plan[s].stored->begin(), plan[s].stored->end());
+    buffer.insert(buffer.end(), plan[s].payload->begin(), plan[s].payload->end());
   }
   while ((buffer.size() & 7U) != 0) buffer.push_back(std::byte{0});
   buffer.insert(buffer.end(), kTailMagic.begin(), kTailMagic.end());
@@ -489,11 +316,9 @@ util::Status ArtifactCodec::encode(const TargetDataset& dataset,
 util::Status ArtifactCodec::write(util::FileSystem& fs, const std::string& path,
                                   const TargetDataset& dataset,
                                   std::span<const AsAnalysis> analyses,
-                                  std::uint64_t epoch, std::uint64_t config_fingerprint,
-                                  const EncodeOptions& options) {
+                                  std::uint64_t epoch, std::uint64_t config_fingerprint) {
   std::vector<std::byte> bytes;
-  if (util::Status status =
-          encode(dataset, analyses, epoch, config_fingerprint, bytes, options);
+  if (util::Status status = encode(dataset, analyses, epoch, config_fingerprint, bytes);
       !status.ok()) {
     return status;
   }
@@ -573,7 +398,9 @@ util::Status ArtifactView::load(std::span<const std::byte> bytes) {
 
   // 2. Meta CRC over header + table (with the CRC field zeroed), THEN the
   // version check: a flipped version byte is kCorruption, a CRC-valid
-  // higher version is a genuine kVersionMismatch.
+  // other version is a genuine kVersionMismatch.  The CRC span follows the
+  // header's own section count, so an intact v1 image (11 table entries)
+  // passes it and is refused as skew, never quarantined as corruption.
   {
     std::vector<std::byte> meta(bytes.begin(),
                                 bytes.begin() + static_cast<std::ptrdiff_t>(
@@ -590,7 +417,10 @@ util::Status ArtifactView::load(std::span<const std::byte> bytes) {
         std::to_string(ArtifactCodec::kFormatVersion));
   }
   if (section_count != kSectionCount) {
-    return corruption_at("wrong section count for format version 1");
+    return corruption_at("wrong section count for this format version");
+  }
+  if (load_u32(bytes, kMetaCrcOffset + 4) != 0) {
+    return corruption_at("nonzero reserved header field");
   }
   const std::uint64_t epoch = load_u64(bytes, 16);
   const std::uint64_t fingerprint = load_u64(bytes, 24);
@@ -600,12 +430,10 @@ util::Status ArtifactView::load(std::span<const std::byte> bytes) {
   }
   const auto n = static_cast<std::size_t>(as_count64);
 
-  // 3. Section-table walk: exact ids, exact packing, known encodings.
+  // 3. Section-table walk: exact ids, reserved fields zero, exact packing.
   struct Section {
-    std::uint32_t encoding = 0;
     std::uint64_t offset = 0;
-    std::uint64_t stored_size = 0;
-    std::uint64_t raw_size = 0;
+    std::uint64_t size = 0;
     std::uint32_t crc = 0;
   };
   std::array<Section, kSectionCount> sections;
@@ -616,27 +444,13 @@ util::Status ArtifactView::load(std::span<const std::byte> bytes) {
       const std::size_t at = kHeaderSize + s * kTableEntrySize;
       Section& sec = sections[s];
       const std::uint32_t id = load_u32(bytes, at);
-      sec.encoding = load_u32(bytes, at + 4);
       sec.offset = load_u64(bytes, at + 8);
-      sec.stored_size = load_u64(bytes, at + 16);
-      sec.raw_size = load_u64(bytes, at + 24);
+      sec.size = load_u64(bytes, at + 16);
       sec.crc = load_u32(bytes, at + 32);
       if (id != s + 1) return corruption_at("section ids out of order");
-      if (sec.encoding != kEncodingRaw && sec.encoding != kEncodingZstd) {
-        return corruption_at("unknown section encoding");
-      }
-      if (sec.encoding == kEncodingRaw && sec.raw_size != sec.stored_size) {
-        return corruption_at("raw section with mismatched raw/stored sizes");
-      }
-      // raw_size drives an allocation at decompression time, so bound it
-      // before anything trusts it.  A zstd block emits at most 128 KiB from
-      // a ~4-byte RLE header, so no real frame expands beyond 32768x; a
-      // table claiming more is corrupt regardless of what the payload says,
-      // and rejecting it here keeps a crafted raw_size (e.g. 2^60) from
-      // turning into an OOM/bad_alloc escaping this typed-Status path.
-      if (sec.encoding == kEncodingZstd &&
-          sec.raw_size / kMaxZstdExpansion > sec.stored_size) {
-        return corruption_at("zstd section claims an impossible expansion ratio");
+      if (load_u32(bytes, at + 4) != 0 || load_u64(bytes, at + 24) != 0 ||
+          load_u32(bytes, at + 36) != 0) {
+        return corruption_at("nonzero reserved section-table field");
       }
       // Exact packing: each section starts at the previous one's padded
       // end.  This single equality makes out-of-bounds, overlapping and
@@ -650,8 +464,7 @@ util::Status ArtifactView::load(std::span<const std::byte> bytes) {
       // end and the u64 difference would wrap.  The alignment check in the
       // envelope makes that unreachable, but keep the arithmetic locally
       // safe rather than depending on a check 80 lines away.
-      if (sec.offset > payload_end ||
-          sec.stored_size > payload_end - sec.offset) {
+      if (sec.offset > payload_end || sec.size > payload_end - sec.offset) {
         return corruption_at("section runs past the end of the image");
       }
       // Padding between sections is dead space; require zeros so no byte of
@@ -659,7 +472,7 @@ util::Status ArtifactView::load(std::span<const std::byte> bytes) {
       for (std::uint64_t p = cursor; p < sec.offset; ++p) {
         if (bytes[p] != std::byte{0}) return corruption_at("nonzero section padding");
       }
-      cursor = sec.offset + sec.stored_size;
+      cursor = sec.offset + sec.size;
     }
     for (std::uint64_t p = cursor; p < payload_end; ++p) {
       if (bytes[p] != std::byte{0}) return corruption_at("nonzero trailing padding");
@@ -668,66 +481,18 @@ util::Status ArtifactView::load(std::span<const std::byte> bytes) {
 
   // 4. Payload CRCs (hardware-accelerated; this is the only full read of
   // the image at open — everything later is query-driven page touches).
+  std::array<std::span<const std::byte>, kSectionCount> payload;
   for (std::size_t s = 0; s < kSectionCount; ++s) {
-    const std::span<const std::byte> stored =
-        bytes.subspan(sections[s].offset, sections[s].stored_size);
-    if (util::crc32c_fast(stored) != sections[s].crc) {
+    payload[s] = bytes.subspan(sections[s].offset, sections[s].size);
+    if (util::crc32c_fast(payload[s]) != sections[s].crc) {
       return corruption_at("section CRC mismatch");
     }
   }
 
-  // 5. Decompress cold sections (owned side buffers); raw sections are
-  // served straight from the mapping.
-  std::vector<std::vector<std::byte>> inflated(kSectionCount);
-  std::array<std::span<const std::byte>, kSectionCount> payload;
-  for (std::size_t s = 0; s < kSectionCount; ++s) {
-    const std::span<const std::byte> stored =
-        bytes.subspan(sections[s].offset, sections[s].stored_size);
-    if (sections[s].encoding == kEncodingRaw) {
-      payload[s] = stored;
-      continue;
-    }
-#if defined(EYEBALL_HAS_ZSTD)
-    // The encoder's one-shot ZSTD_compress always records the content size
-    // in the frame header, so it must equal the table's raw_size.  Checking
-    // before the allocation means a frame/table disagreement is a typed
-    // error, not a buffer sized by whichever side an attacker forged.
-    const unsigned long long frame_raw =
-        ZSTD_getFrameContentSize(stored.data(), stored.size());
-    if (frame_raw == ZSTD_CONTENTSIZE_ERROR ||
-        frame_raw == ZSTD_CONTENTSIZE_UNKNOWN ||
-        frame_raw != sections[s].raw_size) {
-      return corruption_at("zstd frame content size disagrees with the table");
-    }
-    std::vector<std::byte>& raw = inflated[s];
-    try {
-      raw.assign(sections[s].raw_size, std::byte{0});
-    } catch (const std::bad_alloc&) {
-      // raw_size is already ratio-bounded by the table walk; if the host
-      // still cannot back the buffer, surface it as a typed error rather
-      // than letting bad_alloc escape the no-throw load contract.
-      return util::Status::io_error(
-          "artifact: cannot allocate buffer for zstd section");
-    }
-    const std::size_t got = ZSTD_decompress(raw.data(), raw.size(), stored.data(),
-                                            stored.size());
-    if (ZSTD_isError(got) != 0U || got != raw.size()) {
-      return corruption_at("zstd section fails to decompress to its raw size");
-    }
-    payload[s] = raw;
-#else
-    // A well-formed artifact this build cannot read — the same taxonomy
-    // slot as a newer format version, not corruption.
-    return util::Status::version_mismatch(
-        "artifact: zstd-compressed section but this binary was built without zstd");
-#endif
-  }
-
-  // 6. Structural walk.
+  // 5. Structural walk.
   const std::span<const std::byte> stats_pay = payload[kSecStats - 1];
   const std::span<const std::byte> index_pay = payload[kSecAsIndex - 1];
   const std::span<const std::byte> order_pay = payload[kSecAsnOrder - 1];
-  const std::span<const std::byte> peers_pay = payload[kSecPeers - 1];
   const std::span<const std::byte> runs_pay = payload[kSecGridRuns - 1];
   const std::span<const std::byte> grid_pay = payload[kSecGridValues - 1];
   const std::span<const std::byte> parts_pay = payload[kSecPartitions - 1];
@@ -736,49 +501,21 @@ util::Status ArtifactView::load(std::span<const std::byte> bytes) {
   const std::span<const std::byte> pops_pay = payload[kSecPops - 1];
   const std::span<const std::byte> regions_pay = payload[kSecRegions - 1];
 
-  // Stats: fixed counters + declared window count.
-  if (stats_pay.size() < kStatsFixedSize) return corruption_at("stats section too small");
   DatasetStats stats;
-  stats.raw_samples = static_cast<std::size_t>(load_u64(stats_pay, 0));
-  stats.missing_geo = static_cast<std::size_t>(load_u64(stats_pay, 8));
-  stats.high_error = static_cast<std::size_t>(load_u64(stats_pay, 16));
-  stats.unmapped_as = static_cast<std::size_t>(load_u64(stats_pay, 24));
-  stats.peers_in_small_ases = static_cast<std::size_t>(load_u64(stats_pay, 32));
-  stats.ases_below_min_peers = static_cast<std::size_t>(load_u64(stats_pay, 40));
-  stats.ases_above_p90_error = static_cast<std::size_t>(load_u64(stats_pay, 48));
-  stats.final_peers = static_cast<std::size_t>(load_u64(stats_pay, 56));
-  stats.final_ases = static_cast<std::size_t>(load_u64(stats_pay, 64));
-  stats.rejected_samples = static_cast<std::size_t>(load_u64(stats_pay, 72));
-  const std::uint64_t window_count = load_u64(stats_pay, 80);
-  if (window_count > (stats_pay.size() - kStatsFixedSize) / kWindowRecordSize ||
-      stats_pay.size() != kStatsFixedSize + window_count * kWindowRecordSize) {
+  if (!byte_io::decode_stats(stats_pay, stats)) {
     return corruption_at("stats window count does not match the section size");
-  }
-  stats.windows.reserve(static_cast<std::size_t>(window_count));
-  for (std::uint64_t w = 0; w < window_count; ++w) {
-    const std::size_t at = kStatsFixedSize + static_cast<std::size_t>(w) *
-                                                 kWindowRecordSize;
-    WindowStats window;
-    window.offered = static_cast<std::size_t>(load_u64(stats_pay, at));
-    window.duplicates = static_cast<std::size_t>(load_u64(stats_pay, at + 8));
-    window.admitted = static_cast<std::size_t>(load_u64(stats_pay, at + 16));
-    window.cumulative_unique = static_cast<std::size_t>(load_u64(stats_pay, at + 24));
-    window.rejected = static_cast<std::size_t>(load_u64(stats_pay, at + 32));
-    stats.windows.push_back(window);
   }
 
   // Arena element counts.
   if (index_pay.size() != n * kAsEntrySize) {
     return corruption_at("AS index size does not match the AS count");
   }
-  if (peers_pay.size() % kPeerRecordSize != 0 ||
-      runs_pay.size() % kGridRunRecordSize != 0 || grid_pay.size() % 8 != 0 ||
+  if (runs_pay.size() % kGridRunRecordSize != 0 || grid_pay.size() % 8 != 0 ||
       parts_pay.size() % kPartitionRecordSize != 0 ||
       bound_pay.size() % kSegmentRecordSize != 0 ||
       peaks_pay.size() % kPeakRecordSize != 0 || pops_pay.size() % kPopRecordSize != 0) {
     return corruption_at("arena size not a multiple of its record size");
   }
-  const std::uint64_t total_peers = peers_pay.size() / kPeerRecordSize;
   const std::uint64_t total_runs = runs_pay.size() / kGridRunRecordSize;
   const std::uint64_t total_values = grid_pay.size() / 8;
   const std::uint64_t total_parts = parts_pay.size() / kPartitionRecordSize;
@@ -791,7 +528,7 @@ util::Status ArtifactView::load(std::span<const std::byte> bytes) {
   // safe without per-query bounds checks.
   std::vector<AsEntry> entries;
   entries.reserve(n);
-  std::uint64_t peer_cur = 0, run_cur = 0, value_cur = 0, part_cur = 0, seg_cur = 0,
+  std::uint64_t run_cur = 0, value_cur = 0, part_cur = 0, seg_cur = 0,
                 peak_cur = 0, pop_cur = 0, region_cur = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t at = i * kAsEntrySize;
@@ -802,31 +539,29 @@ util::Status ArtifactView::load(std::span<const std::byte> bytes) {
     e.dominant_share = load_f64(index_pay, at + 16);
     e.region_offset = load_u64(index_pay, at + 24);
     e.region_size = load_u64(index_pay, at + 32);
-    e.peer_offset = load_u64(index_pay, at + 40);
-    e.peer_count = load_u64(index_pay, at + 48);
-    e.grid_run_offset = load_u64(index_pay, at + 56);
-    e.grid_run_count = load_u64(index_pay, at + 64);
-    e.grid_value_offset = load_u64(index_pay, at + 72);
-    e.grid_nonzero_count = load_u64(index_pay, at + 80);
-    e.grid_rows = load_u64(index_pay, at + 88);
-    e.grid_cols = load_u64(index_pay, at + 96);
-    e.min_lat = load_f64(index_pay, at + 104);
-    e.max_lat = load_f64(index_pay, at + 112);
-    e.min_lon = load_f64(index_pay, at + 120);
-    e.max_lon = load_f64(index_pay, at + 128);
-    e.cell_km = load_f64(index_pay, at + 136);
-    e.contour_level = load_f64(index_pay, at + 144);
-    e.partition_offset = load_u64(index_pay, at + 152);
-    e.partition_count = load_u64(index_pay, at + 160);
-    e.boundary_offset = load_u64(index_pay, at + 168);
-    e.boundary_count = load_u64(index_pay, at + 176);
-    e.peak_offset = load_u64(index_pay, at + 184);
-    e.peak_count = load_u64(index_pay, at + 192);
-    e.pop_offset = load_u64(index_pay, at + 200);
-    e.pop_count = load_u64(index_pay, at + 208);
-    e.unmapped_peaks = load_u64(index_pay, at + 216);
-    e.sample_count = load_u64(index_pay, at + 224);
-    e.bandwidth_km = load_f64(index_pay, at + 232);
+    e.grid_run_offset = load_u64(index_pay, at + 40);
+    e.grid_run_count = load_u64(index_pay, at + 48);
+    e.grid_value_offset = load_u64(index_pay, at + 56);
+    e.grid_nonzero_count = load_u64(index_pay, at + 64);
+    e.grid_rows = load_u64(index_pay, at + 72);
+    e.grid_cols = load_u64(index_pay, at + 80);
+    e.min_lat = load_f64(index_pay, at + 88);
+    e.max_lat = load_f64(index_pay, at + 96);
+    e.min_lon = load_f64(index_pay, at + 104);
+    e.max_lon = load_f64(index_pay, at + 112);
+    e.cell_km = load_f64(index_pay, at + 120);
+    e.contour_level = load_f64(index_pay, at + 128);
+    e.partition_offset = load_u64(index_pay, at + 136);
+    e.partition_count = load_u64(index_pay, at + 144);
+    e.boundary_offset = load_u64(index_pay, at + 152);
+    e.boundary_count = load_u64(index_pay, at + 160);
+    e.peak_offset = load_u64(index_pay, at + 168);
+    e.peak_count = load_u64(index_pay, at + 176);
+    e.pop_offset = load_u64(index_pay, at + 184);
+    e.pop_count = load_u64(index_pay, at + 192);
+    e.unmapped_peaks = load_u64(index_pay, at + 200);
+    e.sample_count = load_u64(index_pay, at + 208);
+    e.bandwidth_km = load_f64(index_pay, at + 216);
 
     if (e.level > static_cast<std::uint32_t>(topology::AsLevel::kGlobal)) {
       return corruption_at("AS level out of range");
@@ -838,10 +573,6 @@ util::Status ArtifactView::load(std::span<const std::byte> bytes) {
       return corruption_at("region string range breaks the tiling rule");
     }
     region_cur += e.region_size;
-    if (e.peer_offset != peer_cur || e.peer_count > total_peers - peer_cur) {
-      return corruption_at("peer range breaks the tiling rule");
-    }
-    peer_cur += e.peer_count;
     // Grid geometry: box sane, and rows/cols exactly what DensityGrid
     // derives from (box, cell_km) — so materialize() can rebuild the
     // identical grid without the constructor throwing on hostile inputs.
@@ -851,13 +582,22 @@ util::Status ArtifactView::load(std::span<const std::byte> bytes) {
         e.max_lat > 90.0 || e.min_lon < -180.0 || e.max_lon > 180.0) {
       return corruption_at("grid bounding box out of range");
     }
-    std::uint64_t want_rows = 0, want_cols = 0;
-    if (!derive_grid_shape(e.min_lat, e.max_lat, e.min_lon, e.max_lon, e.cell_km,
-                           want_rows, want_cols) ||
-        want_rows != e.grid_rows || want_cols != e.grid_cols) {
+    // The stored cell size is the POST-coarsening one, so one evaluation of
+    // DensityGrid's shape formula (no budget loop) reproduces the counts.
+    // 2^31 caps each axis so rows*cols cannot overflow u64 below; a real
+    // grid is orders of magnitude smaller (DensityGrid's cell budget).
+    constexpr double kAxisCap = 2147483648.0;
+    if (!(e.cell_km > 0.0) || !std::isfinite(e.cell_km)) {
       return corruption_at("grid shape inconsistent with its box and cell size");
     }
-    const std::uint64_t cells = e.grid_rows * e.grid_cols;  // capped by derive
+    const kde::DensityGrid::Shape shape = kde::DensityGrid::shape_for(
+        geo::BoundingBox{e.min_lat, e.max_lat, e.min_lon, e.max_lon}, e.cell_km);
+    if (!(shape.rows < kAxisCap) || !(shape.cols < kAxisCap) ||
+        static_cast<std::uint64_t>(shape.rows) != e.grid_rows ||
+        static_cast<std::uint64_t>(shape.cols) != e.grid_cols) {
+      return corruption_at("grid shape inconsistent with its box and cell size");
+    }
+    const std::uint64_t cells = e.grid_rows * e.grid_cols;  // both axes capped
     // Zero-suppressed grid: the run and value ranges tile their arenas like
     // every other arena, and the runs themselves must be canonical —
     // non-empty, strictly separated (maximal), inside the grid, covering
@@ -926,7 +666,7 @@ util::Status ArtifactView::load(std::span<const std::byte> bytes) {
     pop_cur += e.pop_count;
     entries.push_back(e);
   }
-  if (peer_cur != total_peers || run_cur != total_runs || value_cur != total_values ||
+  if (run_cur != total_runs || value_cur != total_values ||
       part_cur != total_parts || seg_cur != total_segments || peak_cur != total_peaks ||
       pop_cur != total_pops) {
     return corruption_at("arena larger than the union of AS ranges");
@@ -979,9 +719,7 @@ util::Status ArtifactView::load(std::span<const std::byte> bytes) {
   config_fingerprint_ = fingerprint;
   stats_ = std::move(stats);
   entries_ = std::move(entries);
-  inflated_ = std::move(inflated);
   asn_order_ = order_pay;
-  peers_ = peers_pay;
   grid_runs_ = runs_pay;
   // In-place reinterpret of the validated, 8-aligned arena as its on-disk
   // element type; the static_asserts at the top of this file pin the
@@ -1042,25 +780,6 @@ std::string_view ArtifactView::AsView::dominant_region() const noexcept {
   const AsEntry& e = view_->entries_[index_];
   return {reinterpret_cast<const char*>(view_->regions_.data()) + e.region_offset,
           static_cast<std::size_t>(e.region_size)};
-}
-
-std::size_t ArtifactView::AsView::peer_count() const noexcept {
-  return static_cast<std::size_t>(view_->entries_[index_].peer_count);
-}
-
-PeerRecord ArtifactView::AsView::peer(std::size_t i) const noexcept {
-  const AsEntry& e = view_->entries_[index_];
-  EYEBALL_DCHECK(i < e.peer_count, "artifact peer read out of bounds");
-  const std::span<const std::byte> arena = view_->peers_;
-  const std::size_t at =
-      static_cast<std::size_t>(e.peer_offset + i) * kPeerRecordSize;
-  PeerRecord record;
-  record.ip = net::Ipv4Address{load_u32(arena, at)};
-  record.app = static_cast<p2p::App>(load_u32(arena, at + 4));
-  record.reported_city = load_u32(arena, at + 8);
-  record.location = {load_f64(arena, at + 16), load_f64(arena, at + 24)};
-  record.geo_error_km = load_f64(arena, at + 32);
-  return record;
 }
 
 std::size_t ArtifactView::AsView::grid_rows() const noexcept {
@@ -1250,14 +969,6 @@ AsAnalysis ArtifactView::AsView::materialize() const {
 
   return AsAnalysis{asn(), std::move(classification), std::move(footprint),
                     std::move(pops)};
-}
-
-AsPeerSet ArtifactView::AsView::materialize_peers() const {
-  AsPeerSet as;
-  as.asn = asn();
-  as.peers.reserve(peer_count());
-  for (std::size_t i = 0; i < peer_count(); ++i) as.peers.push_back(peer(i));
-  return as;
 }
 
 }  // namespace eyeball::core

@@ -1,20 +1,23 @@
 // The serving artifact: a relocatable, memory-mappable image of one
-// finalized epoch — the conditioned TargetDataset plus every per-AS
+// finalized epoch as serving reads it — dataset stats plus every per-AS
 // analysis (classification, footprint grid, contour, peaks, PoP mapping).
 //
-// Why a second on-disk format next to EYBSNAP1: the snapshot persists
-// *builder* state and pays a full parse on restore (~seconds at the 166 MB
-// scale) before the first query can be answered.  The artifact persists the
-// *published* epoch in its final in-memory shape, so restore is mmap +
-// validate: no per-record parsing, no allocation proportional to the file,
-// and N replicas mapping the same artifact share read-only pages.
+// Why a second on-disk format next to EYBSNAP1: the two persist different
+// things.  The snapshot holds *builder* state, the kept peers included
+// (buckets, dedup keys, window trail, touched set) — what a writer's
+// restore() needs to keep ingesting — and pays a full parse on restore.
+// The artifact holds the *served* epoch in its final in-memory shape and
+// nothing else (no peer records: replicas answer the paper's §3 footprint
+// and PoP queries, which never read them), so restore is mmap + validate:
+// no per-record parsing, no allocation proportional to the file, and N
+// replicas mapping the same artifact share read-only pages.
 //
-// Format EYBART1 (all integers little-endian, doubles as IEEE-754 bit
+// Format EYBART1 v2 (all integers little-endian, doubles as IEEE-754 bit
 // patterns, every section offset 8-byte aligned):
 //
 //   header   "EYBART1\0"  8 B   magic
-//            u32               format version (currently 1)
-//            u32               section count (currently 11)
+//            u32               format version (currently 2)
+//            u32               section count (currently 10)
 //            u64               epoch the artifact was published at
 //            u64               config fingerprint (result-affecting fields,
 //                              same derivation as EYBSNAP1)
@@ -23,25 +26,38 @@
 //            u32               meta CRC32C (header above + section table)
 //            u32               reserved (zero)
 //   table    section-count entries x 40 B:
-//            u32               section id (strictly ascending)
-//            u32               encoding (0 = raw, 1 = zstd)
+//            u32               section id (1..10, strictly ascending)
+//            u32               reserved (zero)
 //            u64               file offset of the payload (8-aligned)
-//            u64               stored payload size in bytes
-//            u64               raw (decompressed) payload size
-//            u32               payload CRC32C (over the stored bytes)
+//            u64               payload size in bytes
+//            u64               reserved (zero)
+//            u32               payload CRC32C
 //            u32               reserved (zero)
 //   payload  sections back-to-back in table order, each zero-padded to the
-//            next 8-byte boundary
+//            next 8-byte boundary:
+//             1 stats         10 u64 counters, u64 window count, 5 u64/window
+//             2 AS index      224 B per AS (see AsEntry)
+//             3 ASN order     u32 entry index per AS, stably sorted by ASN
+//             4 grid runs     16 B per run
+//             5 grid values   8 B per nonzero cell
+//             6 partitions    80 B each       7 boundary   32 B per segment
+//             8 peaks         40 B each       9 PoPs       40 B each
+//            10 regions       dominant-region bytes
 //   tail     "EYBAREND"  8 B   tail magic
+//
+// Images of another format version (v1 had 11 sections and 240 B index
+// entries) are refused as kVersionMismatch: the meta CRC covers the
+// header's own section count, so an intact image of any version passes it
+// and reaches the version check instead of being taken for corruption.
 //
 // Relocation rule: the file contains no pointers and no file offsets
 // outside the section table.  All variable-length data lives in contiguous
-// per-kind arenas (peers, grid runs, grid nonzero doubles, contour
-// partitions, boundary segments, peaks, PoP entries, region strings), and
-// the per-AS index records address them by ELEMENT offset + count within
-// the arena.  Every AS's ranges are consecutive in AS order and exactly
-// tile each arena — checked at open, so overlapping or out-of-bounds
-// ranges are typed corruption, never a wild read.
+// per-kind arenas (grid runs, grid nonzero doubles, contour partitions,
+// boundary segments, peaks, PoP entries, region strings), and the per-AS
+// index records address them by ELEMENT offset + count within the arena.
+// Every AS's ranges are consecutive in AS order and exactly tile each
+// arena — checked at open, so overlapping or out-of-bounds ranges are typed
+// corruption, never a wild read.
 //
 // Grid storage is zero-suppressed: KDE density grids are overwhelmingly
 // exact-zero cells (~97% at bench scale), so each AS's row-major grid is
@@ -51,8 +67,7 @@
 // so -0.0 and denormals survive the round trip bit-exactly.  The open-time
 // walk checks run canonicality (counts >= 1, strictly separated, inside
 // the grid, value total matches, stored values bit-nonzero), which keeps
-// materialize() a bounded scatter.  This is what holds the artifact to
-// ~1/5 the dense size and the open-time CRC pass under the latency budget.
+// materialize() a bounded scatter.
 //
 // Validation order at open (once; queries after that are unchecked reads):
 //   1. envelope: minimum size, 8-aligned file size (what the encoder's
@@ -61,20 +76,17 @@
 //      file size
 //   2. meta CRC over header + section table (any flipped header/table bit
 //      lands here), then the version check — a bit-flipped version byte
-//      fails the CRC as kCorruption, a genuinely newer format passes it and
-//      reports kVersionMismatch
-//   3. section-table walk: exact id order, exact packing (each offset is
-//      the previous section's padded end), encodings known, zstd raw sizes
-//      capped at 32768x stored (past zstd's physical maximum expansion, so
-//      a forged table cannot demand an unbounded decompression buffer)
+//      fails the CRC as kCorruption, an intact image of another format
+//      version passes it and reports kVersionMismatch — then the section
+//      count and the header's reserved field
+//   3. section-table walk: exact id order, reserved fields zero, exact
+//      packing (each offset is the previous section's padded end), zero
+//      padding between sections
 //   4. per-section payload CRC (hardware-accelerated crc32c_fast)
-//   5. zstd sections decompressed into owned side buffers ("cold"
-//      sections; the frame header's content size must equal the table's
-//      raw size before the buffer is allocated; refused with
-//      kVersionMismatch when built without zstd)
-//   6. structural walk: arena sizes vs record sizes, per-AS ranges tile the
+//   5. structural walk: arena sizes vs record sizes, per-AS ranges tile the
 //      arenas, ASN order index is a sorted permutation, enums in range,
-//      grid geometry consistent (rows/cols re-derived from box + cell size)
+//      grid geometry consistent (rows/cols re-derived from box + cell size
+//      by DensityGrid::shape_for)
 //
 // Encode is canonical: a given (dataset, analyses, epoch, fingerprint)
 // produces identical bytes regardless of thread counts or how the samples
@@ -104,33 +116,23 @@ struct GridRun {
   std::uint64_t count = 0;
 };
 
-struct ArtifactEncodeOptions {
-  /// Compress the cold sections (currently the peer arena — needed for
-  /// re-analysis, not for answering queries) with zstd.  Requires a build
-  /// with zstd available (see ArtifactCodec::zstd_supported()); encode
-  /// fails typed otherwise rather than silently writing raw.
-  bool compress_cold = false;
-};
-
 /// Encoder for the EYBART1 format.  Stateless; reads only the public
 /// surface of the finalized dataset and analyses (unlike SnapshotCodec it
 /// needs no friendship — the artifact captures published output, not
 /// builder internals).
 class ArtifactCodec {
  public:
-  static constexpr std::uint32_t kFormatVersion = 1;
-
-  using EncodeOptions = ArtifactEncodeOptions;
+  static constexpr std::uint32_t kFormatVersion = 2;
 
   /// Serializes one epoch into `out` (replaced).  `analyses` must be
-  /// parallel to `dataset.ases()`.  Canonical: equal inputs encode to
-  /// identical bytes.
+  /// parallel to `dataset.ases()`; of the dataset, only its stats and each
+  /// AS's ASN are written.  Canonical: equal inputs encode to identical
+  /// bytes.
   [[nodiscard]] static util::Status encode(const TargetDataset& dataset,
                                            std::span<const AsAnalysis> analyses,
                                            std::uint64_t epoch,
                                            std::uint64_t config_fingerprint,
-                                           std::vector<std::byte>& out,
-                                           const EncodeOptions& options = {});
+                                           std::vector<std::byte>& out);
 
   /// encode() + crash-safe publish via atomic_write_file: a crash leaves
   /// the previous artifact or the new one, never a hybrid.
@@ -138,12 +140,7 @@ class ArtifactCodec {
                                           const TargetDataset& dataset,
                                           std::span<const AsAnalysis> analyses,
                                           std::uint64_t epoch,
-                                          std::uint64_t config_fingerprint,
-                                          const EncodeOptions& options = {});
-
-  /// True when this binary was built against zstd (EncodeOptions::
-  /// compress_cold usable, compressed sections readable).
-  [[nodiscard]] static bool zstd_supported() noexcept;
+                                          std::uint64_t config_fingerprint);
 };
 
 /// Zero-copy reader over a validated artifact.  open() maps the file and
@@ -201,9 +198,6 @@ class ArtifactView {
     /// Points into the mapped string arena; valid while the view lives.
     [[nodiscard]] std::string_view dominant_region() const noexcept;
 
-    [[nodiscard]] std::size_t peer_count() const noexcept;
-    [[nodiscard]] PeerRecord peer(std::size_t i) const noexcept;
-
     [[nodiscard]] std::size_t grid_rows() const noexcept;
     [[nodiscard]] std::size_t grid_cols() const noexcept;
     [[nodiscard]] geo::BoundingBox grid_box() const;
@@ -236,8 +230,6 @@ class ArtifactView {
     /// Copies this AS out of the artifact into the exact in-memory analysis
     /// the epoch was published with — what the lazy serving thaw uses.
     [[nodiscard]] AsAnalysis materialize() const;
-    /// Same for the conditioned peer set.
-    [[nodiscard]] AsPeerSet materialize_peers() const;
 
    private:
     friend class ArtifactView;
@@ -260,15 +252,15 @@ class ArtifactView {
  private:
   friend class AsView;
 
-  /// Fixed-size per-AS index record, decoded once at open (240 B each on
-  /// disk; cheaper to hold decoded than to re-parse per query).
+  /// Fixed-size per-AS index record, decoded once at open (224 B each on
+  /// disk, in this field order, with a reserved u32 after `continent`;
+  /// cheaper to hold decoded than to re-parse per query).
   struct AsEntry {
     std::uint32_t asn = 0;
     std::uint32_t level = 0;
     std::uint32_t continent = 0;
     double dominant_share = 0.0;
     std::uint64_t region_offset = 0, region_size = 0;
-    std::uint64_t peer_offset = 0, peer_count = 0;
     std::uint64_t grid_run_offset = 0, grid_run_count = 0;
     std::uint64_t grid_value_offset = 0, grid_nonzero_count = 0;
     std::uint64_t grid_rows = 0, grid_cols = 0;
@@ -292,9 +284,6 @@ class ArtifactView {
   util::MappedFile map_;
   std::vector<std::byte> owned_;
   std::span<const std::byte> bytes_;
-  /// Owned decompressed payloads for zstd sections (empty slots for raw
-  /// sections, which point straight into bytes_).
-  std::vector<std::vector<std::byte>> inflated_;
 
   bool opened_ = false;
   std::uint64_t epoch_ = 0;
@@ -303,8 +292,7 @@ class ArtifactView {
   std::vector<AsEntry> entries_;
   /// Indices into entries_, stably sorted by ASN (persisted, validated).
   std::span<const std::byte> asn_order_;
-  // Arena payloads (post-decompression views).
-  std::span<const std::byte> peers_;
+  // Arena payloads, in place in the image.
   std::span<const std::byte> grid_runs_;
   std::span<const double> grid_values_;
   std::span<const std::byte> partitions_;

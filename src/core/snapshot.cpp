@@ -10,6 +10,7 @@
 #include <string>
 #include <utility>
 
+#include "core/byte_io.hpp"
 #include "core/streaming_dataset.hpp"
 #include "util/annotations.hpp"
 #include "util/crc32c.hpp"
@@ -20,6 +21,12 @@
 namespace eyeball::core {
 
 namespace {
+
+using byte_io::load_u32;
+using byte_io::load_u64;
+using byte_io::put_f64;
+using byte_io::put_u32;
+using byte_io::put_u64;
 
 // Layout constants (see the format comment in snapshot.hpp).
 constexpr char kHeadMagic[8] = {'E', 'Y', 'B', 'S', 'N', 'A', 'P', '1'};
@@ -40,25 +47,7 @@ constexpr std::uint32_t kSectionCount = 5;
 
 constexpr std::size_t kPeerRecordSize = 4 + 1 + 8 + 8 + 8 + 4;
 constexpr std::size_t kBucketHeaderSize = 4 + 8;
-constexpr std::size_t kStatsCounterBytes = 10 * 8;
-constexpr std::size_t kWindowRecordSize = 5 * 8;
 constexpr std::size_t kConfigPayloadSize = 3 * 8;
-
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xffU));
-  }
-}
-
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xffU));
-  }
-}
-
-void put_f64(std::vector<std::byte>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
 
 /// Bounds-checked little-endian reader over a byte span.  Every read
 /// returns false instead of walking past the end; callers funnel a false
@@ -77,22 +66,14 @@ class Reader {
 
   [[nodiscard]] bool read_u32(std::uint32_t& out) noexcept {
     if (remaining() < 4) return false;
-    out = 0;
-    for (int i = 0; i < 4; ++i) {
-      out |= static_cast<std::uint32_t>(std::to_integer<std::uint8_t>(data_[pos_ + static_cast<std::size_t>(i)]))
-             << (8 * i);
-    }
+    out = load_u32(data_, pos_);
     pos_ += 4;
     return true;
   }
 
   [[nodiscard]] bool read_u64(std::uint64_t& out) noexcept {
     if (remaining() < 8) return false;
-    out = 0;
-    for (int i = 0; i < 8; ++i) {
-      out |= static_cast<std::uint64_t>(std::to_integer<std::uint8_t>(data_[pos_ + static_cast<std::size_t>(i)]))
-             << (8 * i);
-    }
+    out = load_u64(data_, pos_);
     pos_ += 8;
     return true;
   }
@@ -197,7 +178,7 @@ std::vector<std::byte> SnapshotCodec::encode(const StreamingDatasetBuilder& buil
   const auto emit_section = [&out, &payload](std::uint32_t id) {
     put_u32(out, id);
     put_u64(out, payload.size());
-    put_u32(out, util::crc32c(payload));
+    put_u32(out, util::crc32c_fast(payload));
     out.insert(out.end(), payload.begin(), payload.end());
     payload.clear();
   };
@@ -234,24 +215,7 @@ std::vector<std::byte> SnapshotCodec::encode(const StreamingDatasetBuilder& buil
   emit_section(kSeen);
 
   // kStats: cumulative counters + per-window snapshots.
-  put_u64(payload, static_cast<std::uint64_t>(builder.stats_.raw_samples));
-  put_u64(payload, static_cast<std::uint64_t>(builder.stats_.missing_geo));
-  put_u64(payload, static_cast<std::uint64_t>(builder.stats_.high_error));
-  put_u64(payload, static_cast<std::uint64_t>(builder.stats_.unmapped_as));
-  put_u64(payload, static_cast<std::uint64_t>(builder.stats_.peers_in_small_ases));
-  put_u64(payload, static_cast<std::uint64_t>(builder.stats_.ases_below_min_peers));
-  put_u64(payload, static_cast<std::uint64_t>(builder.stats_.ases_above_p90_error));
-  put_u64(payload, static_cast<std::uint64_t>(builder.stats_.final_peers));
-  put_u64(payload, static_cast<std::uint64_t>(builder.stats_.final_ases));
-  put_u64(payload, static_cast<std::uint64_t>(builder.stats_.rejected_samples));
-  put_u64(payload, static_cast<std::uint64_t>(builder.stats_.windows.size()));
-  for (const WindowStats& w : builder.stats_.windows) {
-    put_u64(payload, static_cast<std::uint64_t>(w.offered));
-    put_u64(payload, static_cast<std::uint64_t>(w.duplicates));
-    put_u64(payload, static_cast<std::uint64_t>(w.admitted));
-    put_u64(payload, static_cast<std::uint64_t>(w.cumulative_unique));
-    put_u64(payload, static_cast<std::uint64_t>(w.rejected));
-  }
+  byte_io::put_stats(payload, builder.stats_);
   emit_section(kStats);
 
   // kTouched: sorted for canonical bytes.
@@ -262,7 +226,7 @@ std::vector<std::byte> SnapshotCodec::encode(const StreamingDatasetBuilder& buil
   emit_section(kTouched);
 
   // Footer: whole-file CRC over everything so far, then the tail magic.
-  put_u32(out, util::crc32c(out));
+  put_u32(out, util::crc32c_fast(out));
   for (const char c : kTailMagic) out.push_back(static_cast<std::byte>(c));
   return out;
 }
@@ -289,7 +253,7 @@ util::Status SnapshotCodec::decode(std::span<const std::byte> bytes,
   if (!footer.read_u32(stored_file_crc)) return corrupt("unreadable footer");
   // CRC before the version check: a damaged version byte is corruption; a
   // version mismatch verdict is reserved for files that are intact.
-  if (util::crc32c(body) != stored_file_crc) {
+  if (util::crc32c_fast(body) != stored_file_crc) {
     return corrupt("whole-file CRC mismatch");
   }
 
@@ -333,7 +297,7 @@ util::Status SnapshotCodec::decode(std::span<const std::byte> bytes,
     if (size > reader.remaining()) return corrupt("section payload overruns the file");
     const std::span<const std::byte> payload =
         body.subspan(body.size() - reader.remaining(), static_cast<std::size_t>(size));
-    if (util::crc32c(payload) != crc) return corrupt("section CRC mismatch");
+    if (util::crc32c_fast(payload) != crc) return corrupt("section CRC mismatch");
     sections[expected_id - 1] = payload;
     reader = Reader{body.subspan(body.size() - reader.remaining() +
                                  static_cast<std::size_t>(size))};
@@ -450,38 +414,8 @@ util::Status SnapshotCodec::decode(std::span<const std::byte> bytes,
   }
 
   DatasetStats stats;
-  {
-    Reader r{sections[kStats - 1]};
-    std::uint64_t v = 0;
-    const auto read_counter = [&r, &v](std::size_t& field) {
-      if (!r.read_u64(v)) return false;
-      field = static_cast<std::size_t>(v);
-      return true;
-    };
-    if (!read_counter(stats.raw_samples) || !read_counter(stats.missing_geo) ||
-        !read_counter(stats.high_error) || !read_counter(stats.unmapped_as) ||
-        !read_counter(stats.peers_in_small_ases) ||
-        !read_counter(stats.ases_below_min_peers) ||
-        !read_counter(stats.ases_above_p90_error) || !read_counter(stats.final_peers) ||
-        !read_counter(stats.final_ases) || !read_counter(stats.rejected_samples)) {
-      return corrupt("unreadable stats counters");
-    }
-    std::uint64_t window_count = 0;
-    if (!r.read_u64(window_count)) return corrupt("unreadable window count");
-    if (r.remaining() % kWindowRecordSize != 0 ||
-        window_count != r.remaining() / kWindowRecordSize) {
-      return corrupt("window count disagrees with the payload");
-    }
-    stats.windows.reserve(static_cast<std::size_t>(window_count));
-    for (std::uint64_t i = 0; i < window_count; ++i) {
-      WindowStats w;
-      if (!read_counter(w.offered) || !read_counter(w.duplicates) ||
-          !read_counter(w.admitted) || !read_counter(w.cumulative_unique) ||
-          !read_counter(w.rejected)) {
-        return corrupt("unreadable window record");
-      }
-      stats.windows.push_back(w);
-    }
+  if (!byte_io::decode_stats(sections[kStats - 1], stats)) {
+    return corrupt("stats section disagrees with its window count");
   }
 
   std::vector<std::uint32_t> touched;

@@ -8,28 +8,34 @@
 
 namespace eyeball::kde {
 
+DensityGrid::Shape DensityGrid::shape_for(const geo::BoundingBox& box,
+                                          double cell_km) noexcept {
+  const double mid_lat = (box.min_lat() + box.max_lat()) / 2.0;
+  const double lon_scale = std::max(1.0, geo::km_per_degree_lon(mid_lat));
+  Shape shape;
+  shape.dlat_deg = cell_km / geo::kKmPerDegreeLat;
+  shape.dlon_deg = cell_km / lon_scale;
+  shape.rows = std::max(1.0, std::ceil((box.max_lat() - box.min_lat()) / shape.dlat_deg));
+  shape.cols = std::max(1.0, std::ceil((box.max_lon() - box.min_lon()) / shape.dlon_deg));
+  return shape;
+}
+
 DensityGrid::DensityGrid(const geo::BoundingBox& box, double cell_km,
                          std::size_t max_cells)
     : box_(box), cell_km_(cell_km) {
   if (!(cell_km > 0.0)) throw std::invalid_argument{"DensityGrid: cell_km must be > 0"};
 
-  const double mid_lat = (box.min_lat() + box.max_lat()) / 2.0;
-  const double lon_scale = std::max(1.0, geo::km_per_degree_lon(mid_lat));
-
   // Grow the cell size if the requested resolution would blow the budget.
   // The budget comparison happens in double, before any float->int cast: a
-  // tiny cell_km can make want_rows*want_cols exceed SIZE_MAX, and casting
-  // such a value to size_t is undefined behaviour.
+  // tiny cell_km can make rows*cols exceed SIZE_MAX, and casting such a
+  // value to size_t is undefined behaviour.
   for (;;) {
-    dlat_deg_ = cell_km_ / geo::kKmPerDegreeLat;
-    dlon_deg_ = cell_km_ / lon_scale;
-    const double want_rows =
-        std::max(1.0, std::ceil((box.max_lat() - box.min_lat()) / dlat_deg_));
-    const double want_cols =
-        std::max(1.0, std::ceil((box.max_lon() - box.min_lon()) / dlon_deg_));
-    if (want_rows * want_cols <= static_cast<double>(max_cells)) {
-      rows_ = static_cast<std::size_t>(want_rows);
-      cols_ = static_cast<std::size_t>(want_cols);
+    const Shape shape = shape_for(box, cell_km_);
+    if (shape.rows * shape.cols <= static_cast<double>(max_cells)) {
+      rows_ = static_cast<std::size_t>(shape.rows);
+      cols_ = static_cast<std::size_t>(shape.cols);
+      dlat_deg_ = shape.dlat_deg;
+      dlon_deg_ = shape.dlon_deg;
       break;
     }
     cell_km_ *= 1.5;

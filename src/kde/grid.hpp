@@ -51,6 +51,20 @@ class DensityGrid {
   /// exceed `max_cells`.
   DensityGrid(const geo::BoundingBox& box, double cell_km, std::size_t max_cells = 8000000);
 
+  /// The geometry a grid over `box` with cells of exactly `cell_km` has,
+  /// before any budget coarsening.  Rows and columns stay doubles so a
+  /// caller can test them against a budget or a cap before any integer
+  /// cast.  The constructor evaluates this once per candidate cell size;
+  /// the artifact validator re-derives a stored grid's shape with it.
+  struct Shape {
+    double rows = 0.0;
+    double cols = 0.0;
+    double dlat_deg = 0.0;
+    double dlon_deg = 0.0;
+  };
+  [[nodiscard]] static Shape shape_for(const geo::BoundingBox& box,
+                                       double cell_km) noexcept;
+
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
   [[nodiscard]] std::size_t cell_count() const noexcept { return values_.size(); }

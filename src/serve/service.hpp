@@ -264,8 +264,8 @@ class ServingSnapshot {
   // ---- In-memory-only surface (writer-path internals) ----
 
   /// The finalized dataset.  In-memory epochs only — an artifact-backed
-  /// epoch has no TargetDataset (peers are materialized per AS on demand
-  /// via artifact()->as_at(i).materialize_peers()).
+  /// epoch has no TargetDataset: the artifact holds the served analyses,
+  /// not the peer records (those persist only in the writer's snapshot).
   [[nodiscard]] const core::TargetDataset& dataset() const noexcept;
   /// Parallel to dataset().ases(): analyses()[i] describes ases()[i].
   /// In-memory epochs only.

@@ -52,11 +52,11 @@ inline constexpr std::array<std::uint32_t, 256> kCrc32cTable = make_crc32c_table
 /// Same polynomial, same results, built for bulk: uses the SSE4.2 CRC32
 /// instruction when the host supports it (runtime dispatch; ~an order of
 /// magnitude past the byte-at-a-time table) and falls back to the table
-/// otherwise.  The artifact open path (core/artifact.hpp) checksums every
-/// section of a memory-mapped file once before the first query, so the
-/// checksum IS the hot loop there — unlike the snapshot codec, whose
-/// decode cost dwarfs it.  Equality with crc32c() over arbitrary inputs is
-/// pinned by util_test.
+/// otherwise.  Both on-disk codecs checksum with it: the artifact open path
+/// (core/artifact.hpp) checksums every section of a memory-mapped file once
+/// before the first query, so the checksum IS the hot loop there.
+/// Equality with crc32c(), the reference, over arbitrary inputs is pinned
+/// by util_test.
 [[nodiscard]] std::uint32_t crc32c_fast(std::span<const std::byte> data,
                                         std::uint32_t seed = 0) noexcept;
 

@@ -14,8 +14,13 @@
 //      the tail-magic compare.
 //   3. Hostile structure: offset-table and AS-index records rewritten with
 //      RECOMPUTED CRCs (out-of-bounds, overlapping, misaligned, unsorted,
-//      out-of-range enums, inconsistent grid geometry) — past the checksums
-//      on purpose, so the structural walk itself is what refuses them.
+//      out-of-range enums, nonzero reserved fields, inconsistent grid
+//      geometry) — past the checksums on purpose, so the structural walk
+//      itself is what refuses them.
+//
+// Plus format skew: an intact image of the previous format version is
+// refused as kVersionMismatch, and a replica restoring from it leaves the
+// file in place instead of quarantining it.
 //
 // Runs under ASan+UBSan in tools/check.sh's artifact-faults stage: a wild
 // read on any of these paths is a sanitizer abort, not a flake.
@@ -33,6 +38,7 @@
 #include "core/streaming_dataset.hpp"
 #include "p2p/churn.hpp"
 #include "pipeline_fixture.hpp"
+#include "serve/service.hpp"
 #include "util/crc32c.hpp"
 #include "util/file.hpp"
 #include "util/status.hpp"
@@ -47,7 +53,7 @@ using util::StatusCode;
 
 constexpr std::size_t kHeaderSize = 56;
 constexpr std::size_t kTableEntrySize = 40;
-constexpr std::size_t kSectionCount = 11;
+constexpr std::size_t kSectionCount = 10;
 constexpr std::size_t kMetaSize = kHeaderSize + kSectionCount * kTableEntrySize;
 
 /// A deliberately SMALL epoch: the exhaustive sweeps below scale with the
@@ -287,22 +293,6 @@ TEST(ArtifactFaults, HostileOffsetTablesAreRefusedByTheStructuralWalk) {
     fix_meta_crc(m);
     silent += expect_refused(mutated, {StatusCode::kCorruption}, "stored_size +8");
   }
-  {  // unknown encoding
-    auto m = fresh();
-    write_u32(m, entry2 + 4, 7);
-    fix_meta_crc(m);
-    silent += expect_refused(mutated, {StatusCode::kCorruption}, "encoding 7");
-  }
-  {  // raw section relabeled zstd: version_mismatch without zstd in the
-     // build (well-formed but unreadable), corruption with it (the bytes
-     // don't decompress)
-    auto m = fresh();
-    write_u32(m, entry2 + 4, 1);
-    fix_meta_crc(m);
-    silent += expect_refused(
-        mutated, {StatusCode::kVersionMismatch, StatusCode::kCorruption},
-        "fake zstd");
-  }
   {  // section ids out of order
     auto m = fresh();
     write_u32(m, entry2, 4);
@@ -312,9 +302,9 @@ TEST(ArtifactFaults, HostileOffsetTablesAreRefusedByTheStructuralWalk) {
   {  // future format version, CRC-valid: the one typed NON-corruption header
      // refusal
     auto m = fresh();
-    write_u32(m, 8, 2);
+    write_u32(m, 8, core::ArtifactCodec::kFormatVersion + 1);
     fix_meta_crc(m);
-    silent += expect_refused(mutated, {StatusCode::kVersionMismatch}, "version 2");
+    silent += expect_refused(mutated, {StatusCode::kVersionMismatch}, "version +1");
   }
   {  // AS count inflated
     auto m = fresh();
@@ -362,60 +352,133 @@ TEST(ArtifactFaults, UnalignedPayloadEndCannotWrapTheSectionBoundsCheck) {
   // to an out-of-bounds CRC read.  Must refuse typed (and this whole
   // suite runs under ASan, so a surviving wild read is an abort).
   const auto& w = fault_world();
-  const std::size_t entry6 = kHeaderSize + 5 * kTableEntrySize;  // grid values
-  const auto off6 = static_cast<std::size_t>(read_u64(w.image, entry6 + 8));
-  const auto size6 = static_cast<std::size_t>(read_u64(w.image, entry6 + 16));
-  ASSERT_GE(size6, 8u) << "fixture grid-values section too small to shorten";
+  const std::size_t entry5 = kHeaderSize + 4 * kTableEntrySize;  // grid values
+  const auto off5 = static_cast<std::size_t>(read_u64(w.image, entry5 + 8));
+  const auto size5 = static_cast<std::size_t>(read_u64(w.image, entry5 + 16));
+  ASSERT_GE(size5, 8u) << "fixture grid-values section too small to shorten";
 
   std::vector<std::byte> mutated(
       w.image.begin(),
-      w.image.begin() + static_cast<std::ptrdiff_t>(off6 + size6 - 4));
+      w.image.begin() + static_cast<std::ptrdiff_t>(off5 + size5 - 4));
   mutated.insert(mutated.end(), w.image.end() - 8, w.image.end());  // tail magic
   const std::span<std::byte> m{mutated};
-  write_u64(m, entry6 + 16, size6 - 4);
-  write_u64(m, entry6 + 24, size6 - 4);
+  write_u64(m, entry5 + 16, size5 - 4);
   write_u64(m, 32, mutated.size());
-  fix_section_crc(m, 5);
+  fix_section_crc(m, 4);
   EXPECT_EQ(expect_refused(mutated, {StatusCode::kCorruption},
                            "unaligned payload_end"),
             0u);
 }
 
-TEST(ArtifactFaults, HostileZstdRawSizeIsRefusedBeforeAllocation) {
-  // raw_size drives the decompression buffer's allocation, so a crafted
-  // table must not reach `assign`: a 2^60 claim is refused by the
-  // expansion-ratio cap in the table walk, and a ratio-plausible lie is
-  // refused by the frame-content-size cross-check — both typed, neither
-  // allocating.  (Pre-fix, the first was an OOM/bad_alloc escaping load.)
-  if (!core::ArtifactCodec::zstd_supported()) {
-    GTEST_SKIP() << "built without zstd";
-  }
+TEST(ArtifactFaults, NonzeroReservedFieldsAreTypedCorruption) {
+  // The header's reserved u32 and each table entry's three reserved fields
+  // (v1's encoding tag and raw size among them) must be zero.  Set behind a
+  // recomputed meta CRC, so the reserved-field rule itself refuses them.
   const auto& w = fault_world();
-  std::vector<std::byte> image;
-  core::ArtifactCodec::EncodeOptions options;
-  options.compress_cold = true;
-  const Status encoded = core::ArtifactCodec::encode(w.dataset, w.analyses, 1,
-                                                     w.fingerprint, image, options);
-  ASSERT_TRUE(encoded.ok()) << encoded.message();
-  const std::size_t entry4 = kHeaderSize + 3 * kTableEntrySize;  // peers
-  ASSERT_EQ(read_u32(image, entry4 + 4), 1u) << "peers section is not zstd";
-
   std::size_t silent = 0;
-  {  // impossible expansion ratio: caught by the table walk
-    std::vector<std::byte> mutated = image;
+  {
+    std::vector<std::byte> mutated = w.image;
     const std::span<std::byte> m{mutated};
-    write_u64(m, entry4 + 24, std::uint64_t{1} << 60);
+    write_u32(m, 52, 1);
     fix_meta_crc(m);
-    silent += expect_refused(mutated, {StatusCode::kCorruption}, "raw_size 2^60");
+    silent += expect_refused(mutated, {StatusCode::kCorruption}, "header reserved");
   }
-  {  // plausible ratio but disagreeing with the zstd frame header
-    std::vector<std::byte> mutated = image;
-    const std::span<std::byte> m{mutated};
-    write_u64(m, entry4 + 24, read_u64(image, entry4 + 24) + 8);
-    fix_meta_crc(m);
-    silent += expect_refused(mutated, {StatusCode::kCorruption}, "raw_size +8");
+  for (std::size_t s = 0; s < kSectionCount; ++s) {
+    const std::size_t entry = kHeaderSize + s * kTableEntrySize;
+    const std::string label = "section " + std::to_string(s + 1);
+    {  // v1's encoding slot: 1 was zstd
+      std::vector<std::byte> mutated = w.image;
+      const std::span<std::byte> m{mutated};
+      write_u32(m, entry + 4, 1);
+      fix_meta_crc(m);
+      silent += expect_refused(mutated, {StatusCode::kCorruption}, label + " u32@4");
+    }
+    {  // v1's raw-size slot, holding what v1 wrote there for a raw section
+      std::vector<std::byte> mutated = w.image;
+      const std::span<std::byte> m{mutated};
+      write_u64(m, entry + 24, read_u64(w.image, entry + 16) + 1);
+      fix_meta_crc(m);
+      silent += expect_refused(mutated, {StatusCode::kCorruption}, label + " u64@24");
+    }
+    {
+      std::vector<std::byte> mutated = w.image;
+      const std::span<std::byte> m{mutated};
+      write_u32(m, entry + 36, 1);
+      fix_meta_crc(m);
+      silent += expect_refused(mutated, {StatusCode::kCorruption}, label + " u32@36");
+    }
   }
   EXPECT_EQ(silent, 0u);
+}
+
+/// An intact EYBART1 v1 image of an empty epoch, laid out field by field
+/// from the v1 format: eleven table entries (the fourth being v1's peer
+/// arena), encoding tag 0 and raw size == stored size in each, an
+/// all-zero 88-byte stats record, every other section empty.  Byte-equal
+/// to what the v1 encoder wrote for an empty dataset at this epoch and
+/// fingerprint.
+[[nodiscard]] std::vector<std::byte> empty_v1_image(std::uint64_t epoch,
+                                                    std::uint64_t fingerprint) {
+  constexpr std::size_t kV1Sections = 11;
+  constexpr std::size_t kStatsSize = 88;
+  constexpr std::size_t kPayloadBegin = kHeaderSize + kV1Sections * kTableEntrySize;
+  constexpr std::size_t kFileSize = kPayloadBegin + kStatsSize + 8;
+  std::vector<std::byte> image(kFileSize, std::byte{0});
+  const std::span<std::byte> m{image};
+  const char magic[] = "EYBART1";  // with its NUL: the 8-byte head magic
+  for (std::size_t i = 0; i < 8; ++i) image[i] = static_cast<std::byte>(magic[i]);
+  write_u32(m, 8, 1);
+  write_u32(m, 12, kV1Sections);
+  write_u64(m, 16, epoch);
+  write_u64(m, 24, fingerprint);
+  write_u64(m, 32, kFileSize);
+  write_u64(m, 40, 0);
+  const std::uint32_t stats_crc =
+      util::crc32c(m.subspan(kPayloadBegin, kStatsSize));
+  for (std::size_t s = 0; s < kV1Sections; ++s) {
+    const std::size_t entry = kHeaderSize + s * kTableEntrySize;
+    const std::size_t size = s == 0 ? kStatsSize : 0;
+    write_u32(m, entry, static_cast<std::uint32_t>(s + 1));
+    write_u64(m, entry + 8, s == 0 ? kPayloadBegin : kPayloadBegin + kStatsSize);
+    write_u64(m, entry + 16, size);
+    write_u64(m, entry + 24, size);
+    write_u32(m, entry + 32, s == 0 ? stats_crc : 0);  // CRC32C of nothing is 0
+  }
+  std::vector<std::byte> meta(image.begin(),
+                              image.begin() + static_cast<std::ptrdiff_t>(kPayloadBegin));
+  write_u32(m, 48, util::crc32c(meta));
+  const char tail[] = "EYBAREND";
+  for (std::size_t i = 0; i < 8; ++i) {
+    image[kFileSize - 8 + i] = static_cast<std::byte>(tail[i]);
+  }
+  return image;
+}
+
+TEST(ArtifactFaults, PreviousFormatVersionIsSkewNotCorruption) {
+  // v1's table is one entry longer than v2's, but the meta CRC covers the
+  // header's own section count, so an intact v1 image passes it and is
+  // refused at the version check — never mistaken for a damaged v2 image.
+  const auto& w = fault_world();
+  const std::vector<std::byte> image = empty_v1_image(1, w.fingerprint);
+  core::ArtifactView view;
+  const Status opened = core::ArtifactView::from_borrowed(image, view);
+  EXPECT_EQ(opened.code(), StatusCode::kVersionMismatch) << opened;
+  EXPECT_FALSE(view.valid());
+
+  // A replica restoring from it reports the skew and leaves the file where
+  // it is: quarantine is for damaged files, and this one is intact property
+  // of an older binary.
+  const std::string path = ::testing::TempDir() + "eyeball_artifact_fault_v1";
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + std::string{util::kQuarantineSuffix});
+  auto& fs = util::local_filesystem();
+  ASSERT_TRUE(util::atomic_write_file(fs, path, image).ok());
+  serve::EyeballService replica{w.pipeline};
+  const Status restored = replica.restore_from_artifact(path);
+  EXPECT_EQ(restored.code(), StatusCode::kVersionMismatch) << restored;
+  EXPECT_EQ(replica.snapshot(), nullptr);
+  EXPECT_TRUE(std::filesystem::exists(path));
+  EXPECT_FALSE(std::filesystem::exists(path + std::string{util::kQuarantineSuffix}));
 }
 
 TEST(ArtifactFaults, HostileAsIndexRecordsAreRefusedByTheStructuralWalk) {
@@ -437,18 +500,19 @@ TEST(ArtifactFaults, HostileAsIndexRecordsAreRefusedByTheStructuralWalk) {
     silent += expect_refused(mutated, allowed, label);
   };
 
-  // Entry 0 field offsets (see the format doc in artifact.hpp).
-  hostile(40, 1, {StatusCode::kCorruption}, "peer_offset 1");       // breaks tiling
-  const std::uint64_t peer_count = read_u64(w.image, index_off + 48);
-  hostile(48, peer_count + 1, {StatusCode::kCorruption}, "peer_count +1");
-  hostile(48, std::uint64_t{1} << 60, {StatusCode::kCorruption}, "peer_count huge");
-  hostile(88, read_u64(w.image, index_off + 88) + 1, {StatusCode::kCorruption},
+  // Entry 0 field offsets (AsEntry order in artifact.hpp, 224 B per entry).
+  hostile(136, 1, {StatusCode::kCorruption}, "partition_offset 1");  // breaks tiling
+  const std::uint64_t partition_count = read_u64(w.image, index_off + 144);
+  hostile(144, partition_count + 1, {StatusCode::kCorruption}, "partition_count +1");
+  hostile(144, std::uint64_t{1} << 60, {StatusCode::kCorruption},
+          "partition_count huge");
+  hostile(72, read_u64(w.image, index_off + 72) + 1, {StatusCode::kCorruption},
           "grid_rows +1");  // inconsistent with box + cell size
-  hostile(56, 1, {StatusCode::kCorruption}, "grid_run_offset 1");
-  hostile(64, std::uint64_t{1} << 60, {StatusCode::kCorruption},
+  hostile(40, 1, {StatusCode::kCorruption}, "grid_run_offset 1");
+  hostile(48, std::uint64_t{1} << 60, {StatusCode::kCorruption},
           "grid_run_count huge");
-  hostile(72, 1, {StatusCode::kCorruption}, "grid_value_offset 1");
-  hostile(80, read_u64(w.image, index_off + 80) + 1, {StatusCode::kCorruption},
+  hostile(56, 1, {StatusCode::kCorruption}, "grid_value_offset 1");
+  hostile(64, read_u64(w.image, index_off + 64) + 1, {StatusCode::kCorruption},
           "grid_nonzero_count +1");
   {  // level / continent enum range (u32 fields, packed in the first 16 B)
     mutated = w.image;
@@ -465,16 +529,16 @@ TEST(ArtifactFaults, HostileAsIndexRecordsAreRefusedByTheStructuralWalk) {
   {  // non-finite bounding box (would throw in BoundingBox if it got there)
     mutated = w.image;
     const std::span<std::byte> m{mutated};
-    write_u64(m, index_off + 104, 0x7ff8000000000000ULL);  // NaN min_lat
+    write_u64(m, index_off + 88, 0x7ff8000000000000ULL);  // NaN min_lat
     fix_section_crc(m, 1);
     silent += expect_refused(mutated, {StatusCode::kCorruption}, "NaN min_lat");
   }
   {  // doubled cell size: rows/cols no longer match the derivation
-    const std::uint64_t cell_bits = read_u64(w.image, index_off + 136);
+    const std::uint64_t cell_bits = read_u64(w.image, index_off + 120);
     mutated = w.image;
     const std::span<std::byte> m{mutated};
     // Doubling a positive double = +1 on the exponent field.
-    write_u64(m, index_off + 136, cell_bits + (std::uint64_t{1} << 52));
+    write_u64(m, index_off + 120, cell_bits + (std::uint64_t{1} << 52));
     fix_section_crc(m, 1);
     silent += expect_refused(mutated, {StatusCode::kCorruption}, "cell_km x2");
   }
@@ -505,18 +569,18 @@ TEST(ArtifactFaults, HostileGridRunRecordsAreRefusedByTheStructuralWalk) {
   ASSERT_GT(w.dataset.ases().size(), 0u);
   std::size_t silent = 0;
   std::vector<std::byte> mutated;
-  // Section payload offsets from the intact table: 5 = grid runs (table
-  // index 4), 6 = grid nonzero values (table index 5), 2 = AS index.
+  // Section payload offsets from the intact table: 4 = grid runs (table
+  // index 3), 5 = grid nonzero values (table index 4), 2 = AS index.
   const auto index_off = static_cast<std::size_t>(
       read_u64(w.image, kHeaderSize + 1 * kTableEntrySize + 8));
   const auto runs_off = static_cast<std::size_t>(
-      read_u64(w.image, kHeaderSize + 4 * kTableEntrySize + 8));
+      read_u64(w.image, kHeaderSize + 3 * kTableEntrySize + 8));
   const auto values_off = static_cast<std::size_t>(
-      read_u64(w.image, kHeaderSize + 5 * kTableEntrySize + 8));
+      read_u64(w.image, kHeaderSize + 4 * kTableEntrySize + 8));
   // Entry 0's grid geometry (a real AS has nonzero density, so >= 1 run).
-  const std::uint64_t run_count = read_u64(w.image, index_off + 64);
+  const std::uint64_t run_count = read_u64(w.image, index_off + 48);
   const std::uint64_t cells =
-      read_u64(w.image, index_off + 88) * read_u64(w.image, index_off + 96);
+      read_u64(w.image, index_off + 72) * read_u64(w.image, index_off + 80);
   ASSERT_GE(run_count, 1u);
 
   const auto hostile_run = [&](std::size_t field_at, std::uint64_t value,
@@ -524,7 +588,7 @@ TEST(ArtifactFaults, HostileGridRunRecordsAreRefusedByTheStructuralWalk) {
     mutated = w.image;
     const std::span<std::byte> m{mutated};
     write_u64(m, runs_off + field_at, value);
-    fix_section_crc(m, 4);
+    fix_section_crc(m, 3);
     silent += expect_refused(mutated, {StatusCode::kCorruption}, label);
   };
 
@@ -545,7 +609,7 @@ TEST(ArtifactFaults, HostileGridRunRecordsAreRefusedByTheStructuralWalk) {
     mutated = w.image;
     const std::span<std::byte> m{mutated};
     write_u64(m, values_off, 0);
-    fix_section_crc(m, 5);
+    fix_section_crc(m, 4);
     silent += expect_refused(mutated, {StatusCode::kCorruption}, "bit-zero value");
   }
   EXPECT_EQ(silent, 0u);

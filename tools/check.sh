@@ -128,7 +128,7 @@ snapshot_faults_stage() {
   cmake -B "${ROOT}/build-aubsan" -S "${ROOT}" \
     -DEYEBALL_SANITIZE="address;undefined" -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
   cmake --build "${ROOT}/build-aubsan" -j "${JOBS}" \
-    -t snapshot_fault_test snapshot_test file_test
+    -t snapshot_fault_test snapshot_test snapshot_golden_test file_test
   ctest --test-dir "${ROOT}/build-aubsan" --output-on-failure -j "${JOBS}" \
     -R 'snapshot|file_test|FaultInjection|AtomicWriteFile'
 }
