@@ -158,10 +158,10 @@ int main(int argc, char** argv) {
   service.ingest(windows[0]);
   auto first = service.publish();
   std::vector<net::Asn> probe;
-  for (const auto& as : first->dataset().ases()) probe.push_back(as.asn);
+  for (std::size_t i = 0; i < first->as_count(); ++i) probe.push_back(first->asn_at(i));
   probe.push_back(net::Asn{0xFFFFFFFFu});  // one guaranteed miss in rotation
-  std::printf("epoch 1 published: %zu ASes served, %zu probe ASNs\n",
-              first->dataset().ases().size(), probe.size());
+  std::printf("epoch 1 published: %zu ASes served, %zu probe ASNs\n", first->as_count(),
+              probe.size());
   first.reset();
 
   std::atomic<bool> writer_done{false};

@@ -8,9 +8,9 @@
 // restore() needs to keep ingesting — and pays a full parse on restore.
 // The artifact holds the *served* epoch in its final in-memory shape and
 // nothing else (no peer records: replicas answer the paper's §3 footprint
-// and PoP queries, which never read them), so restore is mmap + validate:
-// no per-record parsing, no allocation proportional to the file, and N
-// replicas mapping the same artifact share read-only pages.
+// and PoP queries, which never read them), so opening is mmap + validate
+// with no per-record parsing, and each AS is then materialized straight
+// from the image (a replica's restore does that once per AS).
 //
 // Format EYBART1 v2 (all integers little-endian, doubles as IEEE-754 bit
 // patterns, every section offset 8-byte aligned):
@@ -145,9 +145,8 @@ class ArtifactCodec {
 
 /// Zero-copy reader over a validated artifact.  open() maps the file and
 /// runs the full validation walk once; every accessor after that reads the
-/// mapped bytes in place.  The view owns the mapping — a ServingSnapshot
-/// (or any caller) holding the view by shared_ptr keeps the pages alive for
-/// as long as any epoch still answers from them.
+/// mapped bytes in place.  The view owns the mapping; it lives exactly as
+/// long as the view.
 class ArtifactView {
  public:
   ArtifactView() = default;
@@ -228,7 +227,8 @@ class ArtifactView {
     [[nodiscard]] double bandwidth_km() const noexcept;
 
     /// Copies this AS out of the artifact into the exact in-memory analysis
-    /// the epoch was published with — what the lazy serving thaw uses.
+    /// the epoch was published with — what a replica's restore runs once
+    /// per AS.
     [[nodiscard]] AsAnalysis materialize() const;
 
    private:

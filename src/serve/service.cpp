@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <exception>
+#include <string>
 #include <utility>
 
-#include "util/check.hpp"
+#include "core/artifact.hpp"
 
 namespace eyeball::serve {
 
@@ -20,75 +21,28 @@ std::string_view to_string(ServiceHealth health) noexcept {
   return "unknown";
 }
 
-ServingSnapshot::ServingSnapshot(std::uint64_t epoch, core::TargetDataset dataset,
+ServingSnapshot::ServingSnapshot(std::uint64_t epoch, core::DatasetStats stats,
                                  std::vector<core::AsAnalysis> analyses)
-    : epoch_(epoch), dataset_(std::move(dataset)), analyses_(std::move(analyses)) {
-  EYEBALL_DCHECK(analyses_.size() == dataset_->ases().size(),
-                 "snapshot analyses must be parallel to the dataset's ASes");
+    : epoch_(epoch), stats_(std::move(stats)), analyses_(std::move(analyses)) {
+  by_asn_.resize(analyses_.size());
+  for (std::uint32_t i = 0; i < by_asn_.size(); ++i) by_asn_[i] = i;
+  // Stable, so duplicate ASNs keep dataset order and find() returns the
+  // first one, like TargetDataset::find.
+  std::stable_sort(by_asn_.begin(), by_asn_.end(),
+                   [this](std::uint32_t a, std::uint32_t b) {
+                     return net::value_of(analyses_[a].asn) <
+                            net::value_of(analyses_[b].asn);
+                   });
 }
 
-ServingSnapshot::ServingSnapshot(std::uint64_t epoch,
-                                 std::shared_ptr<const core::ArtifactView> artifact)
-    : epoch_(epoch),
-      artifact_(std::move(artifact)),
-      thaw_once_(artifact_ == nullptr ? 0 : artifact_->as_count()),
-      thawed_(artifact_ == nullptr ? 0 : artifact_->as_count()) {
-  EYEBALL_DCHECK(artifact_ != nullptr && artifact_->valid(),
-                 "artifact-backed snapshot needs an opened view");
-}
-
-const core::DatasetStats& ServingSnapshot::stats() const noexcept {
-  return artifact_ != nullptr ? artifact_->stats() : dataset_->stats();
-}
-
-std::size_t ServingSnapshot::as_count() const noexcept {
-  return artifact_ != nullptr ? artifact_->as_count() : dataset_->ases().size();
-}
-
-net::Asn ServingSnapshot::asn_at(std::size_t index) const noexcept {
-  return artifact_ != nullptr ? artifact_->as_at(index).asn()
-                              : dataset_->ases()[index].asn;
-}
-
-const core::AsAnalysis* ServingSnapshot::analysis_at(std::size_t index) const {
-  if (artifact_ == nullptr) return &analyses_[index];
-  // First request thaws the AS out of the mapped image; call_once makes the
-  // thaw happen exactly once under concurrent readers, and the unique_ptr
-  // slot (vector sized at construction, never resized) gives the answer a
-  // stable address for the snapshot's lifetime.
-  std::call_once(thaw_once_[index], [&] {
-    thawed_[index] = std::make_unique<core::AsAnalysis>(
-        artifact_->as_at(index).materialize());
-  });
-  return thawed_[index].get();
-}
-
-const core::AsAnalysis* ServingSnapshot::find(net::Asn asn) const {
-  if (artifact_ != nullptr) {
-    const std::optional<std::size_t> index = artifact_->find_index(asn);
-    if (!index.has_value()) return nullptr;
-    return analysis_at(*index);
-  }
-  const core::AsPeerSet* as = dataset_->find(asn);
-  if (as == nullptr) return nullptr;
-  // ases() and analyses_ are parallel vectors, so the dataset's index is
-  // the analysis index.
-  const auto index = static_cast<std::size_t>(as - dataset_->ases().data());
-  return &analyses_[index];
-}
-
-const core::TargetDataset& ServingSnapshot::dataset() const noexcept {
-  EYEBALL_DCHECK(dataset_.has_value(),
-                 "dataset() is for in-memory epochs; artifact-backed epochs "
-                 "materialize per AS via artifact()");
-  return *dataset_;
-}
-
-std::span<const core::AsAnalysis> ServingSnapshot::analyses() const noexcept {
-  EYEBALL_DCHECK(dataset_.has_value(),
-                 "analyses() is for in-memory epochs; artifact-backed epochs "
-                 "thaw per AS via analysis_at()");
-  return analyses_;
+const core::AsAnalysis* ServingSnapshot::find(net::Asn asn) const noexcept {
+  const std::uint32_t key = net::value_of(asn);
+  const auto it = std::lower_bound(by_asn_.begin(), by_asn_.end(), key,
+                                   [this](std::uint32_t index, std::uint32_t k) {
+                                     return net::value_of(analyses_[index].asn) < k;
+                                   });
+  if (it == by_asn_.end() || net::value_of(analyses_[*it].asn) != key) return nullptr;
+  return &analyses_[*it];
 }
 
 EyeballService::EyeballService(const core::EyeballPipeline& pipeline, ServiceConfig config)
@@ -114,75 +68,7 @@ std::shared_ptr<const ServingSnapshot> EyeballService::publish() {
     std::sort(changed.begin(), changed.end());
     changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
   }
-  // The previous epoch stays pinned by this local shared_ptr, so handing
-  // its analyses span to refresh_analyses is safe even though readers may
-  // concurrently drop their own references.  An artifact-backed previous
-  // epoch has no in-memory analyses span to reuse — treat it as no
-  // previous epoch (full re-analysis); the published result is identical
-  // either way.
-  const std::shared_ptr<const ServingSnapshot> previous = current_.load();
-
-  // ---- Exception firewall.  finalize/analysis may throw (bad_alloc, a
-  // bug surfacing as a logic_error); on a long-lived server that must
-  // become a typed value, not an unwound writer thread.  The builder holds
-  // no invariant across the publish boundary that a throw can break:
-  // finalize() is non-destructive (touched-set clearing is repaired by the
-  // carry-over below), so the service keeps ingesting and the previous
-  // epoch keeps serving.
-  std::shared_ptr<const ServingSnapshot> next;
-  try {
-    next = publish_from(changed,
-                        (previous == nullptr || previous->artifact_backed())
-                            ? std::span<const core::AsAnalysis>{}
-                            : previous->analyses());
-    last_publish_status_ = util::Status{};
-  } catch (const std::exception& e) {
-    last_publish_status_ = util::Status::internal(
-        std::string{"publish firewall: "} + e.what());
-  }
-  // eyeball-lint: allow(swallowed-exception): the publish firewall — a non-std exception crossing here must still become a typed Status instead of unwinding the writer, and there is no type info to preserve
-  catch (...) {
-    last_publish_status_ =
-        util::Status::internal("publish firewall: non-std exception");
-  }
-  if (next == nullptr) {
-    carryover_changed_ = std::move(changed);
-    health_.transition(ServiceHealth::kReadOnly, last_publish_status_);
-    return nullptr;
-  }
-  carryover_changed_.clear();
-
-  // ---- Supervised durability: retry transient failures with exponential
-  // backoff; surface (never throw) the final verdicts.  A failed save must
-  // not take queries down.
-  const util::RetryPolicy policy{config_.durability_retry, clock()};
-  util::FileSystem& fs = filesystem();
-  util::Status durability;
-  if (!config_.snapshot_dir.empty()) {
-    core::StreamingDatasetBuilder& builder = builder_;
-    const std::string dir = config_.snapshot_dir;
-    last_save_retry_ = policy.run(
-        [&builder, &fs, &dir] { return builder.save_snapshot(dir, fs, nullptr); });
-    last_save_status_ = last_save_retry_.status;
-    if (!last_save_status_.ok()) durability = last_save_status_;
-  }
-  if (!config_.artifact_path.empty()) {
-    const std::string path = config_.artifact_path;
-    const std::uint64_t fingerprint =
-        core::SnapshotCodec::config_fingerprint(pipeline_.config().dataset);
-    const ServingSnapshot& epoch = *next;
-    last_artifact_retry_ = policy.run([&fs, &path, &epoch, fingerprint] {
-      return core::ArtifactCodec::write(fs, path, epoch.dataset(),
-                                        epoch.analyses(), epoch.epoch(),
-                                        fingerprint);
-    });
-    last_artifact_status_ = last_artifact_retry_.status;
-    if (!last_artifact_status_.ok()) durability = last_artifact_status_;
-  }
-  health_.transition(durability.ok() ? ServiceHealth::kHealthy
-                                     : ServiceHealth::kDegradedDurability,
-                     durability);
-  return next;
+  return publish_from(std::move(changed), /*persist=*/true);
 }
 
 util::Status EyeballService::restore(const std::string& dir,
@@ -195,14 +81,14 @@ util::Status EyeballService::restore(const std::string& dir,
     return status;
   }
   // The restored touched-set is relative to the snapshot's own history, not
-  // to whatever this service last published — republish from scratch (an
-  // empty `previous` makes refresh_analyses re-analyze every AS).  A stale
+  // to whatever this service last published — republish from scratch.
+  // Invalidating own_epoch_ makes publish_from ignore the current epoch's
+  // analyses, here and in every publish until one succeeds; a stale
   // carry-over list from before the restore is superseded for the same
   // reason.
   carryover_changed_.clear();
-  (void)publish_from({}, {});
-  last_publish_status_ = util::Status{};
-  health_.transition(ServiceHealth::kHealthy, util::Status{});
+  own_epoch_ = 0;
+  if (publish_from({}, /*persist=*/false) == nullptr) return last_publish_status_;
   return util::Status{};
 }
 
@@ -229,29 +115,117 @@ util::Status EyeballService::restore_from_artifact(const std::string& path) {
         "artifact '" + path + "' was produced under a different dataset "
         "configuration than this pipeline's");
   }
-  auto artifact = std::make_shared<const core::ArtifactView>(std::move(view));
-  auto next =
-      std::make_shared<const ServingSnapshot>(this->epoch() + 1, std::move(artifact));
-  current_.store(next);
+  // The open-time walk only caps each grid axis, so a CRC-valid image can
+  // still declare a grid of ~2^62 cells.  This pipeline's estimator never
+  // builds one above its cell budget: refuse such an image before the thaw
+  // below would allocate it.  Intact but not this pipeline's output, so
+  // the file is left in place.
+  const std::size_t max_cells = pipeline_.config().footprint.kde.max_cells;
+  for (std::size_t i = 0; i < view.as_count(); ++i) {
+    const core::ArtifactView::AsView as = view.as_at(i);
+    if (as.grid_rows() * as.grid_cols() > max_cells) {
+      return util::Status::config_mismatch(
+          "artifact '" + path + "' declares a " + std::to_string(as.grid_rows()) + "x" +
+          std::to_string(as.grid_cols()) + " grid for AS " +
+          std::to_string(net::value_of(as.asn())) + ", above this pipeline's " +
+          std::to_string(max_cells) + "-cell KDE budget");
+    }
+  }
+  std::vector<core::AsAnalysis> analyses;
+  analyses.reserve(view.as_count());
+  for (std::size_t i = 0; i < view.as_count(); ++i) {
+    analyses.push_back(view.as_at(i).materialize());
+  }
+  current_.store(std::make_shared<const ServingSnapshot>(this->epoch() + 1, view.stats(),
+                                                         std::move(analyses)));
   health_.transition(ServiceHealth::kHealthy, util::Status{});
   return util::Status{};
 }
 
 std::shared_ptr<const ServingSnapshot> EyeballService::publish_from(
-    std::vector<net::Asn> changed, std::span<const core::AsAnalysis> previous) {
-  core::TargetDataset dataset = builder_.finalize(config_.threads);
-  // After finalize, before analysis: the window where a throw strands the
-  // already-cleared touched set — exactly what the carry-over must rescue.
-  if (config_.publish_fault_hook) config_.publish_fault_hook();
-  std::vector<core::AsAnalysis> analyses =
-      pipeline_.refresh_analyses(dataset, previous, changed);
-  const std::uint64_t epoch = this->epoch() + 1;
-  auto next = std::make_shared<const ServingSnapshot>(epoch, std::move(dataset),
-                                                      std::move(analyses));
-  // The store is the publication point: the snapshot is fully constructed
-  // and never mutated again, so readers that load the pointer see a
-  // complete epoch or the previous one — never a mix.
-  current_.store(next);
+    std::vector<net::Asn> changed, bool persist) {
+  // ---- Exception firewall.  finalize/analysis may throw (bad_alloc, a
+  // bug surfacing as a logic_error); on a long-lived server that must
+  // become a typed value, not an unwound writer thread.  The builder holds
+  // no invariant across the publish boundary that a throw can break:
+  // finalize() is non-destructive (touched-set clearing is repaired by the
+  // carry-over below), so the service keeps ingesting and the previous
+  // epoch keeps serving.
+  std::unique_ptr<const core::TargetDataset> dataset;
+  std::shared_ptr<const ServingSnapshot> next;
+  try {
+    dataset =
+        std::make_unique<const core::TargetDataset>(builder_.finalize(config_.threads));
+    // After finalize, before analysis: the window where a throw strands the
+    // already-cleared touched set — exactly what the carry-over must rescue.
+    if (config_.publish_fault_hook) config_.publish_fault_hook();
+    // The current epoch stays pinned by this local shared_ptr, so handing
+    // its analyses to refresh_analyses is safe even though readers may
+    // concurrently drop their own references.  Only analyses this writer
+    // built are reusable; anything else means a full re-analysis (an empty
+    // `previous`), with an identical result.
+    std::shared_ptr<const ServingSnapshot> previous = current_.load();
+    const std::span<const core::AsAnalysis> reusable =
+        previous != nullptr && previous->epoch() == own_epoch_
+            ? previous->analyses()
+            : std::span<const core::AsAnalysis>{};
+    next = std::make_shared<const ServingSnapshot>(
+        this->epoch() + 1, dataset->stats(),
+        pipeline_.refresh_analyses(*dataset, reusable, changed));
+    // The store is the publication point: the snapshot is fully constructed
+    // and never mutated again, so readers that load the pointer see a
+    // complete epoch or the previous one — never a mix.
+    current_.store(next);
+    own_epoch_ = next->epoch();
+    last_publish_status_ = util::Status{};
+  } catch (const std::exception& e) {
+    last_publish_status_ = util::Status::internal(
+        std::string{"publish firewall: "} + e.what());
+  }
+  // eyeball-lint: allow(swallowed-exception): the publish firewall — a non-std exception crossing here must still become a typed Status instead of unwinding the writer, and there is no type info to preserve
+  catch (...) {
+    last_publish_status_ =
+        util::Status::internal("publish firewall: non-std exception");
+  }
+  if (next == nullptr) {
+    carryover_changed_ = std::move(changed);
+    health_.transition(ServiceHealth::kReadOnly, last_publish_status_);
+    return nullptr;
+  }
+  carryover_changed_.clear();
+
+  // ---- Supervised durability: retry transient failures with exponential
+  // backoff; surface (never throw) the final verdicts.  A failed save must
+  // not take queries down.
+  util::Status durability;
+  if (persist) {
+    const util::RetryPolicy policy{config_.durability_retry, clock()};
+    util::FileSystem& fs = filesystem();
+    if (!config_.snapshot_dir.empty()) {
+      core::StreamingDatasetBuilder& builder = builder_;
+      const std::string dir = config_.snapshot_dir;
+      last_save_retry_ = policy.run(
+          [&builder, &fs, &dir] { return builder.save_snapshot(dir, fs, nullptr); });
+      last_save_status_ = last_save_retry_.status;
+      if (!last_save_status_.ok()) durability = last_save_status_;
+    }
+    if (!config_.artifact_path.empty()) {
+      const std::string path = config_.artifact_path;
+      const std::uint64_t fingerprint =
+          core::SnapshotCodec::config_fingerprint(pipeline_.config().dataset);
+      const core::TargetDataset& finalized = *dataset;
+      const ServingSnapshot& epoch = *next;
+      last_artifact_retry_ = policy.run([&fs, &path, &finalized, &epoch, fingerprint] {
+        return core::ArtifactCodec::write(fs, path, finalized, epoch.analyses(),
+                                          epoch.epoch(), fingerprint);
+      });
+      last_artifact_status_ = last_artifact_retry_.status;
+      if (!last_artifact_status_.ok()) durability = last_artifact_status_;
+    }
+  }
+  health_.transition(durability.ok() ? ServiceHealth::kHealthy
+                                     : ServiceHealth::kDegradedDurability,
+                     durability);
   return next;
 }
 

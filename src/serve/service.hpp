@@ -2,15 +2,15 @@
 //
 // EyeballService turns the library into a long-lived server: a single
 // writer thread feeds crawl windows into an owned StreamingDatasetBuilder
-// and publishes immutable ServingSnapshot epochs (finalized TargetDataset +
-// per-AS analyses), while any number of reader threads answer point and
-// batch queries against the snapshot current at their moment of arrival.
+// and publishes immutable ServingSnapshot epochs (dataset stats + per-AS
+// analyses), while any number of reader threads answer point and batch
+// queries against the snapshot current at their moment of arrival.
 //
 // Concurrency contract (pinned by tests/serving_test.cpp under the TSan
 // gate):
-//   - ONE writer.  ingest() / publish() / restore() and the builder
-//     accessors must be called from a single thread (or externally
-//     serialized).  The writer never blocks on readers.
+//   - ONE writer.  ingest() / publish() / restore() / restore_from_artifact()
+//     and the builder accessors must be called from a single thread (or
+//     externally serialized).  The writer never blocks on readers.
 //   - ANY number of readers.  snapshot() / query() / query_batch() /
 //     stats() / epoch() are safe from any thread concurrently with the
 //     writer, never block ingest, and never observe a torn epoch: every
@@ -24,12 +24,21 @@
 // the writer publishes N+1, N+2, ...  Nothing is ever mutated after
 // publication.
 //
+// Every epoch has the same shape, whichever path built it: publish() and
+// restore() analyze the builder's finalized dataset; restore_from_artifact()
+// materializes every AS of a validated EYBART1 image once, then releases
+// the mapping.  The finalized TargetDataset (the kept peers) lives only as
+// a publish() local, long enough to write the artifact — no query reads it.
+//
 // Publication is incremental: publish() captures the builder's
 // touched_asns() BEFORE finalize() (finalize clears the set) and hands the
-// previous epoch's analyses to EyeballPipeline::refresh_analyses, so only
+// current epoch's analyses to EyeballPipeline::refresh_analyses, so only
 // ASes whose buckets actually changed are re-analyzed — the published
 // result is nevertheless identical to analyze_all from scratch (pinned by a
-// differential test).
+// differential test).  The reuse is sound only for analyses this writer
+// built from its own builder, so it is keyed on the epoch number of the
+// writer's last own publish()/restore(): an epoch restored from an artifact
+// (or a failed restore) makes the next publish re-analyze every AS.
 //
 // Durability: when ServiceConfig::snapshot_dir is non-empty, every
 // publish() also persists the builder state there via the crash-safe
@@ -42,11 +51,11 @@
 //     (ServiceConfig::durability_retry, timed by the injectable Clock seam)
 //     and every attempt's typed Status is kept (last_save_retry() /
 //     last_artifact_retry()).
-//   - Publication is firewalled: an exception escaping finalize/analysis is
-//     converted into a typed kInternal Status instead of unwinding into the
-//     caller; the previous epoch keeps serving and the captured changed-ASN
-//     work list carries over so the NEXT publish re-analyzes everything the
-//     failed one would have.
+//   - Publication is firewalled: an exception escaping finalize/analysis in
+//     publish() or restore() is converted into a typed kInternal Status
+//     instead of unwinding into the caller; the previous epoch keeps
+//     serving and the captured changed-ASN work list carries over so the
+//     NEXT publish re-analyzes everything the failed one would have.
 //   - The service reports a three-state health summary (health()):
 //     Healthy, DegradedDurability (serving + publishing fine, persistence
 //     failing), ReadOnly (the last publish itself failed).
@@ -55,14 +64,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "core/artifact.hpp"
 #include "core/pipeline.hpp"
 #include "core/snapshot.hpp"
 #include "core/streaming_dataset.hpp"
@@ -221,72 +228,46 @@ class HealthTracker {
 
 }  // namespace detail
 
-/// One immutable published epoch.  Everything here is frozen at publish
-/// time; readers share it by shared_ptr and never see it change.
-///
-/// Two backings, one reader contract:
-///   - in-memory: owns the finalized TargetDataset + analyses (the normal
-///     publish() product).
-///   - artifact-backed: owns only a shared ArtifactView over a mapped
-///     EYBART1 image (the restore_from_artifact() product).  Lookups read
-///     the image in place; an AS's full AsAnalysis is materialized lazily on
-///     first request (std::call_once per AS, so concurrent readers get one
-///     thaw and no race) and cached for the snapshot's lifetime.  Answers
-///     are byte-identical to the epoch the artifact was written from —
-///     pinned by tests/artifact_test.cpp.
+/// One immutable published epoch: dataset stats plus one analysis per
+/// served AS, frozen at construction.  Readers share it by shared_ptr and
+/// never see it change; every analysis has a stable address for the
+/// snapshot's lifetime.  publish()/restore() build it from a finalized
+/// dataset, restore_from_artifact() from a materialized EYBART1 image —
+/// one shape either way, so every accessor is valid on every epoch.
 class ServingSnapshot {
  public:
-  ServingSnapshot(std::uint64_t epoch, core::TargetDataset dataset,
+  /// `analyses` in dataset order (entry i describes the i-th served AS).
+  ServingSnapshot(std::uint64_t epoch, core::DatasetStats stats,
                   std::vector<core::AsAnalysis> analyses);
-  /// Artifact-backed epoch over a validated view (see ArtifactView::open).
-  ServingSnapshot(std::uint64_t epoch,
-                  std::shared_ptr<const core::ArtifactView> artifact);
 
   /// 1 for the first published epoch, incremented per publish.
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
-  /// True when this epoch answers from a mapped artifact image.
-  [[nodiscard]] bool artifact_backed() const noexcept { return artifact_ != nullptr; }
-
-  // ---- Backing-agnostic surface (what readers should use) ----
-
   /// Dataset-level stats of this epoch.
-  [[nodiscard]] const core::DatasetStats& stats() const noexcept;
+  [[nodiscard]] const core::DatasetStats& stats() const noexcept { return stats_; }
   /// Number of ASes served this epoch.
-  [[nodiscard]] std::size_t as_count() const noexcept;
+  [[nodiscard]] std::size_t as_count() const noexcept { return analyses_.size(); }
   /// ASN of the i-th served AS (dataset order).
-  [[nodiscard]] net::Asn asn_at(std::size_t index) const noexcept;
-  /// The i-th AS's analysis; stable address for the snapshot's lifetime.
-  /// May thaw from the artifact on first call (allocates; thread-safe).
-  [[nodiscard]] const core::AsAnalysis* analysis_at(std::size_t index) const;
-  /// O(log n) point lookup; nullptr when the ASN is not served this epoch.
-  [[nodiscard]] const core::AsAnalysis* find(net::Asn asn) const;
-
-  // ---- In-memory-only surface (writer-path internals) ----
-
-  /// The finalized dataset.  In-memory epochs only — an artifact-backed
-  /// epoch has no TargetDataset: the artifact holds the served analyses,
-  /// not the peer records (those persist only in the writer's snapshot).
-  [[nodiscard]] const core::TargetDataset& dataset() const noexcept;
-  /// Parallel to dataset().ases(): analyses()[i] describes ases()[i].
-  /// In-memory epochs only.
-  [[nodiscard]] std::span<const core::AsAnalysis> analyses() const noexcept;
-  /// The backing view; nullptr for in-memory epochs.
-  [[nodiscard]] const std::shared_ptr<const core::ArtifactView>& artifact()
-      const noexcept {
-    return artifact_;
+  [[nodiscard]] net::Asn asn_at(std::size_t index) const noexcept {
+    return analyses_[index].asn;
   }
+  /// The i-th AS's analysis.
+  [[nodiscard]] const core::AsAnalysis* analysis_at(std::size_t index) const noexcept {
+    return &analyses_[index];
+  }
+  /// Every analysis, in dataset order.
+  [[nodiscard]] std::span<const core::AsAnalysis> analyses() const noexcept {
+    return analyses_;
+  }
+  /// O(log n) point lookup with TargetDataset::find's semantics (the first
+  /// entry on duplicate ASNs); nullptr when the ASN is not served.
+  [[nodiscard]] const core::AsAnalysis* find(net::Asn asn) const noexcept;
 
  private:
   std::uint64_t epoch_;
-  /// Engaged iff this epoch is in-memory backed.
-  std::optional<core::TargetDataset> dataset_;
+  core::DatasetStats stats_;
   std::vector<core::AsAnalysis> analyses_;
-  /// Non-null iff this epoch is artifact-backed.
-  std::shared_ptr<const core::ArtifactView> artifact_;
-  /// Lazy per-AS thaw state for the artifact backing (sized at construction,
-  /// never resized — analysis_at hands out stable addresses into thawed_).
-  mutable std::vector<std::once_flag> thaw_once_;
-  mutable std::vector<std::unique_ptr<core::AsAnalysis>> thawed_;
+  /// Indices into analyses_, stably sorted by ASN.
+  std::vector<std::uint32_t> by_asn_;
 };
 
 /// A point answer pinned to the epoch it came from: `analysis` points into
@@ -345,17 +326,25 @@ class EyeballService {
 
   /// Replaces the builder state with the newest loadable generation in
   /// `dir` (see StreamingDatasetBuilder::restore_snapshot) and publishes a
-  /// fresh epoch analyzed from scratch.  On failure the service is
-  /// untouched — the current epoch keeps serving.
+  /// fresh epoch analyzed from scratch.  When no generation loads, the
+  /// service is untouched and the typed refusal is returned.  When the
+  /// builder IS restored but its first publish trips the publish firewall,
+  /// the builder stays restored, the typed kInternal failure is returned
+  /// (and recorded in last_publish_status()), health() reports ReadOnly,
+  /// the pre-restore epoch keeps serving, and the next successful publish()
+  /// re-analyzes every AS.
   [[nodiscard]] util::Status restore(const std::string& dir,
                                      core::SnapshotRestoreInfo* info = nullptr);
 
-  /// Publishes an artifact-backed epoch from the EYBART1 image at `path`:
-  /// mmap + one validation walk, zero per-record parsing — the fast path
-  /// for bringing a replica's serving surface up.  Refuses (typed) an image
-  /// whose config fingerprint differs from this pipeline's, a damaged image
-  /// (kCorruption) and an unreadable format (kVersionMismatch); on any
-  /// failure the service is untouched and the current epoch keeps serving.
+  /// Publishes an epoch materialized from the EYBART1 image at `path`: mmap
+  /// + one validation walk, then every AS thawed once, in index order — no
+  /// re-analysis.  The mapping is released before this returns; the epoch
+  /// owns its analyses like any other.  Refuses (typed) an image whose
+  /// config fingerprint differs from this pipeline's or that declares a
+  /// grid larger than this pipeline's KDE cell budget (kConfigMismatch,
+  /// file left in place), a damaged image (kCorruption, quarantined) and an
+  /// unreadable format (kVersionMismatch); on any failure the service is
+  /// untouched and the current epoch keeps serving.
   ///
   /// Scope: this restores SERVING state only.  The builder is not touched —
   /// the artifact stores the published epoch, not ingestion state; use
@@ -437,8 +426,14 @@ class EyeballService {
   [[nodiscard]] HealthReport health() const { return health_.report(); }
 
  private:
-  std::shared_ptr<const ServingSnapshot> publish_from(
-      std::vector<net::Asn> changed, std::span<const core::AsAnalysis> previous)
+  /// Finalize, analyze and swing the next epoch inside the publish
+  /// exception firewall (shared by publish() and restore()), then — when
+  /// `persist` — run the supervised durability writes.  Returns nullptr
+  /// when the firewall tripped: the typed failure is in
+  /// last_publish_status(), `changed` carries over and health() reports
+  /// ReadOnly.
+  std::shared_ptr<const ServingSnapshot> publish_from(std::vector<net::Asn> changed,
+                                                      bool persist)
       EYEBALL_REQUIRES(writer_serial_);
 
   /// The configured filesystem/clock seams, defaulted to the real ones.
@@ -472,6 +467,13 @@ class EyeballService {
   /// re-analyzing the ASes the failed publish was about to cover.  Merged
   /// into the next publish's work list, cleared on success.
   std::vector<net::Asn> carryover_changed_ EYEBALL_GUARDED_BY(writer_serial_);
+  /// Epoch number of this writer's last own publish()/restore(); 0 = none
+  /// (or invalidated by restore()).  publish() reuses the current epoch's
+  /// analyses only when that epoch is this one — analyses restored from an
+  /// artifact, or left over from before a restore, describe another
+  /// builder's history, and reusing them would serve stale answers for
+  /// every AS this builder did not touch.
+  std::uint64_t own_epoch_ EYEBALL_GUARDED_BY(writer_serial_) = 0;
   /// The published epoch; see SnapshotCell for why this is not
   /// std::atomic<std::shared_ptr>.  Internally synchronized — safe from
   /// both paths, so deliberately NOT guarded by writer_serial_.

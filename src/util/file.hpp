@@ -51,7 +51,7 @@ class WritableFile {
 
 /// A read-only view of a whole file, held open for the lifetime of the
 /// object.  The real filesystem backs it with mmap(2), so N processes (or N
-/// ArtifactView epochs in one process) share the same physical pages and
+/// ArtifactViews in one process) share the same physical pages and
 /// nothing is copied up front; fakes and fault injectors may back it with an
 /// owned heap buffer instead — the reader-facing contract is only `bytes()`
 /// staying valid and immutable until destruction.

@@ -26,6 +26,7 @@
 // read on any of these paths is a sanitizer abort, not a flake.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
@@ -36,6 +37,8 @@
 #include "core/artifact.hpp"
 #include "core/snapshot.hpp"
 #include "core/streaming_dataset.hpp"
+#include "geo/point.hpp"
+#include "kde/grid.hpp"
 #include "p2p/churn.hpp"
 #include "pipeline_fixture.hpp"
 #include "serve/service.hpp"
@@ -562,6 +565,57 @@ TEST(ArtifactFaults, HostileAsIndexRecordsAreRefusedByTheStructuralWalk) {
     silent += expect_refused(mutated, {StatusCode::kCorruption}, "order dup");
   }
   EXPECT_EQ(silent, 0u);
+}
+
+TEST(ArtifactFaults, GridAboveTheCellBudgetOpensButIsRefusedAtRestore) {
+  // Shrink AS 0's cell size and re-derive its rows/cols: the image is
+  // structurally valid (the runs and peaks still sit inside the larger
+  // grid, every CRC is recomputed), so the config-agnostic open accepts
+  // it.  But no grid this pipeline's estimator builds exceeds its KDE cell
+  // budget, and thawing this one would allocate rows x cols doubles — a
+  // replica must refuse it before materializing.
+  const auto& w = fault_world();
+  ASSERT_GT(w.dataset.ases().size(), 0u);
+  const std::size_t index_entry = kHeaderSize + 1 * kTableEntrySize;
+  const auto index_off = static_cast<std::size_t>(read_u64(w.image, index_entry + 8));
+  const auto f64_at = [&](std::size_t field_at) {
+    return std::bit_cast<double>(read_u64(w.image, index_off + field_at));
+  };
+  // Entry 0 field offsets (AsEntry order in artifact.hpp).
+  const geo::BoundingBox box{f64_at(88), f64_at(96), f64_at(104), f64_at(112)};
+  const std::size_t budget = w.config.footprint.kde.max_cells;
+  double cell_km = f64_at(120);
+  kde::DensityGrid::Shape shape = kde::DensityGrid::shape_for(box, cell_km);
+  for (int halvings = 0; shape.rows * shape.cols <= static_cast<double>(budget);
+       ++halvings) {
+    ASSERT_LT(halvings, 64) << "AS 0's box is too small to outgrow the budget";
+    cell_km /= 2.0;
+    shape = kde::DensityGrid::shape_for(box, cell_km);
+  }
+  std::vector<std::byte> mutated = w.image;
+  const std::span<std::byte> m{mutated};
+  write_u64(m, index_off + 72, static_cast<std::uint64_t>(shape.rows));
+  write_u64(m, index_off + 80, static_cast<std::uint64_t>(shape.cols));
+  write_u64(m, index_off + 120, std::bit_cast<std::uint64_t>(cell_km));
+  fix_section_crc(m, 1);
+
+  core::ArtifactView view;
+  const Status opened = core::ArtifactView::from_borrowed(mutated, view);
+  ASSERT_TRUE(opened.ok()) << opened;
+  EXPECT_GT(view.as_at(0).grid_rows() * view.as_at(0).grid_cols(), budget);
+
+  const std::string path = ::testing::TempDir() + "eyeball_artifact_fault_oversized_grid";
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + std::string{util::kQuarantineSuffix});
+  ASSERT_TRUE(util::atomic_write_file(util::local_filesystem(), path, mutated).ok());
+  serve::EyeballService replica{w.pipeline};
+  const Status restored = replica.restore_from_artifact(path);
+  EXPECT_EQ(restored.code(), StatusCode::kConfigMismatch) << restored;
+  EXPECT_EQ(replica.snapshot(), nullptr);
+  // Intact, just not this pipeline's output: left in place, not quarantined.
+  EXPECT_TRUE(std::filesystem::exists(path));
+  EXPECT_FALSE(std::filesystem::exists(path + std::string{util::kQuarantineSuffix}));
+  std::filesystem::remove(path);
 }
 
 TEST(ArtifactFaults, HostileGridRunRecordsAreRefusedByTheStructuralWalk) {

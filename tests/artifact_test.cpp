@@ -426,18 +426,17 @@ TEST(Artifact, ServiceEmitsArtifactAndRestoresIdenticalAnswers) {
 
   const std::shared_ptr<const serve::ServingSnapshot> snap = replica.snapshot();
   ASSERT_NE(snap, nullptr);
-  EXPECT_TRUE(snap->artifact_backed());
   EXPECT_EQ(snap->epoch(), 1u);
   ASSERT_EQ(snap->as_count(), published->as_count());
 
-  // Stats parity through the kind-agnostic surface.
+  // Stats parity.
   const auto stats = replica.stats();
   ASSERT_TRUE(stats.has_value());
   EXPECT_EQ(stats->stats, published->stats());
   EXPECT_EQ(stats->stats.windows.size(), published->stats().windows.size());
 
   // Every served ASN answers identically; repeated queries return the SAME
-  // thawed object (stable addresses, one materialization per AS).
+  // object (stable addresses: the restore materialized each AS once).
   for (std::size_t i = 0; i < published->as_count(); ++i) {
     const net::Asn asn = published->asn_at(i);
     EXPECT_EQ(snap->asn_at(i), asn);
@@ -450,7 +449,7 @@ TEST(Artifact, ServiceEmitsArtifactAndRestoresIdenticalAnswers) {
   }
   EXPECT_FALSE(replica.query(net::Asn{0xFFFFFFFFu}));
 
-  // Batch queries pin the artifact-backed epoch like any other.
+  // Batch queries pin the restored epoch like any other.
   std::vector<net::Asn> probe;
   for (std::size_t i = 0; i < snap->as_count() && probe.size() < 8; ++i) {
     probe.push_back(snap->asn_at(i));
@@ -462,16 +461,67 @@ TEST(Artifact, ServiceEmitsArtifactAndRestoresIdenticalAnswers) {
   }
 
   // The replica can resume WRITING after an artifact restore: the next
-  // publish re-analyzes from its own builder and swings a normal in-memory
-  // epoch above the artifact-backed one.
+  // publish re-analyzes from its own builder and swings an epoch above the
+  // restored one.
   replica.ingest(w.churn.windows[0]);
   const auto next = replica.publish();
   ASSERT_NE(next, nullptr);
   EXPECT_EQ(next->epoch(), 2u);
-  EXPECT_FALSE(next->artifact_backed());
-  // The old artifact-backed epoch stays pinned and answering for holders.
+  // The old restored epoch stays pinned and answering for holders.
   EXPECT_EQ(snap->epoch(), 1u);
   EXPECT_NE(snap->find(probe[0]), nullptr);
+}
+
+TEST(Artifact, PublishAfterAnArtifactRestoreReusesOnlyItsOwnAnalyses) {
+  const auto& w = world();
+  const std::string path = scratch_path("reuse");
+
+  // A writer publishes every window and emits the artifact.
+  serve::ServiceConfig writer_config;
+  writer_config.threads = 2;
+  writer_config.artifact_path = path;
+  serve::EyeballService writer{w.pipeline, writer_config};
+  for (const auto& window : w.churn.windows) writer.ingest(window);
+  ASSERT_NE(writer.publish(), nullptr);
+  ASSERT_TRUE(writer.last_artifact_status().ok()) << writer.last_artifact_status();
+
+  // A same-config replica publishes from its own builder (window 0 only),
+  // then restores the writer's epoch on top.
+  serve::ServiceConfig replica_config;
+  replica_config.threads = 2;
+  serve::EyeballService replica{w.pipeline, replica_config};
+  replica.ingest(w.churn.windows[0]);
+  const auto own = replica.publish();
+  ASSERT_NE(own, nullptr);
+  ASSERT_TRUE(replica.restore_from_artifact(path).ok());
+  const auto restored = replica.snapshot();
+  ASSERT_EQ(restored->epoch(), 2u);
+
+  // The two epochs differ, so reusing the restored analyses is observable.
+  bool differ = own->as_count() != restored->as_count();
+  for (std::size_t i = 0; !differ && i < own->as_count(); ++i) {
+    differ = !same_analysis(*own->analysis_at(i), *restored->analysis_at(i));
+  }
+  ASSERT_TRUE(differ);
+
+  // Publish with NO new ingest: the builder's touched set is empty, and the
+  // current epoch's analyses are another writer's — every AS must be
+  // re-analyzed from the replica's own builder.
+  const auto next = replica.publish();
+  ASSERT_NE(next, nullptr);
+  EXPECT_EQ(next->epoch(), 3u);
+  const core::TargetDataset one_shot =
+      w.pipeline.build_dataset(core::dedup_first_observation(w.churn.windows[0]), 1);
+  const std::vector<core::AsAnalysis> reference =
+      w.pipeline.analyze_all(one_shot.ases(), 2);
+  ASSERT_EQ(next->as_count(), own->as_count());
+  ASSERT_EQ(next->as_count(), reference.size());
+  for (std::size_t i = 0; i < next->as_count(); ++i) {
+    EXPECT_TRUE(same_analysis(*next->analysis_at(i), *own->analysis_at(i)))
+        << "as index " << i;
+    EXPECT_TRUE(same_analysis(*next->analysis_at(i), reference[i])) << "as index " << i;
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(Artifact, ServiceRefusesForeignConfigArtifact) {

@@ -63,6 +63,19 @@ struct ServeWorld {
   }();
   core::TargetDataset reference =
       pipeline.build_dataset(core::dedup_first_observation(concatenated), 1);
+
+  /// The streaming contract's reference for an epoch that has ingested the
+  /// first `windows` windows: a one-shot build over their deduplicated
+  /// concatenation, analyzed from scratch.
+  [[nodiscard]] std::vector<core::AsAnalysis> one_shot_analyses(std::size_t windows) const {
+    std::vector<p2p::PeerSample> samples;
+    for (std::size_t i = 0; i < windows; ++i) {
+      samples.insert(samples.end(), churn.windows[i].begin(), churn.windows[i].end());
+    }
+    const core::TargetDataset dataset =
+        pipeline.build_dataset(core::dedup_first_observation(samples), 1);
+    return pipeline.analyze_all(dataset.ases(), 2);
+  }
 };
 
 const ServeWorld& serve_world() {
@@ -99,16 +112,24 @@ bool same_analysis(const core::AsAnalysis& a, const core::AsAnalysis& b) {
   return true;
 }
 
+/// Every served analysis equals `expected`, in order.
+void expect_analyses(const serve::ServingSnapshot& snap,
+                     const std::vector<core::AsAnalysis>& expected, const char* context) {
+  ASSERT_EQ(snap.as_count(), expected.size()) << context;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_TRUE(same_analysis(*snap.analysis_at(i), expected[i]))
+        << context << " as index " << i;
+  }
+}
+
 void expect_same_snapshot(const serve::ServingSnapshot& a,
                           const serve::ServingSnapshot& b, const char* context) {
-  EXPECT_EQ(a.dataset().stats(), b.dataset().stats())
-      << context << ": " << core::diff_stats(a.dataset().stats(), b.dataset().stats());
-  ASSERT_EQ(a.dataset().ases().size(), b.dataset().ases().size()) << context;
-  ASSERT_EQ(a.analyses().size(), b.analyses().size()) << context;
-  for (std::size_t i = 0; i < a.analyses().size(); ++i) {
-    EXPECT_EQ(a.dataset().ases()[i].asn, b.dataset().ases()[i].asn)
-        << context << " as index " << i;
-    EXPECT_TRUE(same_analysis(a.analyses()[i], b.analyses()[i]))
+  EXPECT_EQ(a.stats(), b.stats())
+      << context << ": " << core::diff_stats(a.stats(), b.stats());
+  ASSERT_EQ(a.as_count(), b.as_count()) << context;
+  for (std::size_t i = 0; i < a.as_count(); ++i) {
+    EXPECT_EQ(a.asn_at(i), b.asn_at(i)) << context << " as index " << i;
+    EXPECT_TRUE(same_analysis(*a.analysis_at(i), *b.analysis_at(i)))
         << context << " as index " << i;
   }
 }
@@ -139,16 +160,18 @@ TEST(Serving, PublishAdvancesEpochAndAnswersPointQueries) {
   EXPECT_EQ(service.snapshot(), snap);
 
   // The served dataset is the one-shot reference.
-  EXPECT_EQ(snap->dataset().stats(), w.reference.stats())
-      << core::diff_stats(w.reference.stats(), snap->dataset().stats());
-  ASSERT_EQ(snap->dataset().ases().size(), w.reference.ases().size());
+  EXPECT_EQ(snap->stats(), w.reference.stats())
+      << core::diff_stats(w.reference.stats(), snap->stats());
+  ASSERT_EQ(snap->as_count(), w.reference.ases().size());
 
   // Every served ASN answers, pinned to this epoch, with the right analysis.
-  for (const auto& as : snap->dataset().ases()) {
-    const auto ref = service.query(as.asn);
+  for (std::size_t i = 0; i < snap->as_count(); ++i) {
+    const net::Asn asn = snap->asn_at(i);
+    EXPECT_EQ(asn, w.reference.ases()[i].asn);
+    const auto ref = service.query(asn);
     ASSERT_TRUE(ref);
     EXPECT_EQ(ref.epoch(), 1u);
-    EXPECT_EQ(ref.analysis->asn, as.asn);
+    EXPECT_EQ(ref.analysis, snap->analysis_at(i));
   }
   // An unserved ASN answers "not served", still attributable to the epoch.
   const auto miss = service.query(net::Asn{0xFFFFFFFFu});
@@ -158,7 +181,7 @@ TEST(Serving, PublishAdvancesEpochAndAnswersPointQueries) {
   const auto stats = service.stats();
   ASSERT_TRUE(stats.has_value());
   EXPECT_EQ(stats->epoch, 1u);
-  EXPECT_EQ(stats->stats, snap->dataset().stats());
+  EXPECT_EQ(stats->stats, snap->stats());
 }
 
 TEST(Serving, BatchAnswersComeFromOneEpoch) {
@@ -189,8 +212,8 @@ TEST(Serving, ReaderHeldEpochUnchangedByLaterPublishes) {
   const auto pinned = service.publish();
   ASSERT_NE(pinned, nullptr);
   // Deep-copy the observable state of epoch 1.
-  const auto stats_before = pinned->dataset().stats();
-  const std::size_t ases_before = pinned->dataset().ases().size();
+  const auto stats_before = pinned->stats();
+  const std::size_t ases_before = pinned->as_count();
   std::vector<core::AsAnalysis> analyses_before{pinned->analyses().begin(),
                                                 pinned->analyses().end()};
 
@@ -205,8 +228,8 @@ TEST(Serving, ReaderHeldEpochUnchangedByLaterPublishes) {
 
   // The pinned epoch is bit-for-bit what it was at publish time.
   EXPECT_EQ(pinned->epoch(), 1u);
-  EXPECT_EQ(pinned->dataset().stats(), stats_before);
-  ASSERT_EQ(pinned->dataset().ases().size(), ases_before);
+  EXPECT_EQ(pinned->stats(), stats_before);
+  ASSERT_EQ(pinned->as_count(), ases_before);
   ASSERT_EQ(pinned->analyses().size(), analyses_before.size());
   for (std::size_t i = 0; i < analyses_before.size(); ++i) {
     EXPECT_TRUE(same_analysis(pinned->analyses()[i], analyses_before[i]))
@@ -231,17 +254,13 @@ TEST(Serving, IncrementalRepublishEqualsFromScratchAnalysis) {
     service.ingest(window);
     snap = service.publish();
     ASSERT_NE(snap, nullptr);
-    ASSERT_EQ(snap->analyses().size(), snap->dataset().ases().size());
+    ASSERT_EQ(snap->analyses().size(), snap->as_count());
   }
-  const auto from_scratch = w.pipeline.analyze_all(snap->dataset().ases(), 2);
-  ASSERT_EQ(snap->analyses().size(), from_scratch.size());
-  for (std::size_t i = 0; i < from_scratch.size(); ++i) {
-    EXPECT_TRUE(same_analysis(snap->analyses()[i], from_scratch[i]))
-        << "as index " << i;
-  }
+  expect_analyses(*snap, w.pipeline.analyze_all(w.reference.ases(), 2),
+                  "incremental vs one-shot");
   // After all windows, the served dataset equals the one-shot reference.
-  EXPECT_EQ(snap->dataset().stats(), w.reference.stats())
-      << core::diff_stats(w.reference.stats(), snap->dataset().stats());
+  EXPECT_EQ(snap->stats(), w.reference.stats())
+      << core::diff_stats(w.reference.stats(), snap->stats());
 }
 
 // ---- Durability: publish persists, restore re-serves ----
@@ -404,13 +423,62 @@ TEST(Serving, PublishFirewallTripsToReadOnlyAndCarryoverHealsTheNextEpoch) {
   EXPECT_FALSE(recovered.last_error.ok());
 
   // The differential oracle: the healed epoch equals a from-scratch
-  // analysis — no AS is served a stale window-0 answer.
-  const auto from_scratch = w.pipeline.analyze_all(healed->dataset().ases(), 2);
-  ASSERT_EQ(healed->analyses().size(), from_scratch.size());
-  for (std::size_t i = 0; i < from_scratch.size(); ++i) {
-    EXPECT_TRUE(same_analysis(healed->analyses()[i], from_scratch[i]))
-        << "as index " << i;
+  // analysis of a one-shot build — no AS is served a stale window-0 answer.
+  expect_analyses(*healed, w.one_shot_analyses(2), "healed vs one-shot");
+}
+
+TEST(Serving, RestorePublishRunsInsideTheFirewallAndTheNextPublishReanalyzes) {
+  const auto& w = serve_world();
+  const std::string dir = ::testing::TempDir() + "eyeball_serving_test_restore_firewall";
+  std::filesystem::remove_all(dir);
+
+  {
+    // A writer leaves a generation holding windows 0 and 1.
+    serve::ServiceConfig writer_config = two_threads();
+    writer_config.snapshot_dir = dir;
+    serve::EyeballService writer{w.pipeline, writer_config};
+    writer.ingest(w.churn.windows[0]);
+    writer.ingest(w.churn.windows[1]);
+    ASSERT_NE(writer.publish(), nullptr);
+    ASSERT_TRUE(writer.last_save_status().ok()) << writer.last_save_status();
   }
+
+  // A service serving its own window-0 epoch restores that directory with
+  // the fault hook armed: the builder is replaced, then the restore's
+  // first publish throws between finalize and analysis.
+  serve::ServiceConfig config = two_threads();
+  bool armed = false;
+  config.publish_fault_hook = [&armed] {
+    if (armed) throw std::runtime_error("injected restore-publish failure");
+  };
+  serve::EyeballService service{w.pipeline, config};
+  service.ingest(w.churn.windows[0]);
+  auto before = service.publish();
+  ASSERT_NE(before, nullptr);
+
+  armed = true;
+  const util::Status status = service.restore(dir);
+  EXPECT_EQ(status.code(), util::StatusCode::kInternal) << status;
+  EXPECT_NE(status.message().find("injected restore-publish failure"), std::string::npos);
+  EXPECT_EQ(service.last_publish_status().code(), util::StatusCode::kInternal);
+  EXPECT_EQ(service.health().state, serve::ServiceHealth::kReadOnly);
+  // The pre-restore epoch keeps serving.
+  EXPECT_EQ(service.snapshot(), before);
+  EXPECT_EQ(service.epoch(), 1u);
+  // Unpinned, so the recovery publish retires it (this suite's peak memory
+  // bounds the TSan stage).
+  before.reset();
+
+  // Recovery publish with NO ingest: the failed publish already cleared the
+  // restored touched set, so only a full re-analysis can serve the restored
+  // windows — reusing the window-0 epoch would serve it stale.
+  armed = false;
+  const auto healed = service.publish();
+  ASSERT_NE(healed, nullptr);
+  EXPECT_EQ(healed->epoch(), 2u);
+  EXPECT_EQ(service.health().state, serve::ServiceHealth::kHealthy);
+  expect_analyses(*healed, w.one_shot_analyses(2), "post-restore publish vs one-shot");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Serving, DurabilityFaultsRetryDeterministicallyAndDegradeUntilRecovery) {
@@ -477,14 +545,13 @@ TEST(Serving, DurabilityFaultsRetryDeterministicallyAndDegradeUntilRecovery) {
 
 // ---- The TSan storm: readers vs. writer, no torn epochs ----
 
-TEST(Serving, ArtifactBackedEpochsSurviveConcurrentThawStorm) {
-  // The artifact-backed sibling of the torn-epoch storm below: a replica
-  // restores from a serving artifact, readers hammer it — racing each other
-  // into the lazy call_once thaw of every AS — while the writer keeps
-  // publishing newer epochs (both in-memory ones from fresh ingests and
-  // fresh artifact-backed ones from repeated restores).  Runs under the
-  // TSan gate, which is the point: a data race in the thaw path or in
-  // artifact-backed snapshot publication is a hard failure here.
+TEST(Serving, ArtifactRestoredEpochsSurviveConcurrentReaderStorm) {
+  // The artifact sibling of the torn-epoch storm below: a replica restores
+  // from a serving artifact, readers sweep every AS of whatever epoch is
+  // current, while the writer keeps publishing newer epochs (from fresh
+  // ingests, and from repeated artifact restores).  Runs under the TSan
+  // gate, which is the point: a data race between a restore's publication
+  // and the readers is a hard failure here.
   const auto& w = serve_world();
   const std::string path =
       ::testing::TempDir() + "eyeball_serving_artifact_storm.eyb";
@@ -503,7 +570,6 @@ TEST(Serving, ArtifactBackedEpochsSurviveConcurrentThawStorm) {
   ASSERT_TRUE(replica.restore_from_artifact(path).ok());
   const auto restored = replica.snapshot();
   ASSERT_NE(restored, nullptr);
-  ASSERT_TRUE(restored->artifact_backed());
   const std::size_t as_count = restored->as_count();
   ASSERT_EQ(as_count, published->as_count());
 
@@ -518,15 +584,14 @@ TEST(Serving, ArtifactBackedEpochsSurviveConcurrentThawStorm) {
       if (snap == nullptr) continue;
       if (snap->epoch() < last_epoch) ++violations;
       last_epoch = snap->epoch();
-      // Full thaw sweep: every reader walks every AS, so first-touch
-      // call_once thaws race between the threads on purpose.
+      // Full sweep: every reader walks every AS of its pinned epoch.
       for (std::size_t i = 0; i < snap->as_count(); ++i) {
         const core::AsAnalysis* analysis = snap->analysis_at(i);
         if (analysis == nullptr || analysis->asn != snap->asn_at(i)) {
           ++violations;
           continue;
         }
-        // Thawed answers must have stable addresses within a snapshot.
+        // Answers must have stable addresses within a snapshot.
         if (snap->find(analysis->asn) != analysis) ++violations;
       }
       if (snap->find(net::Asn{0xFFFFFFFFu}) != nullptr) ++violations;
@@ -538,8 +603,9 @@ TEST(Serving, ArtifactBackedEpochsSurviveConcurrentThawStorm) {
   std::vector<std::thread> readers;
   for (int i = 0; i < 2; ++i) readers.emplace_back(reader);
 
-  // The writer alternates fresh in-memory epochs with fresh artifact-backed
-  // ones; pinned readers must be unaffected either way.
+  // The writer alternates epochs published from its builder with epochs
+  // restored from the artifact; pinned readers must be unaffected either
+  // way.
   for (std::size_t i = 1; i < w.churn.windows.size(); ++i) {
     replica.ingest(w.churn.windows[i]);
     (void)replica.publish();
@@ -554,9 +620,9 @@ TEST(Serving, ArtifactBackedEpochsSurviveConcurrentThawStorm) {
   // The snapshot pinned before the storm still answers, identically to the
   // writer's published epoch, after every later publish.
   for (std::size_t i = 0; i < as_count; ++i) {
-    const core::AsAnalysis* thawed = restored->analysis_at(i);
-    ASSERT_NE(thawed, nullptr);
-    EXPECT_TRUE(same_analysis(*thawed, *published->analysis_at(i)))
+    const core::AsAnalysis* analysis = restored->analysis_at(i);
+    ASSERT_NE(analysis, nullptr);
+    EXPECT_TRUE(same_analysis(*analysis, *published->analysis_at(i)))
         << "as index " << i;
   }
   std::filesystem::remove(path);
@@ -595,8 +661,8 @@ TEST(Serving, ConcurrentReadersNeverObserveTornEpoch) {
         // A snapshot is torn if its parallel arrays disagree or its window
         // tally disagrees with its epoch (the writer publishes once per
         // window, so epoch k serves exactly k windows).
-        if (snap.analyses().size() != snap.dataset().ases().size()) ++violations;
-        if (snap.dataset().stats().windows.size() != snap.epoch()) ++violations;
+        if (snap.analyses().size() != snap.as_count()) ++violations;
+        if (snap.stats().windows.size() != snap.epoch()) ++violations;
         if (snap.epoch() == 0 || snap.epoch() > total_windows) ++violations;
         if (ref.analysis != nullptr &&
             snap.find(ref.analysis->asn) != ref.analysis) {
