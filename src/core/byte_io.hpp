@@ -1,10 +1,12 @@
 // Little-endian byte layer shared by the two on-disk codecs (EYBSNAP1 in
 // snapshot.cpp, EYBART1 in artifact.cpp): canonical writers that append to
 // a buffer, unchecked loads for callers that have already bounded the read,
-// and the DatasetStats record both formats lay out the same way.  Internal
-// to core; neither format's layout lives here, only the shared vocabulary.
+// the bounds-checked Reader both decoders walk their payloads with, and the
+// DatasetStats record both formats lay out the same way.  Internal to core;
+// neither format's layout lives here, only the shared vocabulary.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -17,16 +19,22 @@
 
 namespace eyeball::core::byte_io {
 
+// Writers: each value is one append, not one per byte.
+
 inline void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::byte>((v >> shift) & 0xffU));
+  std::array<std::byte, 4> bytes{};
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::byte>((v >> (8 * i)) & 0xffU);
   }
+  out.insert(out.end(), bytes.begin(), bytes.end());
 }
 
 inline void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::byte>((v >> shift) & 0xffU));
+  std::array<std::byte, 8> bytes{};
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::byte>((v >> (8 * i)) & 0xffU);
   }
+  out.insert(out.end(), bytes.begin(), bytes.end());
 }
 
 inline void put_f64(std::vector<std::byte>& out, double v) {
@@ -59,6 +67,65 @@ inline void put_f64(std::vector<std::byte>& out, double v) {
                                      std::size_t at) noexcept {
   return std::bit_cast<double>(load_u64(bytes, at));
 }
+
+/// Bounds-checked little-endian reader over a byte span.  Every read
+/// returns false instead of walking past the end; callers funnel a false
+/// into kCorruption.
+class Reader {
+ public:
+  explicit Reader(std::span<const std::byte> data) noexcept : data_(data) {}
+
+  [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }
+
+  [[nodiscard]] bool read_u8(std::uint8_t& out) noexcept {
+    if (remaining() < 1) return false;
+    out = std::to_integer<std::uint8_t>(data_[pos_++]);
+    return true;
+  }
+
+  [[nodiscard]] bool read_u32(std::uint32_t& out) noexcept {
+    if (remaining() < 4) return false;
+    out = load_u32(data_, pos_);
+    pos_ += 4;
+    return true;
+  }
+
+  [[nodiscard]] bool read_u64(std::uint64_t& out) noexcept {
+    if (remaining() < 8) return false;
+    out = load_u64(data_, pos_);
+    pos_ += 8;
+    return true;
+  }
+
+  [[nodiscard]] bool read_f64(double& out) noexcept {
+    std::uint64_t bits = 0;
+    if (!read_u64(bits)) return false;
+    out = std::bit_cast<double>(bits);
+    return true;
+  }
+
+  /// The next `size` bytes as one span.
+  [[nodiscard]] bool take(std::uint64_t size, std::span<const std::byte>& out) noexcept {
+    if (size > remaining()) return false;
+    out = data_.subspan(pos_, static_cast<std::size_t>(size));
+    pos_ += static_cast<std::size_t>(size);
+    return true;
+  }
+
+  /// A u64 element count whose `record_size`-byte records must all fit in
+  /// what remains.  Divides, never multiplies: a hostile count cannot
+  /// overflow the check, so callers may reserve `out` elements after it.
+  [[nodiscard]] bool read_count(std::size_t record_size, std::uint64_t& out) noexcept {
+    std::uint64_t count = 0;
+    if (!read_u64(count) || count > remaining() / record_size) return false;
+    out = count;
+    return true;
+  }
+
+ private:
+  std::span<const std::byte> data_;
+  std::size_t pos_ = 0;
+};
 
 // DatasetStats record: its 10 counters in declaration order, the window
 // count, then the 5 WindowStats fields per window — all u64.

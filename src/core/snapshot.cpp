@@ -22,11 +22,10 @@ namespace eyeball::core {
 
 namespace {
 
-using byte_io::load_u32;
-using byte_io::load_u64;
 using byte_io::put_f64;
 using byte_io::put_u32;
 using byte_io::put_u64;
+using byte_io::Reader;
 
 // Layout constants (see the format comment in snapshot.hpp).
 constexpr char kHeadMagic[8] = {'E', 'Y', 'B', 'S', 'N', 'A', 'P', '1'};
@@ -48,47 +47,6 @@ constexpr std::uint32_t kSectionCount = 5;
 constexpr std::size_t kPeerRecordSize = 4 + 1 + 8 + 8 + 8 + 4;
 constexpr std::size_t kBucketHeaderSize = 4 + 8;
 constexpr std::size_t kConfigPayloadSize = 3 * 8;
-
-/// Bounds-checked little-endian reader over a byte span.  Every read
-/// returns false instead of walking past the end; callers funnel a false
-/// into kCorruption.
-class Reader {
- public:
-  explicit Reader(std::span<const std::byte> data) : data_(data) {}
-
-  [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }
-
-  [[nodiscard]] bool read_u8(std::uint8_t& out) noexcept {
-    if (remaining() < 1) return false;
-    out = std::to_integer<std::uint8_t>(data_[pos_++]);
-    return true;
-  }
-
-  [[nodiscard]] bool read_u32(std::uint32_t& out) noexcept {
-    if (remaining() < 4) return false;
-    out = load_u32(data_, pos_);
-    pos_ += 4;
-    return true;
-  }
-
-  [[nodiscard]] bool read_u64(std::uint64_t& out) noexcept {
-    if (remaining() < 8) return false;
-    out = load_u64(data_, pos_);
-    pos_ += 8;
-    return true;
-  }
-
-  [[nodiscard]] bool read_f64(double& out) noexcept {
-    std::uint64_t bits = 0;
-    if (!read_u64(bits)) return false;
-    out = std::bit_cast<double>(bits);
-    return true;
-  }
-
- private:
-  std::span<const std::byte> data_;
-  std::size_t pos_ = 0;
-};
 
 [[nodiscard]] util::Status corrupt(const char* what) {
   return util::Status::corruption(what);
@@ -294,13 +252,10 @@ util::Status SnapshotCodec::decode(std::span<const std::byte> bytes,
       return corrupt("unreadable section header");
     }
     if (id != expected_id) return corrupt("unknown, duplicate, or misordered section id");
-    if (size > reader.remaining()) return corrupt("section payload overruns the file");
-    const std::span<const std::byte> payload =
-        body.subspan(body.size() - reader.remaining(), static_cast<std::size_t>(size));
+    std::span<const std::byte> payload;
+    if (!reader.take(size, payload)) return corrupt("section payload overruns the file");
     if (util::crc32c_fast(payload) != crc) return corrupt("section CRC mismatch");
     sections[expected_id - 1] = payload;
-    reader = Reader{body.subspan(body.size() - reader.remaining() +
-                                 static_cast<std::size_t>(size))};
   }
   if (reader.remaining() != 0) return corrupt("trailing garbage after the last section");
 

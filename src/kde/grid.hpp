@@ -55,7 +55,7 @@ class DensityGrid {
   /// before any budget coarsening.  Rows and columns stay doubles so a
   /// caller can test them against a budget or a cap before any integer
   /// cast.  The constructor evaluates this once per candidate cell size;
-  /// the artifact validator re-derives a stored grid's shape with it.
+  /// the artifact decoder re-derives a stored grid's shape with it.
   struct Shape {
     double rows = 0.0;
     double cols = 0.0;

@@ -1,6 +1,7 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <exception>
 #include <string>
 #include <utility>
@@ -95,49 +96,58 @@ util::Status EyeballService::restore(const std::string& dir,
 util::Status EyeballService::restore_from_artifact(const std::string& path) {
   const util::SerialSection writer{writer_serial_};
   util::FileSystem& fs = filesystem();
-  core::ArtifactView view;
-  if (util::Status status = core::ArtifactView::open(path, fs, view); !status.ok()) {
-    if (status.code() == util::StatusCode::kCorruption) {
-      // A damaged image must not ambush every future restore: move it
-      // aside with its verdict, like a corrupt snapshot generation.
-      // Best-effort — the typed refusal below is the load-bearing part.
-      static_cast<void>(util::quarantine_file(fs, path, status));
-    }
-    return status;
-  }
-  // Same refusal the snapshot codec makes: an artifact produced under a
-  // different result-affecting configuration must not serve as if it were
-  // this pipeline's output.
-  const std::uint64_t expected =
-      core::SnapshotCodec::config_fingerprint(pipeline_.config().dataset);
-  if (view.config_fingerprint() != expected) {
-    return util::Status::config_mismatch(
-        "artifact '" + path + "' was produced under a different dataset "
-        "configuration than this pipeline's");
-  }
-  // The open-time walk only caps each grid axis, so a CRC-valid image can
-  // still declare a grid of ~2^62 cells.  This pipeline's estimator never
-  // builds one above its cell budget: refuse such an image before the thaw
-  // below would allocate it.  Intact but not this pipeline's output, so
-  // the file is left in place.
-  const std::size_t max_cells = pipeline_.config().footprint.kde.max_cells;
-  for (std::size_t i = 0; i < view.as_count(); ++i) {
-    const core::ArtifactView::AsView as = view.as_at(i);
-    if (as.grid_rows() * as.grid_cols() > max_cells) {
-      return util::Status::config_mismatch(
-          "artifact '" + path + "' declares a " + std::to_string(as.grid_rows()) + "x" +
-          std::to_string(as.grid_cols()) + " grid for AS " +
-          std::to_string(net::value_of(as.asn())) + ", above this pipeline's " +
-          std::to_string(max_cells) + "-cell KDE budget");
-    }
-  }
+  const core::PipelineConfig& config = pipeline_.config();
+  core::DatasetStats stats;
   std::vector<core::AsAnalysis> analyses;
-  analyses.reserve(view.as_count());
-  for (std::size_t i = 0; i < view.as_count(); ++i) {
-    analyses.push_back(view.as_at(i).materialize());
+  // The view (and its mapping) lives only inside this decode.
+  const util::Status status = [&]() -> util::Status {
+    core::ArtifactView view;
+    if (util::Status opened = core::ArtifactView::open(path, fs, view); !opened.ok()) {
+      return opened;
+    }
+    // Same refusal the snapshot codec makes: an artifact produced under a
+    // different result-affecting configuration must not serve as if it
+    // were this pipeline's output.
+    if (view.config_fingerprint() !=
+        core::SnapshotCodec::config_fingerprint(config.dataset)) {
+      return util::Status::config_mismatch(
+          "artifact '" + path + "' was produced under a different dataset "
+          "configuration than this pipeline's");
+    }
+    // This pipeline's estimator never builds a grid above its cell budget,
+    // so materialize refuses one before allocating it.
+    if (util::Status decoded =
+            view.materialize(config.footprint.kde.max_cells, analyses);
+        !decoded.ok()) {
+      return decoded.with_context("artifact '" + path + "'");
+    }
+    // The fingerprint covers only DatasetConfig, but every analysis records
+    // the KDE bandwidth it was made at: one made at another bandwidth is
+    // not this pipeline's answer.
+    const double bandwidth_km = config.footprint.kde.bandwidth_km;
+    for (const core::AsAnalysis& analysis : analyses) {
+      if (std::bit_cast<std::uint64_t>(analysis.footprint.bandwidth_km) !=
+          std::bit_cast<std::uint64_t>(bandwidth_km)) {
+        return util::Status::config_mismatch(
+            "artifact '" + path + "' holds AS " +
+            std::to_string(net::value_of(analysis.asn)) + " analyzed at a " +
+            std::to_string(analysis.footprint.bandwidth_km) +
+            " km KDE bandwidth, this pipeline's is " + std::to_string(bandwidth_km) +
+            " km");
+      }
+    }
+    stats = view.stats();
+    return util::Status{};
+  }();
+  if (status.code() == util::StatusCode::kCorruption) {
+    // A damaged image must not ambush every future restore: move it aside
+    // with its verdict, like a corrupt snapshot generation.  Best-effort —
+    // the typed refusal is the load-bearing part.
+    static_cast<void>(util::quarantine_file(fs, path, status));
   }
-  current_.store(std::make_shared<const ServingSnapshot>(this->epoch() + 1, view.stats(),
-                                                         std::move(analyses)));
+  if (!status.ok()) return status;
+  current_.store(std::make_shared<const ServingSnapshot>(
+      this->epoch() + 1, std::move(stats), std::move(analyses)));
   health_.transition(ServiceHealth::kHealthy, util::Status{});
   return util::Status{};
 }

@@ -26,7 +26,7 @@
 //
 // Every epoch has the same shape, whichever path built it: publish() and
 // restore() analyze the builder's finalized dataset; restore_from_artifact()
-// materializes every AS of a validated EYBART1 image once, then releases
+// decodes every AS record of a checked EYBART1 image once, then releases
 // the mapping.  The finalized TargetDataset (the kept peers) lives only as
 // a publish() local, long enough to write the artifact — no query reads it.
 //
@@ -92,7 +92,7 @@ struct ServiceConfig {
   /// When non-empty, publish() also emits the published epoch as an EYBART1
   /// serving artifact at this path (crash-safe via atomic_write_file; see
   /// last_artifact_status()).  A replica restores from it with
-  /// restore_from_artifact() — mmap + validate, no snapshot replay.
+  /// restore_from_artifact() — mmap + decode once, no snapshot replay.
   std::string artifact_path;
   /// Filesystem seam for every durability and restore path; nullptr = the
   /// process-wide real filesystem.  Tests wire a FaultInjectingFileSystem
@@ -337,12 +337,13 @@ class EyeballService {
                                      core::SnapshotRestoreInfo* info = nullptr);
 
   /// Publishes an epoch materialized from the EYBART1 image at `path`: mmap
-  /// + one validation walk, then every AS thawed once, in index order — no
-  /// re-analysis.  The mapping is released before this returns; the epoch
-  /// owns its analyses like any other.  Refuses (typed) an image whose
-  /// config fingerprint differs from this pipeline's or that declares a
-  /// grid larger than this pipeline's KDE cell budget (kConfigMismatch,
-  /// file left in place), a damaged image (kCorruption, quarantined) and an
+  /// + envelope and checksum checks, then every AS record decoded once, in
+  /// dataset order — no re-analysis.  The mapping is released before this
+  /// returns; the epoch owns its analyses like any other.  Refuses (typed)
+  /// an image whose config fingerprint differs from this pipeline's, that
+  /// declares a grid larger than this pipeline's KDE cell budget, or that
+  /// holds an analysis made at another KDE bandwidth (kConfigMismatch, file
+  /// left in place), a damaged image (kCorruption, quarantined) and an
   /// unreadable format (kVersionMismatch); on any failure the service is
   /// untouched and the current epoch keeps serving.
   ///

@@ -1,21 +1,21 @@
-// Differential battery for the serving artifact (core/artifact.hpp): every
-// answer an ArtifactView gives must EXACTLY equal the in-memory epoch it was
+// Differential battery for the serving artifact (core/artifact.hpp): what
+// an ArtifactView decodes must EXACTLY equal the in-memory epoch it was
 // written from — grid values, contours, peaks, PoP mappings, stats —
 // and the encoding must be canonical (byte-identical across finalize thread
 // counts; split-invariant outside the window trail, which records batching
 // history by design, mirroring DatasetStats::operator==).
 //
 // This suite also runs under the ASan+UBSan tree (tools/check.sh
-// `artifact-faults` stage), where the full-accessor sweep doubles as the
-// alignment/aliasing gate for the in-place mmap reads.
+// `artifact-faults` stage), so every decode here is also a bounds and
+// undefined-behaviour check of the record reader.
 #include <gtest/gtest.h>
 
-#include <bit>
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -33,6 +33,7 @@
 namespace eyeball {
 namespace {
 
+using eyeball::testing::same_analysis;
 using eyeball::testing::shared_fixture;
 using util::Status;
 using util::StatusCode;
@@ -91,7 +92,7 @@ const ArtifactWorld& world() {
   return path;
 }
 
-/// File offset of section 2 (the AS index), read from the section table:
+/// File offset of section 2 (the AS records), read from the section table:
 /// everything from here to the tail is the batching-independent payload.
 [[nodiscard]] std::size_t second_section_offset(std::span<const std::byte> bytes) {
   // header 56 B, table entries 40 B each, offset at entry byte 8.
@@ -104,10 +105,13 @@ const ArtifactWorld& world() {
   return static_cast<std::size_t>(offset);
 }
 
-void expect_view_equals_epoch(const core::ArtifactView& view,
-                              const core::TargetDataset& dataset,
-                              std::span<const core::AsAnalysis> analyses,
-                              const char* context) {
+/// No cell budget: decode every grid the image holds.
+constexpr std::size_t kAnyGrid = std::numeric_limits<std::size_t>::max();
+
+void expect_decodes_to_epoch(const core::ArtifactView& view,
+                             const core::TargetDataset& dataset,
+                             std::span<const core::AsAnalysis> analyses,
+                             const char* context) {
   ASSERT_EQ(view.as_count(), dataset.ases().size()) << context;
 
   // Stats: conditioning counters via operator==, the excluded fields
@@ -120,150 +124,14 @@ void expect_view_equals_epoch(const core::ArtifactView& view,
         << context << " window " << w;
   }
 
-  for (std::size_t i = 0; i < view.as_count(); ++i) {
-    const auto as = view.as_at(i);
-    const core::AsAnalysis& analysis = analyses[i];
-    SCOPED_TRACE(std::string{context} + " as index " + std::to_string(i));
-
-    EXPECT_EQ(as.asn(), dataset.ases()[i].asn);
-    EXPECT_EQ(as.level(), analysis.classification.level);
-    EXPECT_EQ(as.continent(), analysis.classification.continent);
-    EXPECT_EQ(as.dominant_share(), analysis.classification.dominant_share);
-    EXPECT_EQ(as.dominant_region(), analysis.classification.dominant_region);
-
-    const kde::DensityGrid& grid = analysis.footprint.grid;
-    EXPECT_EQ(as.grid_rows(), grid.rows());
-    EXPECT_EQ(as.grid_cols(), grid.cols());
-    EXPECT_EQ(as.grid_box().min_lat(), grid.box().min_lat());
-    EXPECT_EQ(as.grid_box().max_lat(), grid.box().max_lat());
-    EXPECT_EQ(as.grid_box().min_lon(), grid.box().min_lon());
-    EXPECT_EQ(as.grid_box().max_lon(), grid.box().max_lon());
-    EXPECT_EQ(as.grid_cell_km(), grid.cell_km());
-    // Zero-suppressed grid: reconstruct the dense row-major values from the
-    // runs + nonzero arena and compare bit-for-bit (0.0 vs -0.0 matters, so
-    // compare the u64 bit patterns, not the doubles).
-    {
-      const std::span<const double> nonzero = as.grid_nonzero_values();
-      ASSERT_EQ(nonzero.size(), as.grid_nonzero_count());
-      std::vector<double> dense(grid.values().size(), 0.0);
-      std::size_t cursor = 0;
-      std::uint64_t prev_end = 0;
-      for (std::size_t r = 0; r < as.grid_run_count(); ++r) {
-        const core::GridRun run = as.grid_run(r);
-        ASSERT_GE(run.count, 1u) << "run " << r;
-        if (r > 0) {
-          ASSERT_GT(run.start_cell, prev_end) << "run " << r;
-        }
-        ASSERT_LE(run.start_cell + run.count, dense.size()) << "run " << r;
-        for (std::uint64_t c = 0; c < run.count; ++c) {
-          dense[static_cast<std::size_t>(run.start_cell + c)] = nonzero[cursor++];
-        }
-        prev_end = run.start_cell + run.count;
-      }
-      ASSERT_EQ(cursor, nonzero.size());
-      for (std::size_t c = 0; c < dense.size(); ++c) {
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(dense[c]),
-                  std::bit_cast<std::uint64_t>(grid.values()[c]))
-            << "grid cell " << c;
-      }
-    }
-
-    const kde::Footprint& contour = analysis.footprint.contour;
-    EXPECT_EQ(as.contour_level(), contour.level);
-    ASSERT_EQ(as.partition_count(), contour.partitions.size());
-    for (std::size_t p = 0; p < contour.partitions.size(); ++p) {
-      const kde::FootprintPartition got = as.partition(p);
-      const kde::FootprintPartition& want = contour.partitions[p];
-      EXPECT_EQ(got.cell_count, want.cell_count) << "partition " << p;
-      EXPECT_EQ(got.area_km2, want.area_km2) << "partition " << p;
-      EXPECT_EQ(got.mass, want.mass) << "partition " << p;
-      EXPECT_EQ(got.peak_density, want.peak_density) << "partition " << p;
-      EXPECT_EQ(got.peak_location, want.peak_location) << "partition " << p;
-      EXPECT_EQ(got.min_lat, want.min_lat) << "partition " << p;
-      EXPECT_EQ(got.max_lat, want.max_lat) << "partition " << p;
-      EXPECT_EQ(got.min_lon, want.min_lon) << "partition " << p;
-      EXPECT_EQ(got.max_lon, want.max_lon) << "partition " << p;
-    }
-    ASSERT_EQ(as.boundary_count(), contour.boundary.size());
-    for (std::size_t s = 0; s < contour.boundary.size(); ++s) {
-      EXPECT_EQ(as.boundary(s).a, contour.boundary[s].a) << "segment " << s;
-      EXPECT_EQ(as.boundary(s).b, contour.boundary[s].b) << "segment " << s;
-    }
-
-    ASSERT_EQ(as.peak_count(), analysis.footprint.peaks.size());
-    for (std::size_t p = 0; p < analysis.footprint.peaks.size(); ++p) {
-      const kde::Peak got = as.peak(p);
-      const kde::Peak& want = analysis.footprint.peaks[p];
-      EXPECT_EQ(got.location, want.location) << "peak " << p;
-      EXPECT_EQ(got.density, want.density) << "peak " << p;
-      EXPECT_EQ(got.score, want.score) << "peak " << p;
-      EXPECT_EQ(got.row, want.row) << "peak " << p;
-      EXPECT_EQ(got.col, want.col) << "peak " << p;
-    }
-
-    ASSERT_EQ(as.pop_count(), analysis.pops.pops.size());
-    for (std::size_t p = 0; p < analysis.pops.pops.size(); ++p) {
-      const core::PopEntry got = as.pop(p);
-      const core::PopEntry& want = analysis.pops.pops[p];
-      EXPECT_EQ(got.city, want.city) << "pop " << p;
-      EXPECT_EQ(got.score, want.score) << "pop " << p;
-      EXPECT_EQ(got.peak_density, want.peak_density) << "pop " << p;
-      EXPECT_EQ(got.peak_location, want.peak_location) << "pop " << p;
-    }
-    EXPECT_EQ(as.unmapped_peaks(), analysis.pops.unmapped_peaks);
-    EXPECT_EQ(as.sample_count(), analysis.footprint.sample_count);
-    EXPECT_EQ(as.bandwidth_km(), analysis.footprint.bandwidth_km);
+  std::vector<core::AsAnalysis> decoded;
+  const Status status = view.materialize(kAnyGrid, decoded);
+  ASSERT_TRUE(status.ok()) << context << ": " << status;
+  ASSERT_EQ(decoded.size(), analyses.size()) << context;
+  for (std::size_t i = 0; i < decoded.size(); ++i) {
+    EXPECT_EQ(decoded[i].asn, dataset.ases()[i].asn) << context << " as index " << i;
+    EXPECT_TRUE(same_analysis(decoded[i], analyses[i])) << context << " as index " << i;
   }
-
-  // find(): same answer as TargetDataset::find for every served ASN, and
-  // the same miss behavior for an ASN outside the epoch.
-  for (std::size_t i = 0; i < dataset.ases().size(); ++i) {
-    const net::Asn asn = dataset.ases()[i].asn;
-    const std::optional<std::size_t> found = view.find_index(asn);
-    ASSERT_TRUE(found.has_value()) << context << " asn " << net::value_of(asn);
-    const core::AsPeerSet* reference = dataset.find(asn);
-    ASSERT_NE(reference, nullptr);
-    EXPECT_EQ(*found, static_cast<std::size_t>(reference - dataset.ases().data()))
-        << context << " asn " << net::value_of(asn);
-  }
-  EXPECT_FALSE(view.find(net::Asn{0xFFFFFFFFu}).has_value()) << context;
-}
-
-bool same_analysis(const core::AsAnalysis& a, const core::AsAnalysis& b) {
-  if (a.asn != b.asn) return false;
-  if (a.classification.level != b.classification.level ||
-      a.classification.continent != b.classification.continent ||
-      a.classification.dominant_region != b.classification.dominant_region ||
-      a.classification.dominant_share != b.classification.dominant_share) {
-    return false;
-  }
-  if (a.footprint.grid.rows() != b.footprint.grid.rows() ||
-      a.footprint.grid.cols() != b.footprint.grid.cols() ||
-      a.footprint.grid.cell_km() != b.footprint.grid.cell_km() ||
-      a.footprint.grid.values() != b.footprint.grid.values()) {
-    return false;
-  }
-  if (a.footprint.contour.level != b.footprint.contour.level ||
-      a.footprint.contour.partitions.size() != b.footprint.contour.partitions.size() ||
-      a.footprint.contour.boundary.size() != b.footprint.contour.boundary.size() ||
-      a.footprint.peaks.size() != b.footprint.peaks.size() ||
-      a.footprint.sample_count != b.footprint.sample_count ||
-      a.footprint.bandwidth_km != b.footprint.bandwidth_km) {
-    return false;
-  }
-  if (a.pops.unmapped_peaks != b.pops.unmapped_peaks ||
-      a.pops.pops.size() != b.pops.pops.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.pops.pops.size(); ++i) {
-    const auto& pa = a.pops.pops[i];
-    const auto& pb = b.pops.pops[i];
-    if (pa.city != pb.city || pa.score != pb.score ||
-        pa.peak_density != pb.peak_density || pa.peak_location != pb.peak_location) {
-      return false;
-    }
-  }
-  return true;
 }
 
 // ---- Canonical encode ----
@@ -291,7 +159,7 @@ TEST(Artifact, EncodeOutsideWindowTrailIsSplitInvariant) {
   const auto& w = world();
   // Same samples, different batching: one ingest per window vs one ingest
   // of the concatenation.  The conditioning outcome is identical, so the
-  // entire payload from the AS index on must be byte-identical; only the
+  // entire payload from the AS records on must be byte-identical; only the
   // stats section (which records the batching history on purpose — see
   // DatasetStats::windows) and the offsets/CRCs that depend on its size
   // may differ.
@@ -337,42 +205,51 @@ TEST(Artifact, MmapRoundTripEqualsInMemoryEpochExactly) {
   ASSERT_TRUE(written.ok()) << written.message();
 
   core::ArtifactView view;
-  const Status opened = core::ArtifactView::open(path, view);
+  const Status opened = core::ArtifactView::open(path, util::local_filesystem(), view);
   ASSERT_TRUE(opened.ok()) << opened.message();
-  EXPECT_TRUE(view.valid());
   EXPECT_EQ(view.epoch(), 42u);
   EXPECT_EQ(view.config_fingerprint(), w.fingerprint);
-  EXPECT_EQ(view.image_size(), std::filesystem::file_size(path));
 
-  expect_view_equals_epoch(view, w.dataset, w.analyses, "mmap round trip");
+  expect_decodes_to_epoch(view, w.dataset, w.analyses, "mmap round trip");
 }
 
-TEST(Artifact, FromBytesRoundTripEqualsInMemoryEpochExactly) {
+TEST(Artifact, BorrowedRoundTripEqualsInMemoryEpochExactly) {
   const auto& w = world();
-  std::vector<std::byte> bytes = encode_or_die(w.dataset, w.analyses, 1, w.fingerprint);
+  const std::vector<std::byte> bytes =
+      encode_or_die(w.dataset, w.analyses, 1, w.fingerprint);
   core::ArtifactView view;
-  const Status opened = core::ArtifactView::from_bytes(std::move(bytes), view);
+  const Status opened = core::ArtifactView::from_borrowed(bytes, view);
   ASSERT_TRUE(opened.ok()) << opened.message();
-  expect_view_equals_epoch(view, w.dataset, w.analyses, "owned-bytes round trip");
+  expect_decodes_to_epoch(view, w.dataset, w.analyses, "borrowed round trip");
 }
 
-TEST(Artifact, MaterializeReproducesTheExactAnalyses) {
+TEST(Artifact, MaterializeReplacesTheOutputOnlyOnSuccess) {
   const auto& w = world();
-  std::vector<std::byte> bytes = encode_or_die(w.dataset, w.analyses, 1, w.fingerprint);
+  const std::vector<std::byte> bytes =
+      encode_or_die(w.dataset, w.analyses, 1, w.fingerprint);
   core::ArtifactView view;
-  ASSERT_TRUE(core::ArtifactView::from_bytes(std::move(bytes), view).ok());
-  for (std::size_t i = 0; i < view.as_count(); ++i) {
-    const core::AsAnalysis thawed = view.as_at(i).materialize();
-    EXPECT_TRUE(same_analysis(thawed, w.analyses[i])) << "as index " << i;
-    // Boundary segments and peaks field-by-field (same_analysis checks
-    // counts; the differential sweep above checks the view accessors — this
-    // pins the materialized copies too).
-    for (std::size_t s = 0; s < thawed.footprint.contour.boundary.size(); ++s) {
-      EXPECT_EQ(thawed.footprint.contour.boundary[s].a,
-                w.analyses[i].footprint.contour.boundary[s].a);
-      EXPECT_EQ(thawed.footprint.contour.boundary[s].b,
-                w.analyses[i].footprint.contour.boundary[s].b);
-    }
+  ASSERT_TRUE(core::ArtifactView::from_borrowed(bytes, view).ok());
+
+  std::size_t largest = 0;
+  for (const core::AsAnalysis& analysis : w.analyses) {
+    largest = std::max(largest, analysis.footprint.grid.cell_count());
+  }
+  ASSERT_GT(largest, 0u);
+  // One cell short of the largest grid: refused as another pipeline's
+  // output, and the caller's vector is left exactly as it was.
+  std::vector<core::AsAnalysis> out{w.analyses[0]};
+  const Status refused = view.materialize(largest - 1, out);
+  EXPECT_EQ(refused.code(), StatusCode::kConfigMismatch) << refused;
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_TRUE(same_analysis(out[0], w.analyses[0]));
+
+  // Exactly the largest grid's cell count is within budget: the output is
+  // replaced by the full epoch.
+  const Status decoded = view.materialize(largest, out);
+  ASSERT_TRUE(decoded.ok()) << decoded;
+  ASSERT_EQ(out.size(), w.analyses.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_TRUE(same_analysis(out[i], w.analyses[i])) << "as index " << i;
   }
 }
 
@@ -382,13 +259,37 @@ TEST(Artifact, EmptyEpochRoundTrips) {
   auto builder = w.pipeline.streaming_builder();
   const core::TargetDataset empty = builder.finalize(1);
   ASSERT_EQ(empty.ases().size(), 0u);
-  std::vector<std::byte> bytes = encode_or_die(empty, {}, 9, w.fingerprint);
+  const std::vector<std::byte> bytes = encode_or_die(empty, {}, 9, w.fingerprint);
   core::ArtifactView view;
-  const Status opened = core::ArtifactView::from_bytes(std::move(bytes), view);
+  const Status opened = core::ArtifactView::from_borrowed(bytes, view);
   ASSERT_TRUE(opened.ok()) << opened.message();
   EXPECT_EQ(view.as_count(), 0u);
   EXPECT_EQ(view.epoch(), 9u);
-  EXPECT_FALSE(view.find(net::Asn{1}).has_value());
+  expect_decodes_to_epoch(view, empty, {}, "empty epoch");
+}
+
+TEST(Artifact, RecordsWithEveryArrayEmptyRoundTrip) {
+  // The smallest record an AS can have: an all-zero grid (no runs), no
+  // region string, partitions, segments, peaks or PoPs.  open() bounds the
+  // AS count by the record section's size over this minimum, so a section
+  // made only of such records must still open and decode.
+  const auto& w = world();
+  const geo::BoundingBox box{45.0, 45.5, 9.0, 9.5};
+  std::vector<core::AsPeerSet> ases;
+  std::vector<core::AsAnalysis> analyses;
+  for (const std::uint32_t asn : {7u, 9u, 11u}) {
+    ases.push_back({net::Asn{asn}, {}});
+    analyses.push_back(core::AsAnalysis{
+        net::Asn{asn}, core::Classification{},
+        core::AsFootprint{kde::DensityGrid{box, 5.0}, kde::Footprint{}, {}, 0, 40.0},
+        core::PopFootprint{}});
+  }
+  const core::TargetDataset dataset{std::move(ases), core::DatasetStats{}};
+  const std::vector<std::byte> bytes = encode_or_die(dataset, analyses, 3, w.fingerprint);
+  core::ArtifactView view;
+  const Status opened = core::ArtifactView::from_borrowed(bytes, view);
+  ASSERT_TRUE(opened.ok()) << opened;
+  expect_decodes_to_epoch(view, dataset, analyses, "minimal records");
 }
 
 TEST(Artifact, EncodeRefusesMismatchedInputs) {
@@ -401,7 +302,7 @@ TEST(Artifact, EncodeRefusesMismatchedInputs) {
             StatusCode::kInvalidArgument);
 }
 
-// ---- Service integration: publish-time emission + zero-copy restore ----
+// ---- Service integration: publish-time emission + decode-once restore ----
 
 TEST(Artifact, ServiceEmitsArtifactAndRestoresIdenticalAnswers) {
   const auto& w = world();
@@ -542,6 +443,40 @@ TEST(Artifact, ServiceRefusesForeignConfigArtifact) {
   const Status missing = service.restore_from_artifact(path + ".does-not-exist");
   EXPECT_EQ(missing.code(), StatusCode::kNotFound);
   EXPECT_EQ(service.snapshot(), nullptr);
+}
+
+TEST(Artifact, ServiceRefusesAnArtifactAnalyzedAtAnotherBandwidth) {
+  // The config fingerprint covers only DatasetConfig, so a replica whose
+  // KDE bandwidth differs from the writer's sees a matching fingerprint.
+  // Every analysis records the bandwidth it was made at; a replica must
+  // refuse to serve analyses made at another one as its own.
+  const auto& w = world();
+  const std::string path = scratch_path("bandwidth");
+  const Status written =
+      core::ArtifactCodec::write(util::local_filesystem(), path, w.dataset,
+                                 w.analyses, 1, w.fingerprint);
+  ASSERT_TRUE(written.ok()) << written.message();
+  ASSERT_FALSE(w.analyses.empty());
+  ASSERT_EQ(w.analyses[0].footprint.bandwidth_km, w.config.footprint.kde.bandwidth_km);
+
+  core::PipelineConfig replica_config = w.config;
+  replica_config.footprint.kde.bandwidth_km = w.config.footprint.kde.bandwidth_km / 2.0;
+  ASSERT_EQ(core::SnapshotCodec::config_fingerprint(replica_config.dataset),
+            w.fingerprint);
+  const core::EyeballPipeline replica_pipeline{w.f.gaz, w.f.primary, w.f.secondary,
+                                               w.f.mapper, replica_config};
+  serve::EyeballService replica{replica_pipeline};
+  const Status refused = replica.restore_from_artifact(path);
+  EXPECT_EQ(refused.code(), StatusCode::kConfigMismatch) << refused;
+  EXPECT_EQ(replica.snapshot(), nullptr);
+  // Intact, just not this pipeline's output: left in place.
+  EXPECT_TRUE(std::filesystem::exists(path));
+  EXPECT_FALSE(std::filesystem::exists(path + std::string{util::kQuarantineSuffix}));
+
+  // The same image restores on a replica at the writer's bandwidth.
+  serve::EyeballService same{w.pipeline};
+  EXPECT_TRUE(same.restore_from_artifact(path).ok());
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -91,26 +91,7 @@ const ServeWorld& serve_world() {
   return config;
 }
 
-bool same_analysis(const core::AsAnalysis& a, const core::AsAnalysis& b) {
-  if (a.asn != b.asn) return false;
-  if (a.classification.level != b.classification.level ||
-      a.classification.dominant_region != b.classification.dominant_region ||
-      a.classification.dominant_share != b.classification.dominant_share) {
-    return false;
-  }
-  if (a.footprint.grid.values() != b.footprint.grid.values()) return false;
-  if (a.pops.unmapped_peaks != b.pops.unmapped_peaks) return false;
-  if (a.pops.pops.size() != b.pops.pops.size()) return false;
-  for (std::size_t i = 0; i < a.pops.pops.size(); ++i) {
-    const auto& pa = a.pops.pops[i];
-    const auto& pb = b.pops.pops[i];
-    if (pa.city != pb.city || pa.score != pb.score ||
-        pa.peak_density != pb.peak_density || pa.peak_location != pb.peak_location) {
-      return false;
-    }
-  }
-  return true;
-}
+using testing::same_analysis;
 
 /// Every served analysis equals `expected`, in order.
 void expect_analyses(const serve::ServingSnapshot& snap,

@@ -242,35 +242,7 @@ TEST(ParallelKde, ExactEstimateBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(parallel.estimate_exact(points, box).values(), reference.values());
 }
 
-bool same_analysis(const core::AsAnalysis& a, const core::AsAnalysis& b) {
-  if (a.asn != b.asn) return false;
-  if (a.classification.level != b.classification.level ||
-      a.classification.dominant_region != b.classification.dominant_region ||
-      a.classification.dominant_share != b.classification.dominant_share) {
-    return false;
-  }
-  if (a.footprint.grid.values() != b.footprint.grid.values()) return false;
-  if (a.footprint.peaks.size() != b.footprint.peaks.size()) return false;
-  for (std::size_t i = 0; i < a.footprint.peaks.size(); ++i) {
-    const auto& pa = a.footprint.peaks[i];
-    const auto& pb = b.footprint.peaks[i];
-    if (pa.location != pb.location || pa.density != pb.density ||
-        pa.score != pb.score || pa.row != pb.row || pa.col != pb.col) {
-      return false;
-    }
-  }
-  if (a.pops.unmapped_peaks != b.pops.unmapped_peaks) return false;
-  if (a.pops.pops.size() != b.pops.pops.size()) return false;
-  for (std::size_t i = 0; i < a.pops.pops.size(); ++i) {
-    const auto& pa = a.pops.pops[i];
-    const auto& pb = b.pops.pops[i];
-    if (pa.city != pb.city || pa.score != pb.score ||
-        pa.peak_density != pb.peak_density || pa.peak_location != pb.peak_location) {
-      return false;
-    }
-  }
-  return true;
-}
+using testing::same_analysis;
 
 TEST(ParallelPipeline, AnalyzeAllMatchesSerialOnSyntheticTopology) {
   const auto& fixture = testing::shared_fixture();

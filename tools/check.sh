@@ -23,7 +23,7 @@ STAGES=(
   "tsan|EYEBALL_SANITIZE=thread build; pool/parallel/streaming/serving determinism tests"
   "ubsan|EYEBALL_SANITIZE=undefined build; the FULL test suite with EYEBALL_DCHECK forced on and UB aborting"
   "snapshot-faults|EYEBALL_SANITIZE=address;undefined build; fault-injection differential harness + snapshot/file suites"
-  "artifact-faults|EYEBALL_SANITIZE=address;undefined build; serving-artifact differential + fault sweep (zero-copy mmap battery)"
+  "artifact-faults|EYEBALL_SANITIZE=address;undefined build; serving-artifact differential + fault sweep (open + materialize of every mutated image)"
   "chaos|EYEBALL_SANITIZE=address;undefined build; 100-seed whole-lifecycle fault storms over EyeballService (Chaos.Concurrent* also under TSan)"
   "tidy|clang-tidy (.clang-tidy) over src/ via build-analysis/compile_commands.json [skipped when clang-tidy is absent]"
   "thread-safety|EYEBALL_THREAD_SAFETY=ON Clang build: capability analysis as errors + compile-fail probes [skipped when clang++ is absent]"
@@ -133,10 +133,11 @@ snapshot_faults_stage() {
     -R 'snapshot|file_test|FaultInjection|AtomicWriteFile'
 }
 
-# --- artifact-faults: the zero-copy serving artifact under ASan+UBSan ------
-# Shares build-aubsan/ with snapshot-faults.  The differential suite doubles
-# as the alignment/aliasing gate for the in-place mmap reads; the fault
-# sweep's acceptance bar is zero silent corruptions.
+# --- artifact-faults: the serving artifact under ASan+UBSan ----------------
+# Shares build-aubsan/ with snapshot-faults.  Every decode in the
+# differential suite and the fault sweep runs the record reader under the
+# sanitizers; the sweep's acceptance bar is zero silent corruptions (an
+# image that both opens and materializes).
 artifact_faults_stage() {
   cmake -B "${ROOT}/build-aubsan" -S "${ROOT}" \
     -DEYEBALL_SANITIZE="address;undefined" -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
