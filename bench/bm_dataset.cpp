@@ -16,7 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
-#include <optional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -70,23 +70,6 @@ void BM_DatasetBuildThreads(benchmark::State& state) {
 BENCHMARK(BM_DatasetBuildThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(0)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
 
-// The same build with the per-shard lookup memo disabled — the delta is
-// what IP repetition in the crawl buys the geo-mapping stage.
-void BM_DatasetBuildNoMemo(benchmark::State& state) {
-  const auto& w = world();
-  core::DatasetConfig config = w.pipeline.config().dataset;
-  config.lookup_memo_slots = 0;
-  const core::DatasetBuilder builder{w.primary, w.secondary, w.mapper, config};
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(builder.build(w.crawl.samples, threads));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(w.crawl.samples.size()));
-}
-BENCHMARK(BM_DatasetBuildNoMemo)->Arg(1)->Arg(0)->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 // Marginal cost of the streaming path: windows 0..4 are ingested outside the
 // timed region, then only the final window's ingest is measured.  Work should
 // track the last window's sample count, not the cumulative crawl — compare
@@ -98,11 +81,12 @@ void BM_StreamingIngestLastWindow(benchmark::State& state) {
   // The builder outlives its iteration so its teardown (about as long as
   // the timed ingest) runs in the next iteration's paused set-up, or after
   // the loop, never inside the timed region.
-  std::optional<core::StreamingDatasetBuilder> stream;
+  std::unique_ptr<core::StreamingDatasetBuilder> stream;
   for (auto _ : state) {
     state.PauseTiming();
     stream.reset();
-    stream.emplace(w.primary, w.secondary, w.mapper, w.pipeline.config().dataset);
+    stream = std::make_unique<core::StreamingDatasetBuilder>(
+        w.primary, w.secondary, w.mapper, w.pipeline.config().dataset);
     for (std::size_t k = 0; k + 1 < windows.size(); ++k) {
       stream->ingest(windows[k], threads);
     }

@@ -73,7 +73,7 @@ int main() {
 
   core::StreamingDatasetBuilder stream = pipeline.streaming_builder();
   util::TextTable ingest_table{{"window", "offered", "dup", "admitted",
-                                "cumulative unique", "kept ASes", "memo hits"}};
+                                "cumulative unique", "kept ASes"}};
   std::optional<core::TargetDataset> dataset;
   for (std::size_t w = 0; w < middle.windows.size(); ++w) {
     stream.ingest(middle.windows[w]);
@@ -89,8 +89,7 @@ int main() {
                        1),
          util::in_thousands(static_cast<long long>(ws.admitted)) + "k",
          util::in_thousands(static_cast<long long>(ws.cumulative_unique)) + "k",
-         std::to_string(dataset->ases().size()),
-         std::to_string(stream.memo_hits())});
+         std::to_string(dataset->ases().size())});
   }
   std::cout << '\n' << ingest_table;
 
@@ -116,9 +115,8 @@ int main() {
             << "k admitted samples)\n";
 
   std::cout << "\nReading: each ingest pays only for its own window — duplicates\n"
-               "from re-observed leases are dropped at the dedup gate, so the\n"
-               "persistent geo memos only see cross-app IP reuse (the cumulative\n"
-               "hit count above keeps growing across windows).  finalize()\n"
+               "from re-observed leases are dropped at the dedup gate before any\n"
+               "geo lookup, so only first observations reach conditioning.  finalize()\n"
                "re-applies the min-peers filter, so an AS can enter the dataset at\n"
                "the window where its cumulative peer count crosses the threshold.\n";
   return stats_match && ases_match ? 0 : 1;

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "core/streaming_dataset.hpp"
-#include "geodb/lookup_memo.hpp"
 #include "util/check.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -208,8 +207,7 @@ class AsnBucketIndex {
 /// that shard's stack and can never be observed by another thread — scoped
 /// ownership needs no capability annotation (there is no member for a
 /// second thread to name).  The shared inputs it reads (mapper, config,
-/// the sample span) are const; the memos it drives carry their own
-/// single-owner role (see geodb::LookupMemo).
+/// the sample span, both databases) are const.
 struct ConditionArena {
   std::vector<net::Ipv4Address> ips;
   std::vector<std::optional<geodb::GeoRecord>> primary, secondary;
@@ -226,8 +224,8 @@ struct ConditionArena {
 }  // namespace
 
 ConditionShard condition_chunk(std::span<const p2p::PeerSample> samples, std::size_t lo,
-                               std::size_t hi, geodb::LookupMemo& primary,
-                               geodb::LookupMemo& secondary,
+                               std::size_t hi, const geodb::GeoDatabase& primary,
+                               const geodb::GeoDatabase& secondary,
                                const bgp::IpToAsMapper& mapper,
                                const DatasetConfig& config) {
   ConditionShard shard;
@@ -237,10 +235,9 @@ ConditionShard condition_chunk(std::span<const p2p::PeerSample> samples, std::si
   for (std::size_t base = lo; base < hi; base += kConditionBlock) {
     const std::size_t n = std::min(kConditionBlock, hi - base);
 
-    // Pass 1: gather the block's IPs and geo-map them through both memos in
-    // one batched call each (the paper requires city-level records from
-    // both databases; missing ones drop ~2.4 M peers).  Batch order equals
-    // sample order, so memo state and counters match the scalar loop.
+    // Pass 1: gather the block's IPs and geo-map them through both databases
+    // in one batched call each (the paper requires city-level records from
+    // both databases; missing ones drop ~2.4 M peers).
     for (std::size_t i = 0; i < n; ++i) arena.ips[i] = samples[base + i].ip;
     const std::span<const net::Ipv4Address> ips{arena.ips.data(), n};
     primary.lookup_batch(ips, {arena.primary.data(), n});
@@ -415,9 +412,7 @@ TargetDataset DatasetBuilder::build(std::span<const p2p::PeerSample> samples,
   util::ThreadPool::shared().parallel_map_reduce(
       0, samples.size(),
       [&](std::size_t lo, std::size_t hi) {
-        geodb::LookupMemo primary{primary_, config_.lookup_memo_slots};
-        geodb::LookupMemo secondary{secondary_, config_.lookup_memo_slots};
-        return detail::condition_chunk(samples, lo, hi, primary, secondary, mapper_,
+        return detail::condition_chunk(samples, lo, hi, primary_, secondary_, mapper_,
                                        config_);
       },
       [&](detail::ConditionShard shard) {

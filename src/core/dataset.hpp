@@ -26,10 +26,6 @@
 #include "net/ipv4.hpp"
 #include "p2p/crawler.hpp"
 
-namespace eyeball::geodb {
-class LookupMemo;
-}  // namespace eyeball::geodb
-
 namespace eyeball::core {
 
 struct PeerRecord {
@@ -73,11 +69,6 @@ struct DatasetConfig {
   /// thread.  Results (peer order, stats, kept-AS list) are byte-identical
   /// at any setting.
   std::size_t threads = 1;
-  /// Per-shard direct-mapped memo over each geo database (see
-  /// geodb::LookupMemo); crawls re-observe IPs heavily, so this short-
-  /// circuits repeated lookups.  0 disables.  Never changes results:
-  /// lookups are deterministic per IP.
-  std::size_t lookup_memo_slots = 8192;
 };
 
 /// Per-ingest-window observability for streaming builds (the paper's six
@@ -209,14 +200,14 @@ struct ConditionShard {
   ConditionCounters dropped;
 };
 
-/// Stage 1 over samples[lo, hi): geo-map each IP through the two memos,
+/// Stage 1 over samples[lo, hi): geo-map each IP through both databases,
 /// apply the inter-database error filter, and LPM-group survivors into the
-/// shard's private buckets.  Pure function of its inputs (the memos only
-/// cache deterministic lookups), so shards parallelize lock-free.
+/// shard's private buckets.  Pure function of its inputs (the databases are
+/// const and deterministic per IP), so shards parallelize lock-free.
 [[nodiscard]] ConditionShard condition_chunk(std::span<const p2p::PeerSample> samples,
                                              std::size_t lo, std::size_t hi,
-                                             geodb::LookupMemo& primary,
-                                             geodb::LookupMemo& secondary,
+                                             const geodb::GeoDatabase& primary,
+                                             const geodb::GeoDatabase& secondary,
                                              const bgp::IpToAsMapper& mapper,
                                              const DatasetConfig& config);
 

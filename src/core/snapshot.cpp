@@ -415,12 +415,6 @@ util::Status SnapshotCodec::decode(std::span<const std::byte> bytes,
   builder.touched_.clear();
   builder.touched_.insert(touched.begin(), touched.end());
   builder.pending_.clear();
-  // Memos restart cold: they are a deterministic cache, so this cannot
-  // change results — only the hit rate of the next few ingests.
-  for (auto& memos : builder.memos_) {
-    memos.primary.reset();
-    memos.secondary.reset();
-  }
   builder.last_generation_ = stored_generation;
   if (generation != nullptr) *generation = stored_generation;
   return util::Status{};

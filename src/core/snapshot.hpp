@@ -66,14 +66,13 @@ class SnapshotCodec {
   /// stats incl. windows, touched set, config fingerprint).  Canonical:
   /// equal builder states encode to identical bytes (unordered sets are
   /// sorted on the way out), so snapshot bytes double as a state-identity
-  /// check in tests.  Memo contents are deliberately not persisted — they
-  /// are a cache, rebuilt warm by subsequent ingests.
+  /// check in tests.
   [[nodiscard]] static std::vector<std::byte> encode(
       const StreamingDatasetBuilder& builder, std::uint64_t generation);
 
   /// Validates `bytes` and, only if every check passes, replaces the
-  /// builder's state with the decoded one (memos reset cold, pending
-  /// scratch cleared).  On any error the builder is untouched.  Typed
+  /// builder's state with the decoded one (pending scratch
+  /// cleared).  On any error the builder is untouched.  Typed
   /// failures: kCorruption (bad magic/CRC/bounds/semantic invariant),
   /// kVersionMismatch (well-formed, newer format), kConfigMismatch (well-
   /// formed, but written under a different result-affecting configuration —
@@ -83,9 +82,9 @@ class SnapshotCodec {
                                            std::uint64_t* generation = nullptr);
 
   /// Fingerprint over the RESULT-AFFECTING config fields only
-  /// (max_geo_error_km, min_peers_per_as, max_p90_geo_error_km).  Thread
-  /// count and memo size are execution knobs with byte-identical results,
-  /// so snapshots deliberately transfer across them.
+  /// (max_geo_error_km, min_peers_per_as, max_p90_geo_error_km).  The
+  /// thread count is an execution knob with byte-identical results, so
+  /// snapshots deliberately transfer across it.
   [[nodiscard]] static std::uint64_t config_fingerprint(const DatasetConfig& config) noexcept;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/check.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_pool.hpp"
 
@@ -24,9 +23,7 @@ namespace {
 /// multicast/reserved (224.0.0.0+), 100.64/10 (CGNAT), 172.16/12 and
 /// 192.168/16 (RFC 1918), and 169.254/16 (link-local).  Checked BEFORE the
 /// dedup set, so a rejected sample leaves no trace — a later valid
-/// observation of the same (app, ip) is still a first observation.  Shared
-/// by ingest() and dedup_first_observation() (same TU), which keeps the
-/// streaming and one-shot doors in lockstep by construction.
+/// observation of the same (app, ip) is still a first observation.
 [[nodiscard]] constexpr bool is_admissible_sample(const p2p::PeerSample& sample) noexcept {
   const std::uint32_t ip = sample.ip.value();
   const std::uint32_t top = ip >> 24;
@@ -38,6 +35,27 @@ namespace {
   return static_cast<std::uint8_t>(sample.app) < p2p::kAllApps.size();
 }
 
+/// The admission door plus first-observation (app, ip) dedup against
+/// `seen`: appends each admitted sample to `out` in input order and counts
+/// the rest into `stats.rejected` / `stats.duplicates`.  Serial and
+/// order-preserving, so the admitted stream is independent of any later
+/// shard count.  ingest() and dedup_first_observation() both run exactly
+/// this loop, which keeps the streaming and one-shot streams in lockstep by
+/// construction.
+void admit_first_observations(std::span<const p2p::PeerSample> samples,
+                              std::unordered_set<std::uint64_t>& seen,
+                              std::vector<p2p::PeerSample>& out, WindowStats& stats) {
+  for (const auto& sample : samples) {
+    if (!is_admissible_sample(sample)) {
+      ++stats.rejected;
+    } else if (seen.insert(sample_key(sample)).second) {
+      out.push_back(sample);
+    } else {
+      ++stats.duplicates;
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<p2p::PeerSample> dedup_first_observation(
@@ -46,13 +64,8 @@ std::vector<p2p::PeerSample> dedup_first_observation(
   out.reserve(samples.size());
   std::unordered_set<std::uint64_t> seen;
   seen.reserve(samples.size());
-  for (const auto& sample : samples) {
-    // Same admission door as ingest(): the result must be exactly the
-    // stream a StreamingDatasetBuilder admits, or the streaming-vs-one-shot
-    // equivalence contract would break on hostile input.
-    if (!is_admissible_sample(sample)) continue;
-    if (seen.insert(sample_key(sample)).second) out.push_back(sample);
-  }
+  WindowStats ignored;
+  admit_first_observations(samples, seen, out, ignored);
   return out;
 }
 
@@ -61,15 +74,6 @@ StreamingDatasetBuilder::StreamingDatasetBuilder(const geodb::GeoDatabase& prima
                                                  const bgp::IpToAsMapper& mapper,
                                                  DatasetConfig config)
     : primary_(primary), secondary_(secondary), mapper_(mapper), config_(config) {}
-
-void StreamingDatasetBuilder::ensure_memo_slots(std::size_t shards) {
-  memos_.reserve(shards);
-  while (memos_.size() < shards) {
-    memos_.push_back(ShardMemos{
-        geodb::LookupMemo{primary_, config_.lookup_memo_slots},
-        geodb::LookupMemo{secondary_, config_.lookup_memo_slots}});
-  }
-}
 
 void StreamingDatasetBuilder::ingest(std::span<const p2p::PeerSample> window) {
   const util::SerialSection owner{serial_};
@@ -85,21 +89,12 @@ void StreamingDatasetBuilder::ingest(std::span<const p2p::PeerSample> window,
 void StreamingDatasetBuilder::ingest_locked(std::span<const p2p::PeerSample> window,
                                             std::size_t threads) {
   // Cross-window first-observation dedup (longitudinal_crawl's union
-  // semantics).  Serial and order-preserving: the admitted stream must be
-  // independent of the shard count below.
+  // semantics).
   WindowStats window_stats;
   window_stats.offered = window.size();
   pending_.clear();
   pending_.reserve(window.size());
-  for (const auto& sample : window) {
-    if (!is_admissible_sample(sample)) {
-      ++window_stats.rejected;
-    } else if (seen_.insert(sample_key(sample)).second) {
-      pending_.push_back(sample);
-    } else {
-      ++window_stats.duplicates;
-    }
-  }
+  admit_first_observations(window, seen_, pending_, window_stats);
   window_stats.admitted = pending_.size();
   window_stats.cumulative_unique = seen_.size();
   stats_.raw_samples += window_stats.admitted;
@@ -109,44 +104,26 @@ void StreamingDatasetBuilder::ingest_locked(std::span<const p2p::PeerSample> win
   // one-shot build.  Shard slices are contiguous and folded in shard
   // order, so each AS's bucket extends in stream order — the ordered-merge
   // invariant, applied window by window.
-  auto& pool = util::ThreadPool::shared();
-  const std::size_t count = pending_.size();
-  std::size_t ways = threads == 0 ? pool.worker_count() : threads;
-  ways = std::min(std::max<std::size_t>(ways, 1), std::max<std::size_t>(count, 1));
-  // Mirrors parallel_map_reduce's chunking rule so `lo / chunk` recovers
-  // the shard index — each concurrent shard then owns one persistent memo
-  // slot and the hot loop stays lock-free.
-  const std::size_t chunk = count == 0 ? 1 : (count + ways - 1) / ways;
-  ensure_memo_slots(ways);
   detail::ConditionCounters dropped;
   const std::span<const p2p::PeerSample> admitted{pending_};
-  // Local references for the lambdas below: the thread-safety analysis
+  // Local references for the reduce lambda: the thread-safety analysis
   // checks a lambda body as its own function, so guarded members reached
-  // through the captured `this` would need the role re-claimed per shard.
+  // through the captured `this` would need the role re-claimed there.
   // Binding them here keeps the guarded accesses inside this (role-holding)
-  // function; the lambdas see plain locals.  Safety is by disjointness, as
-  // before: each shard lambda touches only its own memo slot, and the
-  // reduce lambda runs on this thread only, in shard order.
-  auto& shard_memos = memos_;
-  const bgp::IpToAsMapper& mapper = mapper_;
-  const DatasetConfig& config = config_;
+  // function; the reduce lambda runs on this thread only, in shard order.
   auto& by_as = by_as_;
   auto& touched = touched_;
-  pool.parallel_map_reduce(
-      0, count,
+  util::ThreadPool::shared().parallel_map_reduce(
+      0, admitted.size(),
       [&](std::size_t lo, std::size_t hi) {
-        const std::size_t shard = lo / chunk;
-        EYEBALL_DCHECK(shard < shard_memos.size(),
-                       "shard index must address a persistent memo slot");
-        auto& memos = shard_memos[shard];
-        return detail::condition_chunk(admitted, lo, hi, memos.primary,
-                                       memos.secondary, mapper, config);
+        return detail::condition_chunk(admitted, lo, hi, primary_, secondary_, mapper_,
+                                       config_);
       },
       [&](detail::ConditionShard shard) {
         for (const auto& set : shard.by_as) touched.insert(net::value_of(set.asn));
         detail::merge_shard_ordered(std::move(shard), by_as, dropped);
       },
-      ways);
+      threads);
   dropped.add_to(stats_);
   stats_.windows.push_back(window_stats);
 }
@@ -183,22 +160,6 @@ std::vector<net::Asn> StreamingDatasetBuilder::touched_asns() const {
   return out;
 }
 
-std::size_t StreamingDatasetBuilder::memo_hits() const noexcept {
-  const util::SerialSection owner{serial_};
-  std::size_t total = 0;
-  for (const auto& memos : memos_) total += memos.primary.hits() + memos.secondary.hits();
-  return total;
-}
-
-std::size_t StreamingDatasetBuilder::memo_misses() const noexcept {
-  const util::SerialSection owner{serial_};
-  std::size_t total = 0;
-  for (const auto& memos : memos_) {
-    total += memos.primary.misses() + memos.secondary.misses();
-  }
-  return total;
-}
-
 void StreamingDatasetBuilder::reset() {
   const util::SerialSection owner{serial_};
   by_as_.clear();
@@ -208,10 +169,6 @@ void StreamingDatasetBuilder::reset() {
   pending_.clear();
   pending_.shrink_to_fit();
   last_generation_ = 0;
-  for (auto& memos : memos_) {
-    memos.primary.reset();
-    memos.secondary.reset();
-  }
 }
 
 }  // namespace eyeball::core

@@ -26,11 +26,6 @@
 //      build — ingesting after finalize() and finalizing again just
 //      re-evaluates it on the grown buckets (an AS crossing the min-peers
 //      threshold at window k appears exactly from the k-th finalize on).
-//
-// Churn makes the per-shard geo memos worth keeping alive: a reassigned
-// address stays in the same PoP pool and recurs across windows, so the
-// persistent memos short-circuit repeated lookups across ingests (hit
-// rates are observable via memo_hits()/memo_misses()).
 #pragma once
 
 #include <cstdint>
@@ -41,7 +36,6 @@
 #include <vector>
 
 #include "core/dataset.hpp"
-#include "geodb/lookup_memo.hpp"
 #include "util/annotations.hpp"
 #include "util/mutex.hpp"
 #include "util/status.hpp"
@@ -106,21 +100,14 @@ class StreamingDatasetBuilder {
     return seen_.size();
   }
 
-  /// Aggregate hit/miss counters over the persistent per-shard geo memos
-  /// (both databases) — the observable payoff of cross-window IP reuse.
-  [[nodiscard]] std::size_t memo_hits() const noexcept;
-  [[nodiscard]] std::size_t memo_misses() const noexcept;
-  /// hits / (hits + misses); 0 before the first lookup.
-  [[nodiscard]] double memo_hit_rate() const noexcept {
-    const std::size_t total = memo_hits() + memo_misses();
-    return total == 0 ? 0.0
-                      : static_cast<double>(memo_hits()) /
-                            static_cast<double>(total);
-  }
+  /// Always 0.  Conditioning calls both geo databases directly (no lookup
+  /// cache); these two counters remain only because the repository
+  /// benchmark (perfbench/) reads them for its `geodb.memo_hit_ratio`.
+  [[nodiscard]] std::size_t memo_hits() const noexcept { return 0; }
+  [[nodiscard]] std::size_t memo_misses() const noexcept { return 0; }
 
-  /// Forgets every window: buckets, dedup set, stats, and the memo
-  /// contents (tables keep their allocation).  The builder is then
-  /// equivalent to a freshly constructed one.
+  /// Forgets every window: buckets, dedup set and stats.  The builder is
+  /// then equivalent to a freshly constructed one.
   void reset();
 
   /// Persists the complete logical state to `dir` as the next snapshot
@@ -140,8 +127,7 @@ class StreamingDatasetBuilder {
   /// under NO fault (the invariant the fault-injection harness pins).
   /// Typed refusals: kConfigMismatch when the snapshot was written under a
   /// different result-affecting configuration, kNotFound when `dir` holds
-  /// no snapshots.  On failure the builder is untouched.  Memos restart
-  /// cold (they are caches; results are unaffected).
+  /// no snapshots.  On failure the builder is untouched.
   [[nodiscard]] util::Status restore_snapshot(const std::string& dir,
                                               SnapshotRestoreInfo* info = nullptr);
   [[nodiscard]] util::Status restore_snapshot(const std::string& dir, util::FileSystem& fs,
@@ -167,8 +153,8 @@ class StreamingDatasetBuilder {
   /// for its duration (free — acquire/release are no-ops the optimizer
   /// deletes), and the `_locked` helpers require it.  Under
   /// EYEBALL_THREAD_SAFETY this turns "ingest state is single-writer" from
-  /// a doc comment into a build error: no code path can reach the buckets,
-  /// dedup set, or memos without visibly holding the role.  `mutable`
+  /// a doc comment into a build error: no code path can reach the buckets
+  /// or the dedup set without visibly holding the role.  `mutable`
   /// because const readers (stats, counters) claim it too.
   mutable util::Serial serial_;
 
@@ -191,18 +177,6 @@ class StreamingDatasetBuilder {
   /// Window scratch: admitted samples (reused allocation across ingests).
   std::vector<p2p::PeerSample> pending_ EYEBALL_GUARDED_BY(serial_);
 
-  /// One persistent memo pair per shard slot; grown to the largest shard
-  /// count any ingest has used.  Each concurrent shard owns exactly one
-  /// slot, so the hot path stays lock-free.  The vector itself is guarded
-  /// by `serial_`; DURING an ingest each element is additionally lent to
-  /// exactly one shard (see ingest's shard lambda and LookupMemo's own
-  /// `owner_` role).
-  struct ShardMemos {
-    geodb::LookupMemo primary;
-    geodb::LookupMemo secondary;
-  };
-  std::vector<ShardMemos> memos_ EYEBALL_GUARDED_BY(serial_);
-
   /// Newest snapshot generation written or restored (see last_generation()).
   std::uint64_t last_generation_ EYEBALL_GUARDED_BY(serial_) = 0;
 
@@ -221,7 +195,6 @@ class StreamingDatasetBuilder {
                                                      util::FileSystem& fs,
                                                      SnapshotRestoreInfo* info)
       EYEBALL_REQUIRES(serial_);
-  void ensure_memo_slots(std::size_t shards) EYEBALL_REQUIRES(serial_);
 };
 
 }  // namespace eyeball::core

@@ -42,10 +42,9 @@ class GeoDatabase {
   /// Thread-safety contract: implementations must be safe for concurrent
   /// `lookup` calls from multiple threads on the same const instance, and
   /// repeated lookups of the same IP must return the same record — the
-  /// sharded dataset build fans lookups out over a thread pool and may
-  /// memoize per worker (see LookupMemo).  Both shipped implementations
-  /// satisfy this: lookups read only immutable state (tries, tables,
-  /// per-IP-seeded RNG streams).
+  /// sharded dataset build fans lookups out over a thread pool.  Both
+  /// shipped implementations satisfy this: lookups read only immutable
+  /// state (tries, tables, per-IP-seeded RNG streams).
   [[nodiscard]] virtual std::optional<GeoRecord> lookup(net::Ipv4Address ip) const = 0;
 
   /// Batched lookup: `out[i] = lookup(ips[i])` for every i.  The base

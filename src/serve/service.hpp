@@ -387,8 +387,8 @@ class EyeballService {
     return last_artifact_retry_;
   }
 
-  /// The owned builder, for writer-side introspection (stats, memo hit
-  /// rates, windows_ingested).  Writer-thread only.
+  /// The owned builder, for writer-side introspection (stats,
+  /// windows_ingested).  Writer-thread only.
   [[nodiscard]] const core::StreamingDatasetBuilder& builder() const noexcept {
     const util::SerialSection writer{writer_serial_};
     return builder_;

@@ -2,7 +2,7 @@
 //
 // A DCHECK states a precondition or invariant that the surrounding code is
 // entitled to assume (grid indices in range, trie prefixes canonical, shard
-// chunks monotonically ordered, memo tables power-of-two sized).  Violations
+// chunks monotonically ordered, buckets in ascending ASN order).  Violations
 // are programming errors, not input errors: input validation keeps throwing
 // exceptions; DCHECK failures print the condition and abort.
 //

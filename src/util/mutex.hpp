@@ -17,7 +17,7 @@
 //     functions that opened a SerialSection or are marked
 //     EYEBALL_REQUIRES on it.  The compiler enforces the single-writer
 //     discipline while the optimizer deletes the section entirely, so hot
-//     paths (per-shard memos, ingest) pay nothing.
+//     paths (ingest, the service writer) pay nothing.
 #pragma once
 
 #include <condition_variable>
@@ -124,16 +124,17 @@ class EYEBALL_SCOPED_CAPABILITY SharedWriterLock {
 /// from code that holds the role via SerialSection or EYEBALL_REQUIRES.
 ///
 /// This is how the tree encodes "externally synchronized": the builder's
-/// ingest state, the service's writer path and each shard's LookupMemo are
-/// guarded by a Serial, so a refactor that reaches that state from an
-/// unmarked code path (say, a reader-side query touching builder state)
-/// fails the EYEBALL_THREAD_SAFETY build instead of becoming a data race.
+/// ingest state and the service's writer path are guarded by a Serial, so
+/// a refactor that reaches that state from an unmarked code path (say, a
+/// reader-side query touching builder state) fails the
+/// EYEBALL_THREAD_SAFETY build instead of becoming a data race.
 class EYEBALL_CAPABILITY("role") Serial {
  public:
   Serial() = default;
   // Copy/move are allowed (unlike a real lock): a Serial carries no state,
   // and the copy is simply the new object's own role — this keeps types
-  // that embed one (e.g. LookupMemo, stored in vectors) copyable.
+  // that embed one (StreamingDatasetBuilder, EyeballService) as copyable
+  // and movable as their other members allow.
   Serial(const Serial&) = default;
   Serial& operator=(const Serial&) = default;
 

@@ -10,7 +10,7 @@
 //     compiler as a capability attribute instead of expanding to nothing).
 //
 // The phantom Serial role gets the same two-sided treatment, since half
-// the tree's contracts (builder, memos, service writer path) ride on it.
+// the tree's contracts (builder, service writer path) ride on it.
 //
 // Not part of any normal build target; a plain GCC compile of this file is
 // also valid (the macros are no-ops there), which CMake never exercises.

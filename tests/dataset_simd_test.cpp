@@ -1,17 +1,19 @@
-// Differential tests for the SoA conditioning rewrite (PR 7): the batched
-// LookupMemo path and the block-arena condition stage must be byte-identical
-// to their scalar ancestors — results, per-AS peer order, stats, AND memo
-// counters (see DESIGN.md "Data layout & vectorization").
+// Differential tests for the SoA conditioning stage: the batched
+// GeoDatabase::lookup_batch path and the block-arena condition stage must be
+// byte-identical to their scalar ancestors — results, per-AS peer order and
+// stats (see DESIGN.md "Data layout & vectorization").
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "core/dataset.hpp"
-#include "geodb/lookup_memo.hpp"
 #include "geodb/synthetic_db.hpp"
+#include "geodb/table_db.hpp"
 #include "pipeline_fixture.hpp"
 #include "util/rng.hpp"
 
@@ -39,8 +41,8 @@ std::vector<net::Ipv4Address> allocated_ips(std::size_t want) {
   return out;
 }
 
-/// Draws a batch with heavy repetition (memo hits + intra-batch aliases)
-/// and a sprinkle of unallocated IPs (database misses -> nullopt records).
+/// Draws a batch with heavy intra-batch repetition and a sprinkle of
+/// unallocated IPs (database misses -> nullopt records).
 std::vector<net::Ipv4Address> random_batch(util::Rng& rng,
                                            std::span<const net::Ipv4Address> pool,
                                            std::size_t count) {
@@ -60,77 +62,64 @@ std::vector<net::Ipv4Address> random_batch(util::Rng& rng,
   return out;
 }
 
-void expect_batch_matches_scalar(std::size_t memo_slots, std::uint64_t seed) {
-  const auto& f = testing::shared_fixture();
-  geodb::LookupMemo batched{f.primary, memo_slots};
-  geodb::LookupMemo scalar{f.primary, memo_slots};
+/// condition_chunk resolves each block through GeoDatabase::lookup_batch
+/// alone, so every shipped database must answer a batch exactly as per-IP
+/// lookup() would — repeats and unallocated IPs included.
+void expect_batch_matches_scalar(const geodb::GeoDatabase& db, std::uint64_t seed) {
   const auto pool = allocated_ips(500);
   ASSERT_FALSE(pool.empty());
   util::Rng rng{seed};
   for (int round = 0; round < 12; ++round) {
-    const auto batch =
+    auto batch =
         random_batch(rng, pool, static_cast<std::size_t>(rng.uniform_int(1, 120)));
+    batch.push_back(batch.front());                     // a repeat, always
+    batch.push_back(net::Ipv4Address{203, 0, 113, 9});  // unallocated, always
     std::vector<std::optional<geodb::GeoRecord>> got(batch.size());
-    batched.lookup_batch(batch, got);
+    db.lookup_batch(batch, got);
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      const auto want = scalar.lookup(batch[i]);
+      const auto want = db.lookup(batch[i]);
       ASSERT_EQ(got[i].has_value(), want.has_value())
-          << "slots=" << memo_slots << " round " << round << " ip "
-          << batch[i].to_string();
+          << db.name() << " round " << round << " ip " << batch[i].to_string();
       if (want) {
         EXPECT_EQ(got[i]->city, want->city);
+        EXPECT_EQ(got[i]->region, want->region);
+        EXPECT_EQ(got[i]->country_code, want->country_code);
         EXPECT_EQ(got[i]->city_id, want->city_id);
         EXPECT_EQ(got[i]->location, want->location);
       }
     }
-    // The batched path promises the scalar loop's exact counters too.
-    ASSERT_EQ(batched.hits(), scalar.hits()) << "slots=" << memo_slots;
-    ASSERT_EQ(batched.misses(), scalar.misses()) << "slots=" << memo_slots;
+    EXPECT_FALSE(got.back().has_value()) << db.name();
   }
 }
 
-TEST(LookupMemoBatch, MatchesScalarLoopAcrossMemoSizes) {
-  // 8 slots: constant eviction pressure; 1024: mostly hits after warm-up;
-  // 0: memo disabled, the batch forwards straight to the database.
-  expect_batch_matches_scalar(8, 101);
-  expect_batch_matches_scalar(1024, 102);
-  expect_batch_matches_scalar(0, 103);
-}
-
-TEST(LookupMemoBatch, AllMissFastPathFillsMemoExactly) {
+TEST(GeoLookupBatch, MatchesScalarLookupForBothShippedDatabases) {
   const auto& f = testing::shared_fixture();
-  geodb::LookupMemo memo{f.primary, 4096};
-  auto ips = allocated_ips(256);
-  ips.push_back(net::Ipv4Address{203, 0, 113, 9});  // unallocated miss
-  std::vector<std::optional<geodb::GeoRecord>> first(ips.size());
-  memo.lookup_batch(ips, first);  // fresh memo, distinct IPs: all-miss path
-  EXPECT_EQ(memo.misses(), ips.size());
-  for (std::size_t i = 0; i < ips.size(); ++i) {
-    const auto direct = f.primary.lookup(ips[i]);
-    ASSERT_EQ(first[i].has_value(), direct.has_value()) << i;
-    if (direct) {
-      EXPECT_EQ(first[i]->location, direct->location);
+  expect_batch_matches_scalar(f.primary, 101);
+  expect_batch_matches_scalar(f.secondary, 102);
+
+  // A parsed table of every second eyeball prefix, exported from the
+  // synthetic primary, so the pool mixes covered IPs with IPs the table has
+  // no row for.
+  std::vector<net::Ipv4Prefix> prefixes;
+  bool keep = true;
+  for (const auto& as : f.eco.ases()) {
+    if (as.role != topology::AsRole::kEyeball) continue;
+    for (const auto& pop : as.pops) {
+      for (const auto& prefix : pop.prefixes) {
+        if (keep) prefixes.push_back(prefix);
+        keep = !keep;
+      }
     }
   }
-  // Replay against a scalar twin driven through the same two passes: the
-  // fast path must leave the exact slot state the serial loop would (slot
-  // collisions may evict — 257 IPs in 4096 slots collide a handful of
-  // times — so the pin is twin equality, not zero second-pass misses).
-  geodb::LookupMemo twin{f.primary, 4096};
-  for (int round = 0; round < 2; ++round) {
-    for (const auto ip : ips) (void)twin.lookup(ip);
-  }
-  std::vector<std::optional<geodb::GeoRecord>> second(ips.size());
-  memo.lookup_batch(ips, second);
-  EXPECT_EQ(memo.misses(), twin.misses());
-  EXPECT_EQ(memo.hits(), twin.hits());
-  EXPECT_GT(memo.hits(), 0u);
-  for (std::size_t i = 0; i < ips.size(); ++i) {
-    ASSERT_EQ(second[i].has_value(), first[i].has_value()) << i;
-    if (first[i]) {
-      EXPECT_EQ(second[i]->location, first[i]->location);
-    }
-  }
+  const auto table = geodb::TableGeoDatabase::parse(
+      "table", geodb::TableGeoDatabase::export_database(f.primary, prefixes), &f.gaz);
+  const auto pool = allocated_ips(500);
+  const auto covered = std::count_if(pool.begin(), pool.end(), [&](net::Ipv4Address ip) {
+    return table.lookup(ip).has_value();
+  });
+  ASSERT_GT(covered, 0);
+  ASSERT_LT(covered, static_cast<std::ptrdiff_t>(pool.size()));
+  expect_batch_matches_scalar(table, 103);
 }
 
 void expect_same_dataset(const core::TargetDataset& reference,
@@ -169,18 +158,6 @@ TEST(ConditionArena, BlockBoundarySubspansStayByteIdentical) {
     for (const std::size_t threads : {2u, 0u}) {
       expect_same_dataset(reference, f.pipeline.build_dataset(sub, threads));
     }
-  }
-}
-
-TEST(ConditionArena, MemoSizeInvisibleToConditionedDataset) {
-  const auto& f = testing::shared_fixture();
-  // 0 slots drives the arena's direct GeoDatabase::lookup_batch path; a
-  // tiny memo maximizes eviction churn inside the batched probe loop.
-  for (const std::size_t slots : {std::size_t{0}, std::size_t{8}}) {
-    core::DatasetConfig config = f.pipeline.config().dataset;
-    config.lookup_memo_slots = slots;
-    const core::DatasetBuilder builder{f.primary, f.secondary, f.mapper, config};
-    expect_same_dataset(f.dataset, builder.build(f.crawl.samples, 2));
   }
 }
 

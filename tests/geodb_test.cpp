@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "gazetteer/gazetteer.hpp"
-#include "geodb/lookup_memo.hpp"
 #include "geodb/synthetic_db.hpp"
 #include "topology/generator.hpp"
 #include "topology/ground_truth.hpp"
@@ -208,139 +207,6 @@ TEST(SyntheticGeoDatabase, NameIsExposed) {
   const auto& f = fixture();
   const SyntheticGeoDatabase db{"GeoIP-City-like", f.truth, {}, 1};
   EXPECT_EQ(db.name(), "GeoIP-City-like");
-}
-
-TEST(LookupMemo, AnswersMatchDatabaseIncludingMisses) {
-  const auto& f = fixture();
-  const SyntheticGeoDatabase db{"memoized", f.truth, {}, 21};
-  LookupMemo memo{db, 64};  // tiny, to force evictions
-  auto ips = f.sample_ips(400);
-  ips.push_back(net::Ipv4Address{203, 0, 113, 1});  // unallocated: no record
-  // Each IP is queried twice back-to-back (a guaranteed hit even after
-  // collisions evict older slots) while cycling 400 IPs through 64 slots
-  // keeps evictions and overwrites in play.
-  for (int round = 0; round < 2; ++round) {
-    for (const auto ip : ips) {
-      const auto direct = db.lookup(ip);
-      for (int repeat = 0; repeat < 2; ++repeat) {
-        const auto memoized = memo.lookup(ip);
-        ASSERT_EQ(direct.has_value(), memoized.has_value()) << ip.to_string();
-        if (direct) {
-          EXPECT_EQ(direct->city, memoized->city);
-          EXPECT_EQ(direct->location, memoized->location);
-          EXPECT_EQ(direct->city_id, memoized->city_id);
-        }
-      }
-    }
-  }
-  EXPECT_GT(memo.hits(), 0u);
-  EXPECT_GT(memo.misses(), 0u);
-}
-
-TEST(LookupMemo, ZeroSlotsDisablesCaching) {
-  const auto& f = fixture();
-  const SyntheticGeoDatabase db{"uncached", f.truth, {}, 22};
-  LookupMemo memo{db, 0};
-  const auto ips = f.sample_ips(16);
-  for (int round = 0; round < 2; ++round) {
-    for (const auto ip : ips) {
-      const auto direct = db.lookup(ip);
-      const auto memoized = memo.lookup(ip);
-      ASSERT_EQ(direct.has_value(), memoized.has_value());
-      if (direct) {
-        EXPECT_EQ(direct->location, memoized->location);
-      }
-    }
-  }
-  EXPECT_EQ(memo.hits(), 0u);
-}
-
-/// Delegates to a real database while counting how often the memo actually
-/// reaches it — the direct way to observe hits, misses and evictions.
-class CountingGeoDatabase final : public GeoDatabase {
- public:
-  explicit CountingGeoDatabase(const GeoDatabase& inner) : inner_(inner) {}
-  [[nodiscard]] std::optional<GeoRecord> lookup(net::Ipv4Address ip) const override {
-    ++calls_;
-    return inner_.lookup(ip);
-  }
-  [[nodiscard]] std::string_view name() const noexcept override { return "counting"; }
-  [[nodiscard]] std::size_t calls() const noexcept { return calls_; }
-
- private:
-  const GeoDatabase& inner_;
-  mutable std::size_t calls_ = 0;
-};
-
-TEST(LookupMemo, CapacityRoundsUpToPowerOfTwo) {
-  const auto& f = fixture();
-  const SyntheticGeoDatabase db{"sized", f.truth, {}, 23};
-  // The slot index is `hash & (capacity - 1)`, so the table must be a power
-  // of two (EYEBALL_DCHECK'd in the constructor); requests round UP.
-  EXPECT_EQ((LookupMemo{db, 1}).capacity(), 1u);
-  EXPECT_EQ((LookupMemo{db, 2}).capacity(), 2u);
-  EXPECT_EQ((LookupMemo{db, 5}).capacity(), 8u);
-  EXPECT_EQ((LookupMemo{db, 64}).capacity(), 64u);
-  EXPECT_EQ((LookupMemo{db, 65}).capacity(), 128u);
-  EXPECT_EQ((LookupMemo{db, 0}).capacity(), 0u);
-}
-
-TEST(LookupMemo, HitMissAndEvictionCountersAreExact) {
-  const auto& f = fixture();
-  const SyntheticGeoDatabase inner{"evicting", f.truth, {}, 24};
-  const CountingGeoDatabase db{inner};
-  LookupMemo memo{db, 1};  // one slot: any two distinct IPs collide
-  const auto ips = f.sample_ips(2);
-  ASSERT_GE(ips.size(), 2u);
-  const auto a = ips[0];
-  const auto b = ips[1];
-
-  (void)memo.lookup(a);  // miss: cold slot
-  (void)memo.lookup(a);  // hit
-  (void)memo.lookup(b);  // miss: evicts a
-  (void)memo.lookup(b);  // hit
-  (void)memo.lookup(a);  // miss again: b's eviction forgot a
-  EXPECT_EQ(memo.hits(), 2u);
-  EXPECT_EQ(memo.misses(), 3u);
-  EXPECT_EQ(db.calls(), 3u);  // the database only sees the misses
-  EXPECT_DOUBLE_EQ(memo.hit_rate(), 2.0 / 5.0);
-  // Eviction never corrupts answers: the re-fetched record is the direct one.
-  const auto direct = inner.lookup(a);
-  const auto memoized = memo.lookup(a);
-  ASSERT_EQ(direct.has_value(), memoized.has_value());
-  if (direct) {
-    EXPECT_EQ(direct->location, memoized->location);
-  }
-}
-
-TEST(LookupMemo, ResetForgetsRecordsAndCounters) {
-  const auto& f = fixture();
-  const SyntheticGeoDatabase inner{"reset", f.truth, {}, 25};
-  const CountingGeoDatabase db{inner};
-  LookupMemo memo{db, 64};
-  const auto ips = f.sample_ips(8);
-  for (const auto ip : ips) (void)memo.lookup(ip);
-  for (const auto ip : ips) (void)memo.lookup(ip);
-  EXPECT_GT(memo.hits(), 0u);
-  const auto calls_before = db.calls();
-
-  memo.reset();
-  EXPECT_EQ(memo.hits(), 0u);
-  EXPECT_EQ(memo.misses(), 0u);
-  EXPECT_DOUBLE_EQ(memo.hit_rate(), 0.0);
-  EXPECT_EQ(memo.capacity(), 64u);  // no reallocation, just forgotten slots
-
-  // Every previously cached IP must reach the database again...
-  for (const auto ip : ips) {
-    const auto direct = inner.lookup(ip);
-    const auto memoized = memo.lookup(ip);
-    ASSERT_EQ(direct.has_value(), memoized.has_value());
-    if (direct) {
-      EXPECT_EQ(direct->location, memoized->location);
-    }
-  }
-  EXPECT_EQ(db.calls(), calls_before + ips.size());
-  EXPECT_EQ(memo.misses(), ips.size());
 }
 
 }  // namespace

@@ -140,9 +140,6 @@ TEST(Snapshot, MidStreamRoundTripIsByteIdenticalAtEveryThreadCount) {
   EXPECT_EQ(state_bytes(second_process), state_bytes(first_process));
   EXPECT_EQ(second_process.windows_ingested(), 3u);
   EXPECT_EQ(second_process.unique_samples(), first_process.unique_samples());
-  // Memos restart cold — a cache, not state.
-  EXPECT_EQ(second_process.memo_hits(), 0u);
-  EXPECT_EQ(second_process.memo_misses(), 0u);
 
   for (std::size_t i = 3; i < w.churn.windows.size(); ++i) {
     second_process.ingest(w.churn.windows[i], 2);
@@ -251,12 +248,11 @@ TEST(Snapshot, ConfigMismatchIsARefusalNotSilentDrift) {
   EXPECT_EQ(state_bytes(other), before);
 }
 
-TEST(Snapshot, ThreadAndMemoKnobsDoNotFingerprint) {
+TEST(Snapshot, ThreadCountDoesNotFingerprint) {
   const auto& w = snap_world();
-  // Execution knobs have byte-identical results, so snapshots transfer.
+  // An execution knob with byte-identical results, so snapshots transfer.
   auto knobs = w.config;
   knobs.threads = 7;
-  knobs.lookup_memo_slots = 16;
   EXPECT_EQ(core::SnapshotCodec::config_fingerprint(knobs),
             core::SnapshotCodec::config_fingerprint(w.config));
   auto results = w.config;

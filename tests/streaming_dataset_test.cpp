@@ -226,7 +226,7 @@ TEST(StreamingDataset, FinalizePerWindowMatchesPrefixBuildsAndReFinalizes) {
          "min_peers_per_as or the window count in StreamWorld";
 }
 
-// ---- Stats, memos, reset, incremental re-analysis ----
+// ---- Stats, reset, incremental re-analysis ----
 
 TEST(StreamingDataset, StatsAccountForEveryAdmittedSample) {
   const auto& w = stream_world();
@@ -263,38 +263,13 @@ TEST(StreamingDataset, StatsAccountForEveryAdmittedSample) {
                 dataset.stats().final_peers);
 }
 
-TEST(StreamingDataset, PersistentMemosObserveCrossWindowRepetition) {
-  const auto& w = stream_world();
-  auto streaming = w.streaming();
-  streaming.ingest(w.churn.windows[0], 2);
-  const auto hits_after_first = streaming.memo_hits();
-  const auto misses_after_first = streaming.memo_misses();
-  EXPECT_GT(misses_after_first, 0u);
-  for (std::size_t i = 1; i < w.churn.windows.size(); ++i) {
-    streaming.ingest(w.churn.windows[i], 2);
-  }
-  // The same addresses recur across windows (same PoP pools, new users or
-  // new apps), so the persistent memos must keep accruing hits after the
-  // first window — the whole point of not rebuilding them per ingest.
-  EXPECT_GT(streaming.memo_hits(), hits_after_first);
-  EXPECT_GT(streaming.memo_misses(), misses_after_first);
-}
-
 TEST(StreamingDataset, ResetMakesTheBuilderFresh) {
   const auto& w = stream_world();
   auto streaming = w.streaming();
   for (const auto& window : w.churn.windows) streaming.ingest(window, 2);
-  EXPECT_GT(streaming.memo_hit_rate(), 0.0);
   streaming.reset();
   EXPECT_EQ(streaming.windows_ingested(), 0u);
   EXPECT_EQ(streaming.unique_samples(), 0u);
-  EXPECT_EQ(streaming.memo_hits(), 0u);
-  EXPECT_EQ(streaming.memo_misses(), 0u);
-  // The hit-rate pin: reset() clears the memo counters too, so the rate
-  // reads exactly like a freshly constructed builder's — not a stale
-  // average over forgotten windows.
-  EXPECT_EQ(streaming.memo_hit_rate(), 0.0);
-  EXPECT_EQ(streaming.memo_hit_rate(), w.streaming().memo_hit_rate());
   EXPECT_TRUE(streaming.touched_asns().empty());
   for (const auto& window : w.churn.windows) streaming.ingest(window, 2);
   expect_same_dataset(w.reference, streaming.finalize(2), "after reset");

@@ -385,15 +385,6 @@ TEST(ParallelDataset, ShardedBuildByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelDataset, LookupMemoInvisibleToResults) {
-  const auto& fixture = testing::shared_fixture();
-  core::DatasetConfig no_memo = fixture.pipeline.config().dataset;
-  no_memo.lookup_memo_slots = 0;
-  const core::DatasetBuilder builder{fixture.primary, fixture.secondary,
-                                     fixture.mapper, no_memo};
-  expect_same_dataset(fixture.dataset, builder.build(fixture.crawl.samples, 4), 4);
-}
-
 TEST(ParallelPipeline, MultiBandwidthRefineMatchesSerial) {
   const auto& fixture = testing::shared_fixture();
   const auto ases = fixture.dataset.ases();

@@ -17,9 +17,14 @@ tripwire:
     tools/bench_diff.py old/BENCH_dataset.json BENCH_dataset.json
     tools/bench_diff.py --threshold 25 old.json new.json
 
+When both files record the host that produced them (`context.host_name`,
+`context.num_cpus`) and those differ, a CROSS-HOST warning naming the fields
+precedes the table: such deltas mix host noise into the comparison.  The
+warning never changes the exit status.
+
 `--self-test` runs the built-in fixtures (improvement, small wobble, real
-regression, disjoint axes, malformed input) and is wired into the lint
-ctest stage so the tool cannot bit-rot.
+regression, disjoint axes, malformed input, same host, different host) and
+is wired into the lint ctest stage so the tool cannot bit-rot.
 """
 
 from __future__ import annotations
@@ -30,8 +35,12 @@ import pathlib
 import sys
 
 
-def load_benchmarks(path: pathlib.Path) -> dict[str, dict]:
-    """Maps benchmark name -> entry; raises ValueError on malformed input."""
+HOST_FIELDS = ("host_name", "num_cpus")
+
+
+def load_benchmarks(path: pathlib.Path) -> tuple[dict[str, dict], dict]:
+    """(benchmark name -> entry, the file's "context" object or {});
+    raises ValueError on malformed input."""
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as error:
@@ -44,7 +53,22 @@ def load_benchmarks(path: pathlib.Path) -> dict[str, dict]:
             out[entry["name"]] = entry
     if not out:
         raise ValueError(f"{path}: no named benchmarks")
-    return out
+    context = data.get("context")
+    return out, context if isinstance(context, dict) else {}
+
+
+def warn_cross_host(old_context: dict, new_context: dict, out=sys.stdout) -> list[str]:
+    """Prints a CROSS-HOST warning when a host field recorded by both files
+    differs; returns the differing field names."""
+    fields = [field for field in HOST_FIELDS
+              if field in old_context and field in new_context
+              and old_context[field] != new_context[field]]
+    if fields:
+        detail = ", ".join(f"{field} {old_context[field]!r} -> {new_context[field]!r}"
+                           for field in fields)
+        print(f"bench_diff: CROSS-HOST comparison ({detail}); deltas include host "
+              f"noise", file=out)
+    return fields
 
 
 def throughput(entry: dict) -> tuple[float, str] | None:
@@ -133,11 +157,22 @@ def self_test() -> int:
         expect("malformed input raises", False)
     except ValueError:
         pass
+    # 8. Same host: no warning.
+    host = {"host_name": "vm", "num_cpus": 4}
+    warning = io.StringIO()
+    expect("same host gives no warning",
+           warn_cross_host(host, dict(host), warning) == [] and warning.getvalue() == "")
+    # 9. Different num_cpus: the warning names the field.
+    warning = io.StringIO()
+    fields = warn_cross_host(host, dict(host, num_cpus=1), warning)
+    expect("different num_cpus warns",
+           fields == ["num_cpus"] and "CROSS-HOST" in warning.getvalue()
+           and "num_cpus" in warning.getvalue())
 
     for failure in failures:
         print(f"bench_diff self-test FAILED: {failure}", file=sys.stderr)
     if not failures:
-        print("bench_diff: self-test OK (7 fixtures)")
+        print("bench_diff: self-test OK (9 fixtures)")
     return 1 if failures else 0
 
 
@@ -156,13 +191,14 @@ def main() -> int:
     if not args.old or not args.new:
         parser.error("old and new baselines are required (or --self-test)")
     try:
-        old = load_benchmarks(pathlib.Path(args.old))
-        new = load_benchmarks(pathlib.Path(args.new))
+        old, old_context = load_benchmarks(pathlib.Path(args.old))
+        new, new_context = load_benchmarks(pathlib.Path(args.new))
     except ValueError as error:
         print(f"bench_diff: {error}", file=sys.stderr)
         return 1
 
     print(f"bench_diff: {args.old} -> {args.new} (threshold {args.threshold:.1f}%)")
+    warn_cross_host(old_context, new_context)
     regressions = diff(old, new, args.threshold)
     for regression in regressions:
         print(f"bench_diff: REGRESSION {regression}", file=sys.stderr)

@@ -22,7 +22,7 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 STAGES=(
   "tsan|EYEBALL_SANITIZE=thread build; pool/parallel/streaming/serving determinism tests"
   "ubsan|EYEBALL_SANITIZE=undefined build; the FULL test suite with EYEBALL_DCHECK forced on and UB aborting"
-  "snapshot-faults|EYEBALL_SANITIZE=address;undefined build; fault-injection differential harness + snapshot/file suites"
+  "snapshot-faults|EYEBALL_SANITIZE=address;undefined build; fault-injection differential harness + snapshot/file suites + text-parser mutation sweep"
   "artifact-faults|EYEBALL_SANITIZE=address;undefined build; serving-artifact differential + fault sweep (open + materialize of every mutated image)"
   "chaos|EYEBALL_SANITIZE=address;undefined build; 100-seed whole-lifecycle fault storms over EyeballService (Chaos.Concurrent* also under TSan)"
   "tidy|clang-tidy (.clang-tidy) over src/ via build-analysis/compile_commands.json [skipped when clang-tidy is absent]"
@@ -128,9 +128,10 @@ snapshot_faults_stage() {
   cmake -B "${ROOT}/build-aubsan" -S "${ROOT}" \
     -DEYEBALL_SANITIZE="address;undefined" -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
   cmake --build "${ROOT}/build-aubsan" -j "${JOBS}" \
-    -t snapshot_fault_test snapshot_test snapshot_golden_test file_test
+    -t snapshot_fault_test snapshot_test snapshot_golden_test file_test \
+    parser_mutation_test
   ctest --test-dir "${ROOT}/build-aubsan" --output-on-failure -j "${JOBS}" \
-    -R 'snapshot|file_test|FaultInjection|AtomicWriteFile'
+    -R 'snapshot|file_test|FaultInjection|AtomicWriteFile|ParserMutation'
 }
 
 # --- artifact-faults: the serving artifact under ASan+UBSan ----------------
