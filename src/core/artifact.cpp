@@ -81,19 +81,23 @@ void put_u32_at(std::span<std::byte> out, std::size_t at, std::uint32_t v) {
 /// Zero-suppresses a grid: appends its maximal runs of bit-nonzero cells to
 /// `runs` as (start, count) pairs and returns how many cells they cover.
 /// "Zero" means the u64 bit pattern is exactly zero — -0.0 and denormals
-/// count as nonzero and round-trip bit-exactly.
-std::uint64_t append_runs(std::span<const double> values,
-                          std::vector<std::uint64_t>& runs) {
+/// count as nonzero and round-trip bit-exactly.  Only each row's support is
+/// scanned (all else is +0.0), in row-major cell order like a dense scan.
+std::uint64_t append_runs(const kde::DensityGrid& grid, std::vector<std::uint64_t>& runs) {
   const std::size_t first = runs.size();
   std::uint64_t nonzero = 0;
-  for (std::uint64_t cell = 0; cell < values.size(); ++cell) {
-    if (std::bit_cast<std::uint64_t>(values[cell]) == 0) continue;
-    if (runs.size() == first || runs[runs.size() - 2] + runs.back() != cell) {
-      runs.push_back(cell);
-      runs.push_back(0);
+  for (std::size_t row = 0; row < grid.rows(); ++row) {
+    const auto [lo, hi] = grid.row_support(row);
+    const std::uint64_t row_start = row * grid.cols();
+    for (std::uint64_t cell = row_start + lo; cell < row_start + hi; ++cell) {
+      if (std::bit_cast<std::uint64_t>(grid.values()[cell]) == 0) continue;
+      if (runs.size() == first || runs[runs.size() - 2] + runs.back() != cell) {
+        runs.push_back(cell);
+        runs.push_back(0);
+      }
+      ++runs.back();
+      ++nonzero;
     }
-    ++runs.back();
-    ++nonzero;
   }
   return nonzero;
 }
@@ -408,7 +412,7 @@ util::Status ArtifactCodec::encode(const TargetDataset& dataset,
       return util::Status::invalid_argument(
           "artifact: analyses out of order vs the dataset's ASes");
     }
-    nonzero[i] = append_runs(analyses[i].footprint.grid.values(), runs);
+    nonzero[i] = append_runs(analyses[i].footprint.grid, runs);
     runs_end[i] = runs.size();
   }
   const auto grid_runs = [&](std::size_t i) {

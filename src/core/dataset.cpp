@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <map>
 #include <ostream>
 #include <utility>
 
@@ -132,6 +131,11 @@ DatasetBuilder::DatasetBuilder(const geodb::GeoDatabase& primary,
 
 namespace detail {
 namespace {
+
+/// The order of every bucket list: ascending ASN.
+[[nodiscard]] bool asn_less(const AsPeerSet& a, const AsPeerSet& b) noexcept {
+  return a.asn < b.asn;
+}
 
 /// Samples per SoA staging block: big enough to amortize the batched
 /// lookup calls, small enough that the arenas (a few doubles + two cached
@@ -305,44 +309,41 @@ ConditionShard condition_chunk(std::span<const p2p::PeerSample> samples, std::si
     }
   }
 
-  // First-seen bucket order -> ascending ASN, the order the old per-shard
-  // std::map produced and merge_shard_ordered/filter_ases require.  Peer
-  // order inside each bucket is untouched (already sample order).
-  std::sort(shard.by_as.begin(), shard.by_as.end(),
-            [](const AsPeerSet& a, const AsPeerSet& b) {
-              return net::value_of(a.asn) < net::value_of(b.asn);
-            });
+  // First-seen bucket order -> ascending ASN, the order merge_shard_ordered
+  // requires.  Peer order inside each bucket is untouched (already sample
+  // order).
+  std::sort(shard.by_as.begin(), shard.by_as.end(), asn_less);
   return shard;
 }
 
-void merge_shard_ordered(ConditionShard shard, std::map<std::uint32_t, AsPeerSet>& by_as,
+void merge_shard_ordered(ConditionShard shard, std::vector<AsPeerSet>& by_as,
                          ConditionCounters& dropped) {
   dropped.missing_geo += shard.dropped.missing_geo;
   dropped.high_error += shard.dropped.high_error;
   dropped.unmapped_as += shard.dropped.unmapped_as;
   dropped.rejected += shard.dropped.rejected;
+  const std::size_t live = by_as.size();
   for (auto& set : shard.by_as) {
-    auto& merged = by_as[net::value_of(set.asn)];
-    if (merged.peers.empty()) {
-      merged = std::move(set);
+    const auto end = by_as.begin() + static_cast<std::ptrdiff_t>(live);
+    const auto it = std::lower_bound(by_as.begin(), end, set, asn_less);
+    if (it != end && it->asn == set.asn) {
+      it->peers.insert(it->peers.end(), std::make_move_iterator(set.peers.begin()),
+                       std::make_move_iterator(set.peers.end()));
     } else {
-      merged.peers.insert(merged.peers.end(),
-                          std::make_move_iterator(set.peers.begin()),
-                          std::make_move_iterator(set.peers.end()));
+      by_as.push_back(std::move(set));  // new ASNs arrive ascending
     }
   }
+  std::inplace_merge(by_as.begin(), by_as.begin() + static_cast<std::ptrdiff_t>(live),
+                     by_as.end(), asn_less);
 }
 
-std::vector<AsPeerSet> filter_ases(std::span<AsPeerSet* const> buckets,
-                                   const DatasetConfig& config, std::size_t threads,
-                                   DatasetStats& stats, bool take_ownership) {
-  // The kept-AS list below inherits its order from this span; it must be
-  // ASN-ascending (the builders' std::map guarantees it today) or the final
-  // dataset ceases to be byte-identical to the serial build.
-  EYEBALL_DCHECK(std::is_sorted(buckets.begin(), buckets.end(),
-                                [](const AsPeerSet* a, const AsPeerSet* b) {
-                                  return net::value_of(a->asn) < net::value_of(b->asn);
-                                }),
+std::vector<std::size_t> filter_ases(std::span<const AsPeerSet> buckets,
+                                     const DatasetConfig& config, std::size_t threads,
+                                     DatasetStats& stats) {
+  // The kept list inherits its order from this span; it must be
+  // ASN-ascending or the final dataset ceases to be byte-identical to the
+  // serial build.
+  EYEBALL_DCHECK(std::is_sorted(buckets.begin(), buckets.end(), asn_less),
                  "merged AS buckets must stay in ascending ASN order");
 
   enum Verdict : std::uint8_t { kKeep, kBelowMinPeers, kAboveP90Error };
@@ -352,7 +353,7 @@ std::vector<AsPeerSet> filter_ases(std::span<AsPeerSet* const> buckets,
       [&](std::size_t lo, std::size_t hi) {
         std::vector<double> scratch;  // one allocation per chunk, not per AS
         for (std::size_t i = lo; i < hi; ++i) {
-          const auto& set = *buckets[i];
+          const auto& set = buckets[i];
           if (set.peers.size() < config.min_peers_per_as) {
             verdicts[i] = kBelowMinPeers;
             continue;
@@ -365,24 +366,19 @@ std::vector<AsPeerSet> filter_ases(std::span<AsPeerSet* const> buckets,
       },
       threads);
 
-  std::vector<AsPeerSet> kept;
+  std::vector<std::size_t> kept;
   for (std::size_t i = 0; i < buckets.size(); ++i) {
-    AsPeerSet& set = *buckets[i];
     switch (verdicts[i]) {
       case kBelowMinPeers:
         ++stats.ases_below_min_peers;
-        stats.peers_in_small_ases += set.peers.size();
+        stats.peers_in_small_ases += buckets[i].peers.size();
         break;
       case kAboveP90Error:
         ++stats.ases_above_p90_error;
         break;
       default:
-        stats.final_peers += set.peers.size();
-        if (take_ownership) {
-          kept.push_back(std::move(set));
-        } else {
-          kept.push_back(set);
-        }
+        stats.final_peers += buckets[i].peers.size();
+        kept.push_back(i);
         break;
     }
   }
@@ -407,7 +403,7 @@ TargetDataset DatasetBuilder::build(std::span<const p2p::PeerSample> samples,
   // The ordered reduction then appends each shard's peers per AS in shard
   // order — shard chunks are contiguous and in sample order, so the merged
   // per-AS peer order is exactly the serial loop's, whatever `threads` is.
-  std::map<std::uint32_t, AsPeerSet> by_as;
+  std::vector<AsPeerSet> by_as;
   detail::ConditionCounters dropped;
   util::ThreadPool::shared().parallel_map_reduce(
       0, samples.size(),
@@ -421,15 +417,11 @@ TargetDataset DatasetBuilder::build(std::span<const p2p::PeerSample> samples,
       threads);
   dropped.add_to(stats);
 
-  // Stage 2: the per-AS filter over the merged buckets, in ASN (map) order.
-  std::vector<AsPeerSet> owned;
-  owned.reserve(by_as.size());
-  for (auto& [asn_value, set] : by_as) owned.push_back(std::move(set));
-  std::vector<AsPeerSet*> buckets;
-  buckets.reserve(owned.size());
-  for (auto& set : owned) buckets.push_back(&set);
-  auto kept = detail::filter_ases(buckets, config_, threads, stats,
-                                  /*take_ownership=*/true);
+  // Stage 2: the per-AS filter over the merged buckets, in ASN order.
+  std::vector<AsPeerSet> kept;
+  for (const std::size_t i : detail::filter_ases(by_as, config_, threads, stats)) {
+    kept.push_back(std::move(by_as[i]));
+  }
   return TargetDataset{std::move(kept), std::move(stats)};
 }
 

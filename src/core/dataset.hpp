@@ -14,7 +14,6 @@
 #include <array>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <optional>
 #include <span>
 #include <string>
@@ -88,7 +87,7 @@ struct WindowStats {
   std::size_t cumulative_unique = 0;
   /// Samples refused at the admission door: reserved/invalid IP or unknown
   /// app tag (a hostile or corrupted crawl window).  Rejected samples never
-  /// enter the dedup set, so offered == duplicates + admitted + rejected.
+  /// enter the dedup keys, so offered == duplicates + admitted + rejected.
   std::size_t rejected = 0;
 
   friend bool operator==(const WindowStats&, const WindowStats&) = default;
@@ -211,24 +210,23 @@ struct ConditionShard {
                                              const bgp::IpToAsMapper& mapper,
                                              const DatasetConfig& config);
 
-/// Folds one shard into the live buckets + counters.  MUST be called in
-/// shard order over contiguous, in-order sample ranges: each AS's merged
-/// peer vector is then the concatenation of its shard slices in sample
-/// order — exactly the serial loop's peer order.
-void merge_shard_ordered(ConditionShard shard,
-                         std::map<std::uint32_t, AsPeerSet>& by_as,
+/// Folds one shard into the live buckets + counters, both ASN-ascending.
+/// MUST be called in shard order over contiguous, in-order sample ranges:
+/// each AS's merged peer vector is then the concatenation of its shard
+/// slices in sample order — exactly the serial loop's peer order.
+void merge_shard_ordered(ConditionShard shard, std::vector<AsPeerSet>& by_as,
                          ConditionCounters& dropped);
 
 /// Stage 2: the min-peers / p90 geo-error per-AS filter over ASN-ascending
 /// `buckets`.  Verdicts parallelize into disjoint slots at `threads`; the
-/// filter counters and the kept list then accrue in ASN order, exactly like
-/// the serial loop.  `take_ownership` moves kept sets out of the buckets
-/// (one-shot build); false copies them, leaving the live buckets intact for
-/// further ingestion (streaming finalize).
-[[nodiscard]] std::vector<AsPeerSet> filter_ases(std::span<AsPeerSet* const> buckets,
-                                                 const DatasetConfig& config,
-                                                 std::size_t threads, DatasetStats& stats,
-                                                 bool take_ownership);
+/// filter counters then accrue in ASN order, exactly like the serial loop.
+/// Returns the indices of the kept buckets, ascending: the one-shot build
+/// moves those sets out, streaming finalize copies them and leaves the live
+/// buckets intact for further ingestion.
+[[nodiscard]] std::vector<std::size_t> filter_ases(std::span<const AsPeerSet> buckets,
+                                                   const DatasetConfig& config,
+                                                   std::size_t threads,
+                                                   DatasetStats& stats);
 
 }  // namespace detail
 

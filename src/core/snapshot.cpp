@@ -52,6 +52,28 @@ constexpr std::size_t kConfigPayloadSize = 3 * 8;
   return util::Status::corruption(what);
 }
 
+/// Decodes a u64 count followed by that many strictly ascending `Width`-byte
+/// values (the kSeen and kTouched layout) into `out`.
+template <std::size_t Width, typename T>
+[[nodiscard]] util::Status read_ascending(std::span<const std::byte> payload,
+                                          const std::string& what, std::vector<T>& out) {
+  Reader r{payload};
+  std::uint64_t count = 0;
+  // Divide, never multiply: a hostile count must not overflow the check.
+  if (!r.read_u64(count) || r.remaining() % Width != 0 || count != r.remaining() / Width) {
+    return util::Status::corruption(what + ": count disagrees with the payload");
+  }
+  out.reserve(static_cast<std::size_t>(count));
+  for (std::size_t at = 8; at < payload.size(); at += Width) {
+    out.push_back(static_cast<T>(Width == 8 ? byte_io::load_u64(payload, at)
+                                            : byte_io::load_u32(payload, at)));
+  }
+  if (std::adjacent_find(out.begin(), out.end(), std::greater_equal<>{}) != out.end()) {
+    return util::Status::corruption(what + " not strictly ascending");
+  }
+  return util::Status{};
+}
+
 /// snapshot.<20-digit zero-padded generation>.eyb
 [[nodiscard]] std::string snapshot_filename(std::uint64_t generation) {
   std::string digits = std::to_string(generation);
@@ -123,7 +145,15 @@ std::uint64_t SnapshotCodec::config_fingerprint(const DatasetConfig& config) noe
 std::vector<std::byte> SnapshotCodec::encode(const StreamingDatasetBuilder& builder,
                                              std::uint64_t generation)
     EYEBALL_NO_THREAD_SAFETY_ANALYSIS {
+  // Sized up front (growing by doubling cost half the encode): the bucket
+  // section dominates, then the dedup keys; the rest is small.
+  std::size_t buckets_size = 8 + builder.by_as_.size() * kBucketHeaderSize;
+  for (const AsPeerSet& set : builder.by_as_) {
+    buckets_size += set.peers.size() * kPeerRecordSize;
+  }
+  const std::size_t seen_size = 8 + 8 * builder.seen_.size();
   std::vector<std::byte> out;
+  out.reserve(buckets_size + seen_size + 4096);
 
   // Header.
   for (const char c : kHeadMagic) out.push_back(static_cast<std::byte>(c));
@@ -133,6 +163,7 @@ std::vector<std::byte> SnapshotCodec::encode(const StreamingDatasetBuilder& buil
   put_u32(out, kSectionCount);
 
   std::vector<std::byte> payload;
+  payload.reserve(std::max(buckets_size, seen_size));
   const auto emit_section = [&out, &payload](std::uint32_t id) {
     put_u32(out, id);
     put_u64(out, payload.size());
@@ -148,11 +179,11 @@ std::vector<std::byte> SnapshotCodec::encode(const StreamingDatasetBuilder& buil
   put_f64(payload, builder.config_.max_p90_geo_error_km);
   emit_section(kConfig);
 
-  // kBuckets: the live ASN-ordered peer buckets (std::map iteration is
-  // already canonical ascending order).
+  // kBuckets, kSeen and kTouched: the builder keeps all three in file order
+  // (ascending ASN / key), so each is a straight sequential copy.
   put_u64(payload, static_cast<std::uint64_t>(builder.by_as_.size()));
-  for (const auto& [asn_value, set] : builder.by_as_) {
-    put_u32(payload, asn_value);
+  for (const AsPeerSet& set : builder.by_as_) {
+    put_u32(payload, net::value_of(set.asn));
     put_u64(payload, static_cast<std::uint64_t>(set.peers.size()));
     for (const PeerRecord& peer : set.peers) {
       put_u32(payload, peer.ip.value());
@@ -165,22 +196,16 @@ std::vector<std::byte> SnapshotCodec::encode(const StreamingDatasetBuilder& buil
   }
   emit_section(kBuckets);
 
-  // kSeen: the dedup keys, sorted so equal states encode identically.
-  std::vector<std::uint64_t> seen_keys{builder.seen_.begin(), builder.seen_.end()};
-  std::sort(seen_keys.begin(), seen_keys.end());
-  put_u64(payload, static_cast<std::uint64_t>(seen_keys.size()));
-  for (const std::uint64_t key : seen_keys) put_u64(payload, key);
+  put_u64(payload, static_cast<std::uint64_t>(builder.seen_.size()));
+  for (const std::uint64_t key : builder.seen_) put_u64(payload, key);
   emit_section(kSeen);
 
   // kStats: cumulative counters + per-window snapshots.
   byte_io::put_stats(payload, builder.stats_);
   emit_section(kStats);
 
-  // kTouched: sorted for canonical bytes.
-  std::vector<std::uint32_t> touched{builder.touched_.begin(), builder.touched_.end()};
-  std::sort(touched.begin(), touched.end());
-  put_u64(payload, static_cast<std::uint64_t>(touched.size()));
-  for (const std::uint32_t asn : touched) put_u32(payload, asn);
+  put_u64(payload, static_cast<std::uint64_t>(builder.touched_.size()));
+  for (const net::Asn asn : builder.touched_) put_u32(payload, net::value_of(asn));
   emit_section(kTouched);
 
   // Footer: whole-file CRC over everything so far, then the tail magic.
@@ -295,7 +320,7 @@ util::Status SnapshotCodec::decode(std::span<const std::byte> bytes,
 
   // ---- Parse every data section into temporaries; nothing below touches
   // the builder until all of them have validated. ----
-  std::map<std::uint32_t, AsPeerSet> by_as;
+  std::vector<AsPeerSet> by_as;
   {
     Reader r{sections[kBuckets - 1]};
     std::uint64_t as_count = 0;
@@ -303,19 +328,16 @@ util::Status SnapshotCodec::decode(std::span<const std::byte> bytes,
     if (as_count > r.remaining() / kBucketHeaderSize) {
       return corrupt("bucket count exceeds the section payload");
     }
-    std::uint64_t previous_asn = 0;
-    bool first = true;
+    by_as.reserve(static_cast<std::size_t>(as_count));
     for (std::uint64_t a = 0; a < as_count; ++a) {
       std::uint32_t asn_value = 0;
       std::uint64_t peer_count = 0;
       if (!r.read_u32(asn_value) || !r.read_u64(peer_count)) {
         return corrupt("unreadable bucket header");
       }
-      if (!first && asn_value <= previous_asn) {
+      if (!by_as.empty() && asn_value <= net::value_of(by_as.back().asn)) {
         return corrupt("bucket ASNs not strictly ascending");
       }
-      first = false;
-      previous_asn = asn_value;
       if (peer_count > r.remaining() / kPeerRecordSize) {
         return corrupt("peer count exceeds the section payload");
       }
@@ -343,54 +365,23 @@ util::Status SnapshotCodec::decode(std::span<const std::byte> bytes,
         set.peers.push_back(PeerRecord{net::Ipv4Address{ip}, static_cast<p2p::App>(app),
                                        geo::GeoPoint{lat, lon}, err, city});
       }
-      by_as.emplace_hint(by_as.end(), asn_value, std::move(set));
+      by_as.push_back(std::move(set));
     }
     if (r.remaining() != 0) return corrupt("trailing bytes in the bucket section");
   }
 
   std::vector<std::uint64_t> seen_keys;
-  {
-    Reader r{sections[kSeen - 1]};
-    std::uint64_t count = 0;
-    if (!r.read_u64(count)) return corrupt("unreadable dedup-key count");
-    // Divide, never multiply: a hostile count must not overflow the check.
-    if (r.remaining() % 8 != 0 || count != r.remaining() / 8) {
-      return corrupt("dedup-key count disagrees with the payload");
-    }
-    seen_keys.reserve(static_cast<std::size_t>(count));
-    std::uint64_t previous = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      std::uint64_t key = 0;
-      if (!r.read_u64(key)) return corrupt("unreadable dedup key");
-      if (i != 0 && key <= previous) return corrupt("dedup keys not strictly ascending");
-      previous = key;
-      seen_keys.push_back(key);
-    }
-  }
+  util::Status status = read_ascending<8>(sections[kSeen - 1], "dedup keys", seen_keys);
+  if (!status.ok()) return status;
 
   DatasetStats stats;
   if (!byte_io::decode_stats(sections[kStats - 1], stats)) {
     return corrupt("stats section disagrees with its window count");
   }
 
-  std::vector<std::uint32_t> touched;
-  {
-    Reader r{sections[kTouched - 1]};
-    std::uint64_t count = 0;
-    if (!r.read_u64(count)) return corrupt("unreadable touched count");
-    if (r.remaining() % 4 != 0 || count != r.remaining() / 4) {
-      return corrupt("touched count disagrees with the payload");
-    }
-    touched.reserve(static_cast<std::size_t>(count));
-    std::uint32_t previous = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      std::uint32_t asn = 0;
-      if (!r.read_u32(asn)) return corrupt("unreadable touched ASN");
-      if (i != 0 && asn <= previous) return corrupt("touched ASNs not strictly ascending");
-      previous = asn;
-      touched.push_back(asn);
-    }
-  }
+  std::vector<net::Asn> touched;
+  status = read_ascending<4>(sections[kTouched - 1], "touched ASNs", touched);
+  if (!status.ok()) return status;
 
   // ---- Cross-section invariants of real builder state. ----
   if (stats.raw_samples != seen_keys.size()) {
@@ -400,20 +391,16 @@ util::Status SnapshotCodec::decode(std::span<const std::byte> bytes,
       stats.windows.back().cumulative_unique != seen_keys.size()) {
     return corrupt("last window's cumulative_unique disagrees with the dedup-key count");
   }
-  for (const std::uint32_t asn : touched) {
-    if (by_as.find(asn) == by_as.end()) {
-      return corrupt("touched ASN has no bucket");
-    }
+  if (!std::ranges::includes(by_as, touched, {}, &AsPeerSet::asn)) {
+    return corrupt("touched ASN has no bucket");
   }
 
-  // ---- Commit: every check passed; replace the builder's state. ----
+  // ---- Commit: every check passed; the validated arrays become the
+  // builder's live state as they are. ----
   builder.by_as_ = std::move(by_as);
-  builder.seen_.clear();
-  builder.seen_.reserve(seen_keys.size());
-  builder.seen_.insert(seen_keys.begin(), seen_keys.end());
+  builder.seen_ = std::move(seen_keys);
   builder.stats_ = std::move(stats);
-  builder.touched_.clear();
-  builder.touched_.insert(touched.begin(), touched.end());
+  builder.touched_ = std::move(touched);
   builder.pending_.clear();
   builder.last_generation_ = stored_generation;
   if (generation != nullptr) *generation = stored_generation;

@@ -63,16 +63,18 @@ class SnapshotCodec {
   static constexpr std::uint32_t kFormatVersion = 1;
 
   /// Serializes the builder's complete logical state (buckets, dedup keys,
-  /// stats incl. windows, touched set, config fingerprint).  Canonical:
-  /// equal builder states encode to identical bytes (unordered sets are
-  /// sorted on the way out), so snapshot bytes double as a state-identity
-  /// check in tests.
+  /// stats incl. windows, touched list, config fingerprint).  Canonical:
+  /// equal builder states encode to identical bytes (the builder keeps its
+  /// buckets, keys and touched ASNs ascending, the order they are written
+  /// in), so snapshot bytes double as a state-identity check in tests.
   [[nodiscard]] static std::vector<std::byte> encode(
       const StreamingDatasetBuilder& builder, std::uint64_t generation);
 
   /// Validates `bytes` and, only if every check passes, replaces the
-  /// builder's state with the decoded one (pending scratch
-  /// cleared).  On any error the builder is untouched.  Typed
+  /// builder's state with the decoded one (pending scratch cleared).  The
+  /// ordering checks (strictly ascending keys, bucket and touched ASNs) and
+  /// the cross-section ones are load-bearing: the decoded arrays are moved
+  /// in as the builder's live structures.  On any error the builder is untouched.  Typed
   /// failures: kCorruption (bad magic/CRC/bounds/semantic invariant),
   /// kVersionMismatch (well-formed, newer format), kConfigMismatch (well-
   /// formed, but written under a different result-affecting configuration —

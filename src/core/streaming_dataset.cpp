@@ -22,7 +22,7 @@ namespace {
 /// non-routable range, not just the octet-aligned ones: 0/8, 10/8, 127/8,
 /// multicast/reserved (224.0.0.0+), 100.64/10 (CGNAT), 172.16/12 and
 /// 192.168/16 (RFC 1918), and 169.254/16 (link-local).  Checked BEFORE the
-/// dedup set, so a rejected sample leaves no trace — a later valid
+/// dedup keys, so a rejected sample leaves no trace — a later valid
 /// observation of the same (app, ip) is still a first observation.
 [[nodiscard]] constexpr bool is_admissible_sample(const p2p::PeerSample& sample) noexcept {
   const std::uint32_t ip = sample.ip.value();
@@ -35,25 +35,46 @@ namespace {
   return static_cast<std::uint8_t>(sample.app) < p2p::kAllApps.size();
 }
 
-/// The admission door plus first-observation (app, ip) dedup against
-/// `seen`: appends each admitted sample to `out` in input order and counts
-/// the rest into `stats.rejected` / `stats.duplicates`.  Serial and
-/// order-preserving, so the admitted stream is independent of any later
-/// shard count.  ingest() and dedup_first_observation() both run exactly
-/// this loop, which keeps the streaming and one-shot streams in lockstep by
-/// construction.
+/// The admission door plus first-observation (app, ip) dedup against the
+/// ascending key list `seen`: appends each admitted sample to `out` in input
+/// order, counts the rest into `stats.rejected` / `stats.duplicates`, and
+/// merges the admitted keys into `seen`.  Sorted (key, position) pairs put
+/// each key's first observation at the head of its run, admitted unless
+/// `seen` holds the key.  ingest() and dedup_first_observation() both run
+/// exactly this function, which keeps the streaming and one-shot streams in
+/// lockstep by construction, independent of any later shard count.
 void admit_first_observations(std::span<const p2p::PeerSample> samples,
-                              std::unordered_set<std::uint64_t>& seen,
+                              std::vector<std::uint64_t>& seen,
                               std::vector<p2p::PeerSample>& out, WindowStats& stats) {
-  for (const auto& sample : samples) {
-    if (!is_admissible_sample(sample)) {
-      ++stats.rejected;
-    } else if (seen.insert(sample_key(sample)).second) {
-      out.push_back(sample);
+  std::vector<std::pair<std::uint64_t, std::size_t>> keyed;
+  keyed.reserve(samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    if (is_admissible_sample(samples[i])) {
+      keyed.emplace_back(sample_key(samples[i]), i);
     } else {
-      ++stats.duplicates;
+      ++stats.rejected;
     }
   }
+  std::sort(keyed.begin(), keyed.end());
+
+  std::vector<std::uint8_t> first(samples.size(), 0);
+  std::vector<std::uint64_t> fresh;  // ascending, like `seen`
+  auto known = seen.cbegin();
+  for (std::size_t run = 0; run < keyed.size();) {
+    const auto [key, position] = keyed[run];
+    known = std::lower_bound(known, seen.cend(), key);
+    if (known == seen.cend() || *known != key) {
+      first[position] = 1;
+      fresh.push_back(key);
+    }
+    while (run < keyed.size() && keyed[run].first == key) ++run;
+  }
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    if (first[i] != 0) out.push_back(samples[i]);
+  }
+  stats.duplicates += keyed.size() - fresh.size();
+  const auto merged_from = seen.insert(seen.end(), fresh.begin(), fresh.end());
+  std::inplace_merge(seen.begin(), merged_from, seen.end());
 }
 
 }  // namespace
@@ -62,8 +83,7 @@ std::vector<p2p::PeerSample> dedup_first_observation(
     std::span<const p2p::PeerSample> samples) {
   std::vector<p2p::PeerSample> out;
   out.reserve(samples.size());
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(samples.size());
+  std::vector<std::uint64_t> seen;
   WindowStats ignored;
   admit_first_observations(samples, seen, out, ignored);
   return out;
@@ -120,10 +140,12 @@ void StreamingDatasetBuilder::ingest_locked(std::span<const p2p::PeerSample> win
                                        config_);
       },
       [&](detail::ConditionShard shard) {
-        for (const auto& set : shard.by_as) touched.insert(net::value_of(set.asn));
+        for (const auto& set : shard.by_as) touched.push_back(set.asn);
         detail::merge_shard_ordered(std::move(shard), by_as, dropped);
       },
       threads);
+  std::sort(touched_.begin(), touched_.end());
+  touched_.erase(std::unique(touched_.begin(), touched_.end()), touched_.end());
   dropped.add_to(stats_);
   stats_.windows.push_back(window_stats);
 }
@@ -140,24 +162,18 @@ TargetDataset StreamingDatasetBuilder::finalize(std::size_t threads) {
 
 TargetDataset StreamingDatasetBuilder::finalize_locked(std::size_t threads) {
   DatasetStats stats = stats_;  // stage-1 counters + window snapshots
-  std::vector<AsPeerSet*> buckets;
-  buckets.reserve(by_as_.size());
-  for (auto& [asn_value, set] : by_as_) buckets.push_back(&set);
   // Copies kept sets out; the live buckets stay intact for further ingests.
-  auto kept = detail::filter_ases(buckets, config_, threads, stats,
-                                  /*take_ownership=*/false);
+  std::vector<AsPeerSet> kept;
+  for (const std::size_t i : detail::filter_ases(by_as_, config_, threads, stats)) {
+    kept.push_back(by_as_[i]);
+  }
   touched_.clear();
   return TargetDataset{std::move(kept), std::move(stats)};
 }
 
 std::vector<net::Asn> StreamingDatasetBuilder::touched_asns() const {
   const util::SerialSection owner{serial_};
-  std::vector<std::uint32_t> values(touched_.begin(), touched_.end());
-  std::sort(values.begin(), values.end());
-  std::vector<net::Asn> out;
-  out.reserve(values.size());
-  for (const auto value : values) out.push_back(net::Asn{value});
-  return out;
+  return touched_;
 }
 
 void StreamingDatasetBuilder::reset() {

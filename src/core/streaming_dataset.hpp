@@ -29,10 +29,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "core/dataset.hpp"
@@ -65,7 +63,8 @@ class StreamingDatasetBuilder {
   /// window (first observation wins, including within the window itself),
   /// then conditions the admitted samples through the sharded stage-1 at
   /// DatasetConfig::threads and merges them into the live buckets in shard
-  /// order.  Cost is proportional to the window, not the cumulative stream.
+  /// order.  Cost is proportional to the window, plus one sequential merge
+  /// of the window's new keys into the ascending dedup list.
   void ingest(std::span<const p2p::PeerSample> window);
   /// Same with an explicit shard count (benchmark threads axis).
   void ingest(std::span<const p2p::PeerSample> window, std::size_t threads);
@@ -106,7 +105,7 @@ class StreamingDatasetBuilder {
   [[nodiscard]] std::size_t memo_hits() const noexcept { return 0; }
   [[nodiscard]] std::size_t memo_misses() const noexcept { return 0; }
 
-  /// Forgets every window: buckets, dedup set and stats.  The builder is
+  /// Forgets every window: buckets, dedup keys and stats.  The builder is
   /// then equivalent to a freshly constructed one.
   void reset();
 
@@ -154,7 +153,7 @@ class StreamingDatasetBuilder {
   /// deletes), and the `_locked` helpers require it.  Under
   /// EYEBALL_THREAD_SAFETY this turns "ingest state is single-writer" from
   /// a doc comment into a build error: no code path can reach the buckets
-  /// or the dedup set without visibly holding the role.  `mutable`
+  /// or the dedup keys without visibly holding the role.  `mutable`
   /// because const readers (stats, counters) claim it too.
   mutable util::Serial serial_;
 
@@ -165,15 +164,17 @@ class StreamingDatasetBuilder {
   bgp::IpToAsMapper mapper_;
   DatasetConfig config_;
 
-  /// Live ASN-ordered buckets; grown by ingest, read by finalize.
-  std::map<std::uint32_t, AsPeerSet> by_as_ EYEBALL_GUARDED_BY(serial_);
-  /// Exact (app, ip) keys observed so far (app in the high bits — no
-  /// collisions, unlike a mixed hash).
-  std::unordered_set<std::uint64_t> seen_ EYEBALL_GUARDED_BY(serial_);
+  // by_as_, seen_ and touched_ are kept in the order EYBSNAP1 writes them,
+  // so a save copies them out and a restore moves its arrays straight in.
+  /// Live buckets, ASN-ascending; grown by ingest, read by finalize.
+  std::vector<AsPeerSet> by_as_ EYEBALL_GUARDED_BY(serial_);
+  /// Exact (app, ip) keys admitted so far (app in the high bits — no
+  /// collisions, unlike a mixed hash), strictly ascending.
+  std::vector<std::uint64_t> seen_ EYEBALL_GUARDED_BY(serial_);
   /// Cumulative stage-1 counters + per-window snapshots.
   DatasetStats stats_ EYEBALL_GUARDED_BY(serial_);
-  /// ASN values touched by ingests since the last finalize().
-  std::unordered_set<std::uint32_t> touched_ EYEBALL_GUARDED_BY(serial_);
+  /// ASNs touched by ingests since the last finalize(), strictly ascending.
+  std::vector<net::Asn> touched_ EYEBALL_GUARDED_BY(serial_);
   /// Window scratch: admitted samples (reused allocation across ingests).
   std::vector<p2p::PeerSample> pending_ EYEBALL_GUARDED_BY(serial_);
 

@@ -15,8 +15,10 @@
 #include <filesystem>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/byte_io.hpp"
 #include "core/snapshot.hpp"
 #include "core/streaming_dataset.hpp"
 #include "p2p/churn.hpp"
@@ -287,6 +289,143 @@ TEST(Snapshot, VersionSkewOnAnIntactFileIsVersionMismatchNotCorruption) {
   corrupt_bytes[8] = std::byte{2};
   EXPECT_EQ(core::SnapshotCodec::decode(corrupt_bytes, target).code(),
             StatusCode::kCorruption);
+}
+
+// ---- Crafted files: every checksum passes, one section breaks an invariant ----
+
+using core::byte_io::load_u32;
+using core::byte_io::load_u64;
+using core::byte_io::put_u32;
+using core::byte_io::put_u64;
+
+// Section ids and the envelope size, as laid out in core/snapshot.hpp.
+constexpr std::uint32_t kBucketsSection = 2;
+constexpr std::uint32_t kSeenSection = 3;
+constexpr std::uint32_t kTouchedSection = 5;
+constexpr std::size_t kSnapshotHeaderSize = 8 + 4 + 8 + 8 + 4;
+constexpr std::size_t kSnapshotFooterSize = 4 + 8;
+
+/// Walks the section table, handing each (id, payload) to `visit`.
+template <typename Visit>
+void for_each_section(std::span<const std::byte> bytes, Visit&& visit) {
+  std::size_t at = kSnapshotHeaderSize;
+  while (at < bytes.size() - kSnapshotFooterSize) {
+    const std::uint32_t id = load_u32(bytes, at);
+    const auto size = static_cast<std::size_t>(load_u64(bytes, at + 4));
+    visit(id, bytes.subspan(at + 16, size));
+    at += 16 + size;
+  }
+}
+
+[[nodiscard]] std::vector<std::byte> section_payload(std::span<const std::byte> bytes,
+                                                     std::uint32_t id) {
+  std::vector<std::byte> out;
+  for_each_section(bytes, [&](std::uint32_t section, std::span<const std::byte> payload) {
+    if (section == id) out.assign(payload.begin(), payload.end());
+  });
+  return out;
+}
+
+/// `bytes` with section `id`'s payload replaced by `payload`; the section's
+/// size and CRC and the whole-file CRC are recomputed, so only the decoder's
+/// semantic checks can refuse the result.
+[[nodiscard]] std::vector<std::byte> with_section(std::span<const std::byte> bytes,
+                                                  std::uint32_t id,
+                                                  std::span<const std::byte> payload) {
+  std::vector<std::byte> out{bytes.begin(), bytes.begin() + kSnapshotHeaderSize};
+  for_each_section(bytes, [&](std::uint32_t section, std::span<const std::byte> original) {
+    const std::span<const std::byte> body = section == id ? payload : original;
+    put_u32(out, section);
+    put_u64(out, body.size());
+    put_u32(out, util::crc32c(body));
+    out.insert(out.end(), body.begin(), body.end());
+  });
+  put_u32(out, util::crc32c(out));
+  out.insert(out.end(), bytes.end() - 8, bytes.end());  // tail magic
+  return out;
+}
+
+/// A payload of one u64 count followed by `values`, each `width` bytes.
+[[nodiscard]] std::vector<std::byte> counted(const std::vector<std::uint64_t>& values,
+                                             std::size_t width) {
+  std::vector<std::byte> out;
+  put_u64(out, values.size());
+  for (const std::uint64_t v : values) {
+    if (width == 8) {
+      put_u64(out, v);
+    } else {
+      put_u32(out, static_cast<std::uint32_t>(v));
+    }
+  }
+  return out;
+}
+
+TEST(Snapshot, CraftedInvariantViolationsAreCorruptionAndLeaveTheBuilderUntouched) {
+  const auto& w = snap_world();
+  auto builder = w.streaming();
+  builder.ingest(std::span<const p2p::PeerSample>{w.churn.windows[0]}.first(600), 1);
+  const auto pristine = core::SnapshotCodec::encode(builder, 1);
+
+  // The decoded arrays become the builder's live structures as they are, so
+  // the decoder's ordering and cross-section checks are all that keep a
+  // malformed file out.  Read the parts the cases rearrange.
+  const auto buckets = section_payload(pristine, kBucketsSection);
+  std::vector<std::uint64_t> bucket_asns;
+  std::vector<std::size_t> bucket_offsets;
+  constexpr std::size_t kPeerRecordSize = 4 + 1 + 8 + 8 + 8 + 4;
+  for (std::size_t at = 8; at < buckets.size();) {
+    bucket_offsets.push_back(at);
+    bucket_asns.push_back(load_u32(buckets, at));
+    at += 12 + static_cast<std::size_t>(load_u64(buckets, at + 4)) * kPeerRecordSize;
+  }
+  const auto seen = section_payload(pristine, kSeenSection);
+  std::vector<std::uint64_t> keys;
+  for (std::size_t at = 8; at < seen.size(); at += 8) keys.push_back(load_u64(seen, at));
+  ASSERT_GE(bucket_asns.size(), 2u);
+  ASSERT_GE(keys.size(), 2u);
+
+  std::vector<std::pair<const char*, std::vector<std::byte>>> cases;
+  auto swapped_keys = keys;
+  std::swap(swapped_keys[0], swapped_keys[1]);
+  cases.emplace_back("dedup keys not strictly ascending",
+                     with_section(pristine, kSeenSection, counted(swapped_keys, 8)));
+  auto repeated_key = keys;
+  repeated_key[1] = repeated_key[0];
+  cases.emplace_back("repeated dedup key",
+                     with_section(pristine, kSeenSection, counted(repeated_key, 8)));
+  auto swapped_buckets = buckets;
+  for (std::size_t i = 0; i < 4; ++i) {
+    swapped_buckets[bucket_offsets[0] + i] = buckets[bucket_offsets[1] + i];
+    swapped_buckets[bucket_offsets[1] + i] = buckets[bucket_offsets[0] + i];
+  }
+  cases.emplace_back("bucket ASNs not ascending",
+                     with_section(pristine, kBucketsSection, swapped_buckets));
+  cases.emplace_back("touched ASN with no bucket",
+                     with_section(pristine, kTouchedSection,
+                                  counted({bucket_asns.back() + 1}, 4)));
+  cases.emplace_back("touched ASNs not ascending",
+                     with_section(pristine, kTouchedSection,
+                                  counted({bucket_asns[1], bucket_asns[0]}, 4)));
+  auto fewer_keys = keys;
+  fewer_keys.pop_back();
+  cases.emplace_back("raw_samples differs from the key count",
+                     with_section(pristine, kSeenSection, counted(fewer_keys, 8)));
+
+  auto target = w.streaming();
+  target.ingest(w.churn.windows[1], 1);
+  const auto target_state = state_bytes(target);
+  for (const auto& [what, bytes] : cases) {
+    EXPECT_EQ(core::SnapshotCodec::decode(bytes, target).code(), StatusCode::kCorruption)
+        << what;
+    EXPECT_EQ(state_bytes(target), target_state) << what;
+  }
+
+  // Control: re-sealing an unchanged section yields a file that loads, so
+  // each refusal above is the decoder's verdict on the one broken invariant.
+  const auto resealed = with_section(pristine, kSeenSection, seen);
+  EXPECT_EQ(resealed, pristine);
+  ASSERT_TRUE(core::SnapshotCodec::decode(resealed, target).ok());
+  EXPECT_EQ(state_bytes(target), state_bytes(builder));
 }
 
 // ---- Byte-level corruption fuzz ----

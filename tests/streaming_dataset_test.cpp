@@ -14,7 +14,9 @@
 #include <optional>
 #include <set>
 #include <span>
+#include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/streaming_dataset.hpp"
@@ -148,6 +150,110 @@ TEST(StreamingDataset, RandomBatchSplitsMatchOneShot) {
     ASSERT_GT(batches, 3u) << "degenerate split; property has no force";
     expect_same_dataset(w.reference, streaming.finalize(threads),
                         ("random splits, seed=" + std::to_string(seed)).c_str());
+  }
+}
+
+// ---- Independent dedup oracle ----
+
+/// One drawn stream sample, flagged when it was drawn hostile: the oracle's
+/// door is this flag, not the builders' admission predicate.
+struct OracleDraw {
+  p2p::PeerSample sample;
+  bool hostile = false;
+};
+
+/// Seeded stream over the world's real samples (so admitted peers condition
+/// into real buckets) mixing every dedup case: repeats of earlier draws
+/// (within or across windows, depending on the split), the same IP under
+/// another app, and interleaved door rejects (a 10/8 IP, or an unknown app
+/// tag on a valid IP).
+std::vector<OracleDraw> oracle_stream(std::span<const p2p::PeerSample> base,
+                                      std::uint64_t seed, std::size_t size) {
+  util::Rng rng{seed};
+  std::vector<OracleDraw> out;
+  out.reserve(size);
+  while (out.size() < size) {
+    OracleDraw draw{base[rng.uniform_index(base.size())], false};
+    const double roll = rng.uniform();
+    if (roll < 0.3 && !out.empty()) {
+      draw = out[rng.uniform_index(out.size())];
+    } else if (roll < 0.45) {
+      const std::size_t app = static_cast<std::size_t>(draw.sample.app) + 1;
+      draw.sample.app = p2p::kAllApps[app % p2p::kAllApps.size()];
+    } else if (roll < 0.5) {
+      const std::uint32_t host = draw.sample.ip.value() & 0xffffffu;
+      draw.sample.ip = net::Ipv4Address{0x0a000000u | host};
+      draw.hostile = true;
+    } else if (roll < 0.55) {
+      draw.sample.app = static_cast<p2p::App>(200);
+      draw.hostile = true;
+    }
+    out.push_back(draw);
+  }
+  return out;
+}
+
+/// The naive reference: one loop over a std::set of (app, ip) pairs.
+struct DedupOracle {
+  std::set<std::pair<p2p::App, std::uint32_t>> seen;
+  std::vector<p2p::PeerSample> admitted;
+
+  core::WindowStats admit(std::span<const OracleDraw> window) {
+    core::WindowStats stats;
+    stats.offered = window.size();
+    for (const OracleDraw& draw : window) {
+      if (draw.hostile) {
+        ++stats.rejected;
+      } else if (seen.emplace(draw.sample.app, draw.sample.ip.value()).second) {
+        admitted.push_back(draw.sample);
+        ++stats.admitted;
+      } else {
+        ++stats.duplicates;
+      }
+    }
+    stats.cumulative_unique = seen.size();
+    return stats;
+  }
+};
+
+TEST(StreamingDataset, DedupMatchesANaiveSetOracleAtRandomSplits) {
+  const auto& w = stream_world();
+  // Every AS kept, so finalize() exposes each conditioned peer in the
+  // order the builder admitted it.
+  auto config = w.config;
+  config.min_peers_per_as = 1;
+  const core::DatasetBuilder one_shot{w.f.primary, w.f.secondary, w.f.mapper, config};
+  for (const std::uint64_t seed : {5u, 17u, 101u}) {
+    const std::string context = "oracle seed=" + std::to_string(seed);
+    const auto draws = oracle_stream(w.concatenated, seed, 40000);
+    std::vector<p2p::PeerSample> stream;
+    for (const OracleDraw& draw : draws) stream.push_back(draw.sample);
+
+    DedupOracle whole;
+    static_cast<void>(whole.admit(draws));
+    ASSERT_EQ(core::dedup_first_observation(stream), whole.admitted) << context;
+
+    util::Rng rng{seed * 7919};
+    DedupOracle oracle;
+    auto streaming = one_shot.streaming();
+    std::size_t cursor = 0;
+    while (cursor < draws.size()) {
+      const auto batch =
+          std::min(draws.size() - cursor, rng.uniform_index(draws.size() / 4 + 2));
+      const core::WindowStats expected =
+          oracle.admit(std::span<const OracleDraw>{draws}.subspan(cursor, batch));
+      streaming.ingest(std::span<const p2p::PeerSample>{stream}.subspan(cursor, batch), 2);
+      const core::WindowStats& got = streaming.stats().windows.back();
+      EXPECT_EQ(got, expected) << context << " at sample " << cursor;
+      EXPECT_EQ(got.offered, got.admitted + got.duplicates + got.rejected) << context;
+      EXPECT_EQ(got.cumulative_unique, streaming.unique_samples()) << context;
+      cursor += batch;
+    }
+    ASSERT_GT(streaming.stats().windows.size(), 3u) << "degenerate split";
+    EXPECT_EQ(oracle.admitted, whole.admitted) << context;
+    const auto reference = one_shot.build(oracle.admitted, 1);
+    ASSERT_FALSE(reference.ases().empty()) << context;
+    expect_same_dataset(reference, streaming.finalize(2), context.c_str());
   }
 }
 
