@@ -300,6 +300,10 @@ void put_record(std::vector<std::byte>& out, const AsAnalysis& analysis,
       !r.take(region_size, region)) {
     return truncated_record();
   }
+  // ServingSnapshot::find binary-searches the decoded analyses.
+  if (!out.empty() && net::Asn{asn} <= out.back().asn) {
+    return corruption_at("AS record ASNs not strictly ascending");
+  }
   if (level > static_cast<std::uint32_t>(topology::AsLevel::kGlobal)) {
     return corruption_at("AS level out of range");
   }
@@ -397,6 +401,10 @@ util::Status ArtifactCodec::encode(const TargetDataset& dataset,
   if (analyses.size() != ases.size()) {
     return util::Status::invalid_argument(
         "artifact: analyses must be parallel to the dataset's ASes");
+  }
+  if (dataset.stats().final_ases != ases.size()) {
+    return util::Status::invalid_argument(
+        "artifact: stats final_ases does not match the dataset's AS count");
   }
 
   std::vector<std::byte> stats_pay;
@@ -624,8 +632,9 @@ util::Status ArtifactView::load(std::span<const std::byte> bytes) {
     }
   }
 
-  // 5. Stats, and an AS count the record section could hold.  The records
-  // themselves are checked as materialize() decodes them.
+  // 5. Stats, and an AS count the record section could hold and the stats
+  // agree with.  The records themselves are checked as materialize()
+  // decodes them.
   DatasetStats stats;
   if (!byte_io::decode_stats(payload[kSecStats - 1], stats)) {
     return corruption_at("stats window count does not match the section size");
@@ -634,6 +643,9 @@ util::Status ArtifactView::load(std::span<const std::byte> bytes) {
   const std::uint64_t as_count = load_u64(bytes, 40);
   if (as_count > records.size() / kMinRecordSize) {
     return corruption_at("AS count exceeds what the record section could hold");
+  }
+  if (as_count != stats.final_ases) {
+    return corruption_at("AS count does not match the stats' final_ases");
   }
 
   // Commit — nothing above mutated the view's published state.

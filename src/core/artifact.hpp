@@ -35,8 +35,8 @@
 //   payload  sections back-to-back in table order, each zero-padded to the
 //            next 8-byte boundary:
 //             1 stats         10 u64 counters, u64 window count, 5 u64/window
-//             2 AS records    one record per AS, in dataset order, back to
-//                             back (layout below)
+//             2 AS records    one record per AS, in dataset order (strictly
+//                             ASN-ascending), back to back (layout below)
 //   tail     "EYBAREND"  8 B   tail magic
 //
 // AS record (every "count" is an element count, immediately followed by
@@ -87,7 +87,9 @@
 //      padding between sections
 //   4. per-section payload CRC (hardware-accelerated crc32c_fast)
 //   5. the stats record, and the AS count against the record section size
-// materialize() then checks every record field as it decodes it: enums in
+//      and against the stats' final_ases
+// materialize() then checks every record field as it decodes it: ASNs
+// strictly ascending (ServingSnapshot::find binary-searches them), enums in
 // range, the box, the grid shape re-derived by DensityGrid::shape_for, run
 // canonicality (counts >= 1, strictly separated, inside the grid, covering
 // exactly the nonzero values, each value bit-nonzero), peaks inside the
@@ -124,9 +126,10 @@ class ArtifactCodec {
   static constexpr std::uint32_t kFormatVersion = 3;
 
   /// Serializes one epoch into `out` (replaced).  `analyses` must be
-  /// parallel to `dataset.ases()`; of the dataset, only its stats and each
-  /// AS's ASN are written.  Canonical: equal inputs encode to identical
-  /// bytes.
+  /// parallel to `dataset.ases()` and the stats' final_ases must equal the
+  /// AS count (kInvalidArgument otherwise); of the dataset, only its stats
+  /// and each AS's ASN are written.  Canonical: equal inputs encode to
+  /// identical bytes.
   [[nodiscard]] static util::Status encode(const TargetDataset& dataset,
                                            std::span<const AsAnalysis> analyses,
                                            std::uint64_t epoch,

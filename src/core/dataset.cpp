@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <ostream>
+#include <stdexcept>
 #include <utility>
 
 #include "core/streaming_dataset.hpp"
@@ -102,26 +103,16 @@ std::ostream& operator<<(std::ostream& os, const DatasetStats& stats) {
 }
 
 TargetDataset::TargetDataset(std::vector<AsPeerSet> ases, DatasetStats stats)
-    : ases_(std::move(ases)), stats_(stats) {
-  by_asn_.resize(ases_.size());
-  for (std::uint32_t i = 0; i < by_asn_.size(); ++i) by_asn_[i] = i;
-  // Stable so duplicate ASNs keep construction order and find() returns
-  // the same entry the old linear scan did.
-  std::stable_sort(by_asn_.begin(), by_asn_.end(),
-                   [this](std::uint32_t a, std::uint32_t b) {
-                     return net::value_of(ases_[a].asn) < net::value_of(ases_[b].asn);
-                   });
+    : ases_(std::move(ases)), stats_(std::move(stats)) {
+  if (std::ranges::adjacent_find(ases_, std::ranges::greater_equal{}, &AsPeerSet::asn) !=
+      ases_.end()) {
+    throw std::invalid_argument{"TargetDataset: AS numbers not strictly ascending"};
+  }
 }
 
 const AsPeerSet* TargetDataset::find(net::Asn asn) const noexcept {
-  const std::uint32_t key = net::value_of(asn);
-  const auto it = std::lower_bound(
-      by_asn_.begin(), by_asn_.end(), key,
-      [this](std::uint32_t index, std::uint32_t k) {
-        return net::value_of(ases_[index].asn) < k;
-      });
-  if (it == by_asn_.end() || net::value_of(ases_[*it].asn) != key) return nullptr;
-  return &ases_[*it];
+  const auto it = std::ranges::lower_bound(ases_, asn, {}, &AsPeerSet::asn);
+  return it == ases_.end() || it->asn != asn ? nullptr : &*it;
 }
 
 DatasetBuilder::DatasetBuilder(const geodb::GeoDatabase& primary,

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <array>
-#include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <span>
@@ -143,22 +142,22 @@ struct DatasetStats {
 /// Streams to_string (this is what gtest prints on EXPECT_EQ failure).
 std::ostream& operator<<(std::ostream& os, const DatasetStats& stats);
 
-/// The conditioned dataset: one AsPeerSet per eligible eyeball AS.
+/// The conditioned dataset: one AsPeerSet per eligible eyeball AS, in
+/// strictly ascending ASN order (the order both builders keep their buckets
+/// in, and the order every AS list downstream of the dataset inherits).
 class TargetDataset {
  public:
+  /// Throws std::invalid_argument unless `ases` is strictly ASN-ascending.
   TargetDataset(std::vector<AsPeerSet> ases, DatasetStats stats);
 
   [[nodiscard]] std::span<const AsPeerSet> ases() const noexcept { return ases_; }
-  /// O(log n) via the ASN-sorted index built at construction (the repro
-  /// benches call this per AS in loops); equivalent to a linear scan,
-  /// including returning the *first* entry on duplicate ASNs.
+  /// O(log n) binary search over the ASN-ascending ases(); nullptr when the
+  /// ASN is not in the dataset.
   [[nodiscard]] const AsPeerSet* find(net::Asn asn) const noexcept;
   [[nodiscard]] const DatasetStats& stats() const noexcept { return stats_; }
 
  private:
   std::vector<AsPeerSet> ases_;
-  /// Indices into ases_, stably sorted by ASN.
-  std::vector<std::uint32_t> by_asn_;
   DatasetStats stats_;
 };
 

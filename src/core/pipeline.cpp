@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 
+#include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
 namespace eyeball::core {
@@ -38,22 +37,22 @@ StreamingDatasetBuilder EyeballPipeline::streaming_builder() const {
 std::vector<AsAnalysis> EyeballPipeline::refresh_analyses(
     const TargetDataset& dataset, std::span<const AsAnalysis> previous,
     std::span<const net::Asn> changed) const {
-  std::unordered_set<std::uint32_t> dirty;
-  dirty.reserve(changed.size());
-  for (const auto asn : changed) dirty.insert(net::value_of(asn));
-  // First occurrence wins on duplicate ASNs, matching TargetDataset::find.
-  std::unordered_map<std::uint32_t, const AsAnalysis*> reusable;
-  reusable.reserve(previous.size());
-  for (const auto& analysis : previous) {
-    reusable.emplace(net::value_of(analysis.asn), &analysis);
-  }
-
+  EYEBALL_DCHECK(std::ranges::is_sorted(previous, {}, &AsAnalysis::asn),
+                 "refresh_analyses: previous analyses not ASN-ascending");
+  EYEBALL_DCHECK(std::ranges::is_sorted(changed),
+                 "refresh_analyses: changed ASNs not ascending");
+  // One forward merge walk: dataset, previous and changed are all
+  // ASN-ascending, so each cursor only ever moves forward.
   const auto ases = dataset.ases();
   std::vector<std::optional<AsAnalysis>> slots(ases.size());
+  auto prev = previous.begin();
+  auto dirty = changed.begin();
   for (std::size_t i = 0; i < ases.size(); ++i) {
-    const std::uint32_t asn_value = net::value_of(ases[i].asn);
-    const auto hit = reusable.find(asn_value);
-    if (hit != reusable.end() && !dirty.contains(asn_value)) slots[i] = *hit->second;
+    const net::Asn asn = ases[i].asn;
+    while (prev != previous.end() && prev->asn < asn) ++prev;
+    while (dirty != changed.end() && *dirty < asn) ++dirty;
+    const bool reusable = prev != previous.end() && prev->asn == asn;
+    if (reusable && (dirty == changed.end() || *dirty != asn)) slots[i] = *prev;
   }
   return fill_slots(ases, std::move(slots), config_.threads);
 }

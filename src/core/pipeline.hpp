@@ -64,7 +64,9 @@ class EyeballPipeline {
   /// Incremental re-analysis after an ingest/finalize cycle: re-analyzes
   /// only the ASes named in `changed` (StreamingDatasetBuilder::
   /// touched_asns()) plus any AS absent from `previous`, and reuses the
-  /// ASN-matched `previous` entry for the rest.  Entry i corresponds to
+  /// ASN-matched `previous` entry for the rest.  `previous` and `changed`
+  /// must be ASN-ascending, like the dataset (DCHECKed); both may name ASNs
+  /// the dataset does not hold, which are ignored.  Entry i corresponds to
   /// dataset.ases()[i]; the result equals analyze_all(dataset.ases()) as
   /// long as `previous` came from the same pipeline configuration.
   [[nodiscard]] std::vector<AsAnalysis> refresh_analyses(

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/artifact.hpp"
+#include "util/check.hpp"
 
 namespace eyeball::serve {
 
@@ -25,25 +26,14 @@ std::string_view to_string(ServiceHealth health) noexcept {
 ServingSnapshot::ServingSnapshot(std::uint64_t epoch, core::DatasetStats stats,
                                  std::vector<core::AsAnalysis> analyses)
     : epoch_(epoch), stats_(std::move(stats)), analyses_(std::move(analyses)) {
-  by_asn_.resize(analyses_.size());
-  for (std::uint32_t i = 0; i < by_asn_.size(); ++i) by_asn_[i] = i;
-  // Stable, so duplicate ASNs keep dataset order and find() returns the
-  // first one, like TargetDataset::find.
-  std::stable_sort(by_asn_.begin(), by_asn_.end(),
-                   [this](std::uint32_t a, std::uint32_t b) {
-                     return net::value_of(analyses_[a].asn) <
-                            net::value_of(analyses_[b].asn);
-                   });
+  EYEBALL_DCHECK(std::ranges::adjacent_find(analyses_, std::ranges::greater_equal{},
+                                            &core::AsAnalysis::asn) == analyses_.end(),
+                 "ServingSnapshot: analyses not strictly ASN-ascending");
 }
 
 const core::AsAnalysis* ServingSnapshot::find(net::Asn asn) const noexcept {
-  const std::uint32_t key = net::value_of(asn);
-  const auto it = std::lower_bound(by_asn_.begin(), by_asn_.end(), key,
-                                   [this](std::uint32_t index, std::uint32_t k) {
-                                     return net::value_of(analyses_[index].asn) < k;
-                                   });
-  if (it == by_asn_.end() || net::value_of(analyses_[*it].asn) != key) return nullptr;
-  return &analyses_[*it];
+  const auto it = std::ranges::lower_bound(analyses_, asn, {}, &core::AsAnalysis::asn);
+  return it == analyses_.end() || it->asn != asn ? nullptr : &*it;
 }
 
 EyeballService::EyeballService(const core::EyeballPipeline& pipeline, ServiceConfig config)
@@ -58,18 +48,8 @@ void EyeballService::ingest(std::span<const p2p::PeerSample> window) {
 
 std::shared_ptr<const ServingSnapshot> EyeballService::publish() {
   const util::SerialSection writer{writer_serial_};
-  // Touched set must be read BEFORE finalize(): finalize clears it.  Merge
-  // in the work list rescued from a previously firewalled publish — those
-  // ASes changed, were never re-analyzed, and would otherwise be silently
-  // served stale forever.
-  std::vector<net::Asn> changed = builder_.touched_asns();
-  if (!carryover_changed_.empty()) {
-    changed.insert(changed.end(), carryover_changed_.begin(),
-                   carryover_changed_.end());
-    std::sort(changed.begin(), changed.end());
-    changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
-  }
-  return publish_from(std::move(changed), /*persist=*/true);
+  // Touched set must be read BEFORE finalize(): finalize clears it.
+  return publish_from(builder_.touched_asns(), /*persist=*/true);
 }
 
 util::Status EyeballService::restore(const std::string& dir,
@@ -84,10 +64,7 @@ util::Status EyeballService::restore(const std::string& dir,
   // The restored touched-set is relative to the snapshot's own history, not
   // to whatever this service last published — republish from scratch.
   // Invalidating own_epoch_ makes publish_from ignore the current epoch's
-  // analyses, here and in every publish until one succeeds; a stale
-  // carry-over list from before the restore is superseded for the same
-  // reason.
-  carryover_changed_.clear();
+  // analyses, here and in every publish until one succeeds.
   own_epoch_ = 0;
   if (publish_from({}, /*persist=*/false) == nullptr) return last_publish_status_;
   return util::Status{};
@@ -153,21 +130,21 @@ util::Status EyeballService::restore_from_artifact(const std::string& path) {
 }
 
 std::shared_ptr<const ServingSnapshot> EyeballService::publish_from(
-    std::vector<net::Asn> changed, bool persist) {
+    std::span<const net::Asn> changed, bool persist) {
   // ---- Exception firewall.  finalize/analysis may throw (bad_alloc, a
   // bug surfacing as a logic_error); on a long-lived server that must
   // become a typed value, not an unwound writer thread.  The builder holds
   // no invariant across the publish boundary that a throw can break:
-  // finalize() is non-destructive (touched-set clearing is repaired by the
-  // carry-over below), so the service keeps ingesting and the previous
-  // epoch keeps serving.
+  // finalize() is non-destructive (the touched set it clears is no longer
+  // needed once a trip invalidates own_epoch_ below), so the service keeps
+  // ingesting and the previous epoch keeps serving.
   std::unique_ptr<const core::TargetDataset> dataset;
   std::shared_ptr<const ServingSnapshot> next;
   try {
     dataset =
         std::make_unique<const core::TargetDataset>(builder_.finalize(config_.threads));
     // After finalize, before analysis: the window where a throw strands the
-    // already-cleared touched set — exactly what the carry-over must rescue.
+    // already-cleared touched set.
     if (config_.publish_fault_hook) config_.publish_fault_hook();
     // The current epoch stays pinned by this local shared_ptr, so handing
     // its analyses to refresh_analyses is safe even though readers may
@@ -198,11 +175,13 @@ std::shared_ptr<const ServingSnapshot> EyeballService::publish_from(
         util::Status::internal("publish firewall: non-std exception");
   }
   if (next == nullptr) {
-    carryover_changed_ = std::move(changed);
+    // finalize() may already have cleared the touched set, so nothing
+    // records what this publish would have re-analyzed: the next one
+    // re-analyzes every AS.
+    own_epoch_ = 0;
     health_.transition(ServiceHealth::kReadOnly, last_publish_status_);
     return nullptr;
   }
-  carryover_changed_.clear();
 
   // ---- Supervised durability: retry transient failures with exponential
   // backoff; surface (never throw) the final verdicts.  A failed save must

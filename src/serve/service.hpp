@@ -37,8 +37,9 @@
 // result is nevertheless identical to analyze_all from scratch (pinned by a
 // differential test).  The reuse is sound only for analyses this writer
 // built from its own builder, so it is keyed on the epoch number of the
-// writer's last own publish()/restore(): an epoch restored from an artifact
-// (or a failed restore) makes the next publish re-analyze every AS.
+// writer's last own publish()/restore(): an epoch restored from an artifact,
+// a restore, or a firewalled publish makes the next publish re-analyze
+// every AS.
 //
 // Durability: when ServiceConfig::snapshot_dir is non-empty, every
 // publish() also persists the builder state there via the crash-safe
@@ -54,8 +55,8 @@
 //   - Publication is firewalled: an exception escaping finalize/analysis in
 //     publish() or restore() is converted into a typed kInternal Status
 //     instead of unwinding into the caller; the previous epoch keeps
-//     serving and the captured changed-ASN work list carries over so the
-//     NEXT publish re-analyzes everything the failed one would have.
+//     serving and the trip invalidates the writer's own epoch, so the NEXT
+//     publish re-analyzes every AS (the same reuse rule as above).
 //   - The service reports a three-state health summary (health()):
 //     Healthy, DegradedDurability (serving + publishing fine, persistence
 //     failing), ReadOnly (the last publish itself failed).
@@ -236,7 +237,8 @@ class HealthTracker {
 /// one shape either way, so every accessor is valid on every epoch.
 class ServingSnapshot {
  public:
-  /// `analyses` in dataset order (entry i describes the i-th served AS).
+  /// `analyses` in dataset order, i.e. strictly ASN-ascending (entry i
+  /// describes the i-th served AS; the order is DCHECKed).
   ServingSnapshot(std::uint64_t epoch, core::DatasetStats stats,
                   std::vector<core::AsAnalysis> analyses);
 
@@ -258,16 +260,14 @@ class ServingSnapshot {
   [[nodiscard]] std::span<const core::AsAnalysis> analyses() const noexcept {
     return analyses_;
   }
-  /// O(log n) point lookup with TargetDataset::find's semantics (the first
-  /// entry on duplicate ASNs); nullptr when the ASN is not served.
+  /// O(log n) binary search over the ASN-ascending analyses(); nullptr when
+  /// the ASN is not served.
   [[nodiscard]] const core::AsAnalysis* find(net::Asn asn) const noexcept;
 
  private:
   std::uint64_t epoch_;
   core::DatasetStats stats_;
   std::vector<core::AsAnalysis> analyses_;
-  /// Indices into analyses_, stably sorted by ASN.
-  std::vector<std::uint32_t> by_asn_;
 };
 
 /// A point answer pinned to the epoch it came from: `analysis` points into
@@ -313,9 +313,8 @@ class EyeballService {
   /// publishes the result as the next epoch.  Returns the published
   /// snapshot — or nullptr when the exception firewall tripped: the typed
   /// failure is in last_publish_status(), health() reports ReadOnly, the
-  /// previous epoch keeps serving, and the changed-ASN work list carries
-  /// over so the next successful publish analyzes everything this one
-  /// would have.
+  /// previous epoch keeps serving, and the next publish re-analyzes every
+  /// AS.
   ///
   /// With a configured snapshot_dir / artifact_path, also persists the
   /// builder state / emits the serving artifact under the supervised retry
@@ -431,9 +430,9 @@ class EyeballService {
   /// exception firewall (shared by publish() and restore()), then — when
   /// `persist` — run the supervised durability writes.  Returns nullptr
   /// when the firewall tripped: the typed failure is in
-  /// last_publish_status(), `changed` carries over and health() reports
-  /// ReadOnly.
-  std::shared_ptr<const ServingSnapshot> publish_from(std::vector<net::Asn> changed,
+  /// last_publish_status(), own_epoch_ is reset so the next publish
+  /// re-analyzes every AS, and health() reports ReadOnly.
+  std::shared_ptr<const ServingSnapshot> publish_from(std::span<const net::Asn> changed,
                                                       bool persist)
       EYEBALL_REQUIRES(writer_serial_);
 
@@ -462,18 +461,14 @@ class EyeballService {
   util::Status last_publish_status_ EYEBALL_GUARDED_BY(writer_serial_);
   util::RetryResult last_save_retry_ EYEBALL_GUARDED_BY(writer_serial_);
   util::RetryResult last_artifact_retry_ EYEBALL_GUARDED_BY(writer_serial_);
-  /// Changed-ASN work list rescued from a firewalled publish: finalize()
-  /// clears the builder's touched set before analysis can fail, so without
-  /// this carry-over a publish AFTER a failed one would silently skip
-  /// re-analyzing the ASes the failed publish was about to cover.  Merged
-  /// into the next publish's work list, cleared on success.
-  std::vector<net::Asn> carryover_changed_ EYEBALL_GUARDED_BY(writer_serial_);
   /// Epoch number of this writer's last own publish()/restore(); 0 = none
-  /// (or invalidated by restore()).  publish() reuses the current epoch's
-  /// analyses only when that epoch is this one — analyses restored from an
-  /// artifact, or left over from before a restore, describe another
-  /// builder's history, and reusing them would serve stale answers for
-  /// every AS this builder did not touch.
+  /// (or invalidated by restore() or a firewalled publish).  publish()
+  /// reuses the current epoch's analyses only when that epoch is this one.
+  /// Analyses restored from an artifact, or left over from before a
+  /// restore, describe another builder's history; after a firewalled
+  /// publish, finalize() may have cleared the touched set the next publish
+  /// needed.  Reusing them would serve stale answers for every AS not
+  /// re-analyzed.
   std::uint64_t own_epoch_ EYEBALL_GUARDED_BY(writer_serial_) = 0;
   /// The published epoch; see SnapshotCell for why this is not
   /// std::atomic<std::shared_ptr>.  Internally synchronized — safe from

@@ -45,6 +45,7 @@
 #include "kde/grid.hpp"
 #include "p2p/churn.hpp"
 #include "pipeline_fixture.hpp"
+#include "scratch.hpp"
 #include "serve/service.hpp"
 #include "util/crc32c.hpp"
 #include "util/file.hpp"
@@ -196,7 +197,7 @@ void fix_section_crc(std::span<std::byte> image, std::size_t index) {
 /// File offsets of the fields of AS record 0 (layout in artifact.hpp),
 /// found by walking the intact record's counts.
 struct Record0 {
-  std::size_t level = 0, continent = 0, region_size = 0;
+  std::size_t asn = 0, level = 0, continent = 0, region_size = 0;
   std::size_t rows = 0, cols = 0, min_lat = 0, cell_km = 0;
   std::size_t run_count = 0, runs = 0, nonzero_count = 0, values = 0;
   std::size_t partition_count = 0, boundary_count = 0, peak_count = 0, peaks = 0;
@@ -206,6 +207,7 @@ struct Record0 {
 [[nodiscard]] Record0 record0(std::span<const std::byte> image) {
   Record0 r;
   std::size_t at = static_cast<std::size_t>(read_u64(image, kRecordsEntry + 8));
+  r.asn = at;
   r.level = at + 4;
   r.continent = at + 8;
   r.region_size = at + 20;
@@ -422,6 +424,23 @@ TEST(ArtifactFaults, UnalignedPayloadEndCannotWrapTheSectionBoundsCheck) {
             0u);
 }
 
+TEST(ArtifactFaults, StatsFinalAsesDisagreeingWithTheAsCountIsRefusedAtOpen) {
+  // stats.final_ases + 1 behind a re-sealed stats CRC: every record still
+  // decodes, so only the count check stands between this image and an
+  // epoch whose stats() claim one AS more than it serves.
+  const auto& w = fault_world();
+  const auto stats_at = static_cast<std::size_t>(read_u64(w.image, kStatsEntry + 8));
+  const std::size_t final_ases_at = stats_at + 8 * 8;  // the ninth counter
+  ASSERT_EQ(read_u64(w.image, final_ases_at), w.dataset.ases().size());
+  std::vector<std::byte> mutated = w.image;
+  const std::span<std::byte> m{mutated};
+  write_u64(m, final_ases_at, w.dataset.ases().size() + 1);
+  fix_section_crc(m, 0);
+  core::ArtifactView view;
+  const Status opened = core::ArtifactView::from_borrowed(mutated, view);
+  EXPECT_EQ(opened.code(), StatusCode::kCorruption) << opened;
+}
+
 TEST(ArtifactFaults, NonzeroReservedFieldsAreTypedCorruption) {
   // The header's reserved u32 and each table entry's three reserved fields
   // (v1's encoding tag and raw size among them) must be zero.  Set behind a
@@ -521,9 +540,8 @@ TEST(ArtifactFaults, PreviousFormatVersionsAreSkewNotCorruption) {
     // A replica restoring from it reports the skew and leaves the file
     // where it is: quarantine is for damaged files, and this one is intact
     // property of an older binary.
-    const std::string path = ::testing::TempDir() + "eyeball_artifact_fault_v" +
-                             std::to_string(version);
-    std::filesystem::remove(path);
+    const std::string path =
+        testing::scratch_path("artifact_fault_v" + std::to_string(version));
     std::filesystem::remove(path + std::string{util::kQuarantineSuffix});
     auto& fs = util::local_filesystem();
     ASSERT_TRUE(util::atomic_write_file(fs, path, image).ok());
@@ -563,6 +581,11 @@ TEST(ArtifactFaults, HostileRecordFieldsAreRefusedByMaterialize) {
   };
   constexpr std::uint64_t kHuge = std::uint64_t{1} << 60;
 
+  // ServingSnapshot::find binary-searches the decoded analyses, so a
+  // repeated or descending ASN would make lookups miss served ASes.
+  ASSERT_GE(w.analyses.size(), 2u);
+  hostile_u32(r.asn, net::value_of(w.analyses[1].asn), "ASN equal to record 1's");
+  hostile_u32(r.asn, UINT32_MAX, "ASN above record 1's");
   hostile_u32(r.level, 9, "level 9");
   hostile_u32(r.continent, 9, "continent 9");
   hostile_u64(r.region_size, kHuge, "region size huge");
@@ -684,8 +707,7 @@ TEST(ArtifactFaults, GridAboveTheCellBudgetIsRefusedByMaterialize) {
   EXPECT_EQ(decoded.code(), StatusCode::kConfigMismatch) << decoded;
   EXPECT_TRUE(out.empty());
 
-  const std::string path = ::testing::TempDir() + "eyeball_artifact_fault_oversized_grid";
-  std::filesystem::remove(path);
+  const std::string path = testing::scratch_path("artifact_fault_oversized_grid");
   std::filesystem::remove(path + std::string{util::kQuarantineSuffix});
   ASSERT_TRUE(util::atomic_write_file(util::local_filesystem(), path, mutated).ok());
   serve::EyeballService replica{w.pipeline};
@@ -725,9 +747,7 @@ TEST(ArtifactFaults, MisalignedBorrowedImageDecodesIdentically) {
 [[nodiscard]] std::size_t run_write_scenario(const FaultWorld& w,
                                              const FileFault& fault, bool fail_rename,
                                              const std::string& name) {
-  const std::string path =
-      ::testing::TempDir() + "eyeball_artifact_fault_" + name;
-  std::filesystem::remove(path);
+  const std::string path = testing::scratch_path("artifact_fault_" + name);
   auto& clean_fs = util::local_filesystem();
   const std::string label =
       std::string{util::to_string(fault.kind)} + " offset=" +

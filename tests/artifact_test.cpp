@@ -26,6 +26,7 @@
 #include "core/streaming_dataset.hpp"
 #include "p2p/churn.hpp"
 #include "pipeline_fixture.hpp"
+#include "scratch.hpp"
 #include "serve/service.hpp"
 #include "util/file.hpp"
 #include "util/status.hpp"
@@ -87,9 +88,7 @@ const ArtifactWorld& world() {
 }
 
 [[nodiscard]] std::string scratch_path(const std::string& name) {
-  const std::string path = ::testing::TempDir() + "eyeball_artifact_test_" + name;
-  std::filesystem::remove(path);
-  return path;
+  return testing::scratch_path("artifact_test_" + name);
 }
 
 /// File offset of section 2 (the AS records), read from the section table:
@@ -284,7 +283,9 @@ TEST(Artifact, RecordsWithEveryArrayEmptyRoundTrip) {
         core::AsFootprint{kde::DensityGrid{box, 5.0}, kde::Footprint{}, {}, 0, 40.0},
         core::PopFootprint{}});
   }
-  const core::TargetDataset dataset{std::move(ases), core::DatasetStats{}};
+  core::DatasetStats stats;
+  stats.final_ases = ases.size();
+  const core::TargetDataset dataset{std::move(ases), std::move(stats)};
   const std::vector<std::byte> bytes = encode_or_die(dataset, analyses, 3, w.fingerprint);
   core::ArtifactView view;
   const Status opened = core::ArtifactView::from_borrowed(bytes, view);
@@ -299,6 +300,14 @@ TEST(Artifact, EncodeRefusesMismatchedInputs) {
   std::span<const core::AsAnalysis> short_span{w.analyses.data(),
                                                w.analyses.size() - 1};
   EXPECT_EQ(core::ArtifactCodec::encode(w.dataset, short_span, 1, 0, bytes).code(),
+            StatusCode::kInvalidArgument);
+  // stats that disagree with the AS count: an image of it would serve one
+  // number of ASes while stats() claims another.
+  core::DatasetStats stats = w.dataset.stats();
+  ++stats.final_ases;
+  const core::TargetDataset miscounted{
+      {w.dataset.ases().begin(), w.dataset.ases().end()}, std::move(stats)};
+  EXPECT_EQ(core::ArtifactCodec::encode(miscounted, w.analyses, 1, 0, bytes).code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -37,6 +37,7 @@
 #include "core/streaming_dataset.hpp"
 #include "p2p/churn.hpp"
 #include "pipeline_fixture.hpp"
+#include "scratch.hpp"
 #include "serve/service.hpp"
 #include "util/clock.hpp"
 #include "util/file.hpp"
@@ -114,9 +115,7 @@ const ChaosWorld& chaos_world() {
 }
 
 [[nodiscard]] std::string scratch_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "eyeball_chaos_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
+  return testing::scratch_path("chaos_" + name);
 }
 
 /// Everything a scenario's schedule produced, for the reproducibility

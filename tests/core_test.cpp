@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,7 @@
 namespace eyeball::core {
 namespace {
 
+using eyeball::testing::same_analysis;
 using eyeball::testing::shared_fixture;
 
 // ---- Dataset conditioning (§2) ----
@@ -166,15 +169,14 @@ TEST(Dataset, FindAgreesWithLinearScan) {
   EXPECT_EQ(f.dataset.find(net::Asn{4294900000u}), nullptr);
 }
 
-TEST(Dataset, FindReturnsFirstOfDuplicateAsns) {
-  AsPeerSet first;
-  first.asn = net::Asn{7};
-  first.peers.push_back({net::Ipv4Address{1}, p2p::App::kKad, {0.0, 0.0}, 0.0});
-  AsPeerSet second;
-  second.asn = net::Asn{7};
-  const TargetDataset dataset{{first, second}, DatasetStats{}};
-  ASSERT_NE(dataset.find(net::Asn{7}), nullptr);
-  EXPECT_EQ(dataset.find(net::Asn{7}), &dataset.ases()[0]);
+TEST(Dataset, RefusesAsnsThatAreNotStrictlyAscending) {
+  const auto as = [](std::uint32_t asn) { return AsPeerSet{net::Asn{asn}, {}}; };
+  EXPECT_THROW((TargetDataset{{as(7), as(7)}, DatasetStats{}}), std::invalid_argument);
+  EXPECT_THROW((TargetDataset{{as(3), as(9), as(8)}, DatasetStats{}}),
+               std::invalid_argument);
+  const TargetDataset ascending{{as(3), as(8), as(9)}, DatasetStats{}};
+  EXPECT_EQ(ascending.find(net::Asn{8}), &ascending.ases()[1]);
+  EXPECT_EQ(ascending.find(net::Asn{7}), nullptr);
 }
 
 TEST(DatasetStats, EqualityAndDiffNameDivergedCounters) {
@@ -656,6 +658,72 @@ TEST(Pipeline, PopFootprintMatchesAnalyze) {
   ASSERT_EQ(analysis.pops.pops.size(), pops.pops.size());
   for (std::size_t i = 0; i < pops.pops.size(); ++i) {
     EXPECT_EQ(analysis.pops.pops[i].city, pops.pops[i].city);
+  }
+}
+
+TEST(Pipeline, RefreshReusesExactlyWhatALinearScanOracleDoes) {
+  // A small dataset (every fixture AS cut to 60 peers) keeps each trial's
+  // re-analysis cheap.
+  const auto& f = shared_fixture();
+  std::vector<AsPeerSet> small;
+  for (const auto& as : f.dataset.ases()) {
+    const std::size_t keep = std::min<std::size_t>(as.peers.size(), 60);
+    small.push_back(
+        {as.asn, {as.peers.begin(), as.peers.begin() + static_cast<std::ptrdiff_t>(keep)}});
+  }
+  DatasetStats stats;
+  stats.final_ases = small.size();
+  const TargetDataset dataset{std::move(small), std::move(stats)};
+  const auto ases = dataset.ases();
+  ASSERT_GE(ases.size(), 4u);
+  const std::vector<AsAnalysis> fresh = f.pipeline.analyze_all(ases);
+
+  // Every dataset ASN plus ASNs the dataset does not hold: below, between
+  // and above its own.
+  std::vector<net::Asn> candidates{net::Asn{0}, net::Asn{UINT32_MAX}};
+  for (const auto& as : ases) {
+    candidates.push_back(as.asn);
+    const net::Asn next{net::value_of(as.asn) + 1};
+    if (dataset.find(next) == nullptr) candidates.push_back(next);
+  }
+  std::ranges::sort(candidates);
+
+  // A `previous` entry is a copy marked with a sentinel no analysis
+  // produces, so a reused slot is told apart from a re-analyzed one.
+  constexpr std::size_t kSentinel = 987654321;
+  const auto marked = [&](std::size_t i, net::Asn asn) {
+    AsAnalysis copy = fresh[i];
+    copy.asn = asn;
+    copy.pops.unmapped_peaks = kSentinel;
+    return copy;
+  };
+  util::Rng rng{19};
+  for (int trial = 0; trial < 12; ++trial) {
+    const double keep_previous = rng.uniform(0.2, 1.0);
+    const double mark_changed = rng.uniform(0.0, 0.6);
+    std::vector<AsAnalysis> previous;
+    std::vector<net::Asn> changed;
+    for (const net::Asn asn : candidates) {
+      if (rng.bernoulli(keep_previous)) {
+        const AsPeerSet* as = dataset.find(asn);
+        previous.push_back(
+            marked(as == nullptr ? 0 : static_cast<std::size_t>(as - ases.data()), asn));
+      }
+      if (rng.bernoulli(mark_changed)) changed.push_back(asn);
+    }
+
+    const auto refreshed = f.pipeline.refresh_analyses(dataset, previous, changed);
+    ASSERT_EQ(refreshed.size(), ases.size());
+    for (std::size_t i = 0; i < ases.size(); ++i) {
+      const net::Asn asn = ases[i].asn;
+      const bool reuse =
+          std::ranges::any_of(previous, [&](const AsAnalysis& a) { return a.asn == asn; }) &&
+          std::ranges::find(changed, asn) == changed.end();
+      EXPECT_EQ(refreshed[i].pops.unmapped_peaks == kSentinel, reuse)
+          << "trial " << trial << " as index " << i;
+      EXPECT_TRUE(same_analysis(refreshed[i], reuse ? marked(i, asn) : fresh[i]))
+          << "trial " << trial << " as index " << i;
+    }
   }
 }
 

@@ -18,6 +18,7 @@
 #include "util/crc32c.hpp"
 #include "util/file.hpp"
 #include "util/status.hpp"
+#include "scratch.hpp"
 
 namespace eyeball {
 namespace {
@@ -36,8 +37,7 @@ using util::StatusCode;
 /// Fresh per-test scratch directory (removed up-front so reruns of the same
 /// binary see the same filesystem state).
 [[nodiscard]] std::string scratch_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "eyeball_file_test_" + name;
-  std::filesystem::remove_all(dir);
+  const std::string dir = testing::scratch_path("file_test_" + name);
   std::filesystem::create_directories(dir);
   return dir;
 }

@@ -21,6 +21,7 @@
 #include "core/streaming_dataset.hpp"
 #include "p2p/churn.hpp"
 #include "pipeline_fixture.hpp"
+#include "scratch.hpp"
 #include "serve/service.hpp"
 #include "util/clock.hpp"
 #include "util/crc32c.hpp"
@@ -248,8 +249,7 @@ TEST(Serving, IncrementalRepublishEqualsFromScratchAnalysis) {
 
 TEST(Serving, RestoreThenServeRoundTrip) {
   const auto& w = serve_world();
-  const std::string dir = ::testing::TempDir() + "eyeball_serving_test_round_trip";
-  std::filesystem::remove_all(dir);
+  const std::string dir = testing::scratch_path("serving_test_round_trip");
 
   serve::ServiceConfig writer_config = two_threads();
   writer_config.snapshot_dir = dir;
@@ -279,8 +279,7 @@ TEST(Serving, RestoreThenServeRoundTrip) {
   expect_same_snapshot(*published, *snap, "restore round trip");
 
   // A restore from an empty directory refuses and leaves serving intact.
-  const std::string empty = ::testing::TempDir() + "eyeball_serving_test_empty";
-  std::filesystem::remove_all(empty);
+  const std::string empty = testing::scratch_path("serving_test_empty");
   std::filesystem::create_directories(empty);
   const auto refusal = restored.restore(empty);
   EXPECT_EQ(refusal.code(), util::StatusCode::kNotFound);
@@ -289,9 +288,7 @@ TEST(Serving, RestoreThenServeRoundTrip) {
 
 TEST(Serving, RestoreRefusesWhenEveryGenerationIsDeadAndKeepsServing) {
   const auto& w = serve_world();
-  const std::string dir =
-      ::testing::TempDir() + "eyeball_serving_test_dead_generations";
-  std::filesystem::remove_all(dir);
+  const std::string dir = testing::scratch_path("serving_test_dead_generations");
   auto& fs = util::local_filesystem();
 
   // A writer leaves two generations behind.
@@ -357,7 +354,7 @@ TEST(Serving, RestoreRefusesWhenEveryGenerationIsDeadAndKeepsServing) {
 
 // ---- The health state machine and the publish exception firewall ----
 
-TEST(Serving, PublishFirewallTripsToReadOnlyAndCarryoverHealsTheNextEpoch) {
+TEST(Serving, PublishFirewallTripsToReadOnlyAndTheNextPublishReanalyzes) {
   const auto& w = serve_world();
   serve::ServiceConfig config = two_threads();
   bool armed = false;
@@ -371,8 +368,8 @@ TEST(Serving, PublishFirewallTripsToReadOnlyAndCarryoverHealsTheNextEpoch) {
   EXPECT_EQ(service.health().state, serve::ServiceHealth::kHealthy);
 
   // The throw lands after finalize() has cleared the touched set — the
-  // worst spot: without the carry-over, the next publish would silently
-  // serve stale analyses for every AS window 1 touched.
+  // worst spot: if the next publish still reused epoch 1's analyses, it
+  // would silently serve stale answers for every AS window 1 touched.
   service.ingest(w.churn.windows[1]);
   armed = true;
   const auto tripped = service.publish();
@@ -390,8 +387,9 @@ TEST(Serving, PublishFirewallTripsToReadOnlyAndCarryoverHealsTheNextEpoch) {
   EXPECT_EQ(report.times_read_only, 1u);
   EXPECT_FALSE(report.last_error.ok());
 
-  // Recovery publish with NO new ingest: only the carried-over work list
-  // tells refresh_analyses what window 1 changed.
+  // Recovery publish with NO new ingest: the touched set is empty, so only
+  // the trip's invalidation of the reuse epoch makes this publish
+  // re-analyze what window 1 changed.
   armed = false;
   const auto healed = service.publish();
   ASSERT_NE(healed, nullptr);
@@ -410,8 +408,7 @@ TEST(Serving, PublishFirewallTripsToReadOnlyAndCarryoverHealsTheNextEpoch) {
 
 TEST(Serving, RestorePublishRunsInsideTheFirewallAndTheNextPublishReanalyzes) {
   const auto& w = serve_world();
-  const std::string dir = ::testing::TempDir() + "eyeball_serving_test_restore_firewall";
-  std::filesystem::remove_all(dir);
+  const std::string dir = testing::scratch_path("serving_test_restore_firewall");
 
   {
     // A writer leaves a generation holding windows 0 and 1.
@@ -464,8 +461,7 @@ TEST(Serving, RestorePublishRunsInsideTheFirewallAndTheNextPublishReanalyzes) {
 
 TEST(Serving, DurabilityFaultsRetryDeterministicallyAndDegradeUntilRecovery) {
   const auto& w = serve_world();
-  const std::string dir = ::testing::TempDir() + "eyeball_serving_test_degraded";
-  std::filesystem::remove_all(dir);
+  const std::string dir = testing::scratch_path("serving_test_degraded");
 
   util::FaultInjectingFileSystem fs{util::local_filesystem()};
   util::FakeClock clock;
@@ -534,9 +530,7 @@ TEST(Serving, ArtifactRestoredEpochsSurviveConcurrentReaderStorm) {
   // gate, which is the point: a data race between a restore's publication
   // and the readers is a hard failure here.
   const auto& w = serve_world();
-  const std::string path =
-      ::testing::TempDir() + "eyeball_serving_artifact_storm.eyb";
-  std::filesystem::remove(path);
+  const std::string path = testing::scratch_path("serving_artifact_storm.eyb");
 
   // Writer-side service emits the artifact on publish.
   serve::ServiceConfig writer_config = two_threads();

@@ -26,6 +26,7 @@
 #include "core/streaming_dataset.hpp"
 #include "p2p/churn.hpp"
 #include "pipeline_fixture.hpp"
+#include "scratch.hpp"
 #include "util/file.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
@@ -84,9 +85,7 @@ const FaultWorld& fault_world() {
 }
 
 [[nodiscard]] std::string scratch_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "eyeball_snapshot_fault_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
+  return testing::scratch_path("snapshot_fault_" + name);
 }
 
 /// One save-under-fault / restore / recover scenario.  Returns the number

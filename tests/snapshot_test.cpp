@@ -23,6 +23,7 @@
 #include "core/streaming_dataset.hpp"
 #include "p2p/churn.hpp"
 #include "pipeline_fixture.hpp"
+#include "scratch.hpp"
 #include "util/crc32c.hpp"
 #include "util/file.hpp"
 #include "util/status.hpp"
@@ -100,9 +101,7 @@ void expect_same_dataset(const core::TargetDataset& reference,
 /// generation counter continues from whatever is on disk, so leftovers from
 /// a previous run would shift every expected generation number.
 [[nodiscard]] std::string scratch_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "eyeball_snapshot_test_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
+  return testing::scratch_path("snapshot_test_" + name);
 }
 
 [[nodiscard]] std::vector<std::string> snapshot_files(const std::string& dir) {

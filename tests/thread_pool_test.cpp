@@ -268,8 +268,8 @@ TEST(ParallelPipeline, AnalyzeAllMatchesSerialOnSyntheticTopology) {
 
 /// One huge AS among many small ones — the shape that starves a contiguous
 /// chunking of the AS list.  The huge AS repeats the fixture's largest
-/// peer set under a fresh ASN; the small ones are the first peers of every
-/// other fixture AS.
+/// peer set under a fresh ASN that sorts it to position size/3; the small
+/// ones are the first peers of every other fixture AS.
 core::TargetDataset skewed_dataset() {
   const auto ases = testing::shared_fixture().dataset.ases();
   const auto largest = std::max_element(
@@ -283,12 +283,21 @@ core::TargetDataset skewed_dataset() {
     out.push_back({it->asn, {it->peers.begin(),
                              it->peers.begin() + static_cast<std::ptrdiff_t>(keep)}});
   }
-  core::AsPeerSet huge{net::Asn{4200000000U}, {}};
+  // Renumbering the small ASes from size/3 on one up frees the ASN after
+  // the one before them, which sorts the huge AS to position size/3.
+  const auto at = static_cast<std::ptrdiff_t>((out.size() + 1) / 3);
+  for (auto it = out.begin() + at; it != out.end(); ++it) {
+    it->asn = net::Asn{net::value_of(it->asn) + 1};
+  }
+  core::AsPeerSet huge{net::Asn{net::value_of(out[static_cast<std::size_t>(at - 1)].asn) + 1},
+                       {}};
   for (int copy = 0; copy < 3; ++copy) {
     huge.peers.insert(huge.peers.end(), largest->peers.begin(), largest->peers.end());
   }
-  out.insert(out.begin() + static_cast<std::ptrdiff_t>(out.size() / 3), std::move(huge));
-  return core::TargetDataset{std::move(out), core::DatasetStats{}};
+  out.insert(out.begin() + at, std::move(huge));
+  core::DatasetStats stats;
+  stats.final_ases = out.size();
+  return core::TargetDataset{std::move(out), std::move(stats)};
 }
 
 std::vector<std::byte> encode_epoch(const core::TargetDataset& dataset,
@@ -328,6 +337,7 @@ TEST(ParallelPipeline, BalancedFanOutByteIdenticalOnSkewedAses) {
     changed.push_back(serial[i].asn);
   }
   changed.push_back(ases[ases.size() / 3].asn);  // the huge AS
+  std::ranges::sort(changed);
 
   // refresh_analyses fans out at PipelineConfig::threads.
   core::PipelineConfig config = pipeline.config();

@@ -69,6 +69,13 @@ historically been broken in systems like this:
                            a reasoned allow, because the dynamic type is
                            unrecoverably gone — the publish firewall in
                            serve/service.cpp is the one blessed site.
+  shared-temp-dir          A testing::TempDir() call outside tests/scratch.hpp:
+                           TempDir() is one host-wide directory, so a fixed
+                           name under it is shared by every build tree's
+                           copy of a test, and two trees running at once
+                           delete each other's files.  Scratch paths go
+                           through testing::scratch_path, which adds the
+                           process id.
 
 Suppression: a finding is silenced by an annotation on the same line or the
 line directly above, and the annotation must carry a reason:
@@ -112,6 +119,9 @@ RULES = {
     "swallowed-exception":
         "catch (...) / catch (std::exception&) body that neither rethrows nor "
         "produces a util::Status (the error vanishes)",
+    "shared-temp-dir":
+        "testing::TempDir() outside tests/scratch.hpp (use "
+        "testing::scratch_path, which is unique per process)",
 }
 
 META_RULES = {
@@ -130,6 +140,9 @@ NONDET_EXEMPT = ("src/util/rng.hpp", "src/util/rng.cpp")
 # The checked I/O layer: the ONE place raw libc I/O calls may live (their
 # results feed util::Status there, under test by the fault harness).
 IO_EXEMPT = ("src/util/file.hpp", "src/util/file.cpp")
+# The one file that may name gtest's host-wide temp directory.
+TEMP_DIR_EXEMPT = "tests/scratch.hpp"
+TEMP_DIR_RE = re.compile(r"\btesting\s*::\s*TempDir\s*\(")
 
 ALLOW_RE = re.compile(
     r"//\s*eyeball-lint:\s*allow\(([A-Za-z0-9_-]+)\)(\s*:\s*(\S.*))?")
@@ -567,6 +580,14 @@ def scan_text(rel_path: str, raw: str,
             "the failure vanishes; rethrow it, convert it to a typed "
             "Status, or (for a reasoned firewall) carry an allow")
 
+    # --- shared-temp-dir ---------------------------------------------------
+    if not rel_path.endswith(TEMP_DIR_EXEMPT):
+        for m in TEMP_DIR_RE.finditer(stripped):
+            add(line_of(stripped, m.start()), "shared-temp-dir",
+                "testing::TempDir() names a host-wide directory — a fixed "
+                "name under it collides between build trees; use "
+                "testing::scratch_path from tests/scratch.hpp")
+
     # --- suppression handling ---------------------------------------------
     allows = []  # (line, rule, has_reason, used)
     raw_lines = raw.splitlines()
@@ -659,6 +680,7 @@ FIXTURE_EXPECTATIONS = {
     "swallowed_exception_firewall.cpp": [],
     "swallowed_exception_rethrow.cpp": [],
     "swallowed_exception_allow_stale.cpp": ["unused-allow"],
+    "shared_temp_dir.cpp": ["shared-temp-dir"],
     "allow_ok.cpp": [],
     "allow_missing_reason.cpp": ["allow-without-reason", "naked-new"],
     "allow_unknown_rule.cpp": ["unknown-rule"],
