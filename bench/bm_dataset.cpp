@@ -52,6 +52,13 @@ std::vector<std::span<const p2p::PeerSample>> crawl_windows() {
   return out;
 }
 
+/// The multi-second axes run one iteration each, so a single run reads
+/// host noise as change: they repeat three times and report the median
+/// (with the mean and spread beside it) instead.
+void median_of_three(benchmark::internal::Benchmark* b) {
+  b->Repetitions(3)->ReportAggregatesOnly(true);
+}
+
 void BM_DatasetBuildThreads(benchmark::State& state) {
   const auto& w = world();
   const auto threads = static_cast<std::size_t>(state.range(0));  // 0 = hardware
@@ -68,7 +75,7 @@ void BM_DatasetBuildThreads(benchmark::State& state) {
 // Wall time: the shards run on pool workers, so the main thread's CPU time
 // (google-benchmark's default clock) would miss most of the work.
 BENCHMARK(BM_DatasetBuildThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(0)
-    ->UseRealTime()->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond)->Apply(median_of_three);
 
 // Marginal cost of the streaming path: windows 0..4 are ingested outside the
 // timed region, then only the final window's ingest is measured.  Work should
@@ -122,7 +129,7 @@ void BM_LongitudinalStreamingTotal(benchmark::State& state) {
                           static_cast<std::int64_t>(w.crawl.samples.size()));
 }
 BENCHMARK(BM_LongitudinalStreamingTotal)->Arg(1)->Arg(0)
-    ->UseRealTime()->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond)->Apply(median_of_three);
 
 // The rebuild axis the streaming path replaces: after each snapshot, rebuild
 // the conditioned dataset from scratch over the cumulative prefix.  Pays the
@@ -145,7 +152,7 @@ void BM_LongitudinalRebuildTotal(benchmark::State& state) {
                           static_cast<std::int64_t>(w.crawl.samples.size()));
 }
 BENCHMARK(BM_LongitudinalRebuildTotal)->Arg(1)->Arg(0)
-    ->UseRealTime()->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond)->Apply(median_of_three);
 
 /// Scratch directory for the snapshot benchmarks, reset per run so the
 /// generation counter and prune set start from a known state.
@@ -178,7 +185,7 @@ void BM_SnapshotSave(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes));
   std::filesystem::remove_all(dir);
 }
-BENCHMARK(BM_SnapshotSave)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SnapshotSave)->Unit(benchmark::kMillisecond)->Apply(median_of_three);
 
 // Crash-safety economics, read side: restoring the six-window state into a
 // fresh builder.  items/s counts the crawl samples the restored state covers,
@@ -207,7 +214,7 @@ void BM_SnapshotRestore(benchmark::State& state) {
                           static_cast<std::int64_t>(w.crawl.samples.size()));
   std::filesystem::remove_all(dir);
 }
-BENCHMARK(BM_SnapshotRestore)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SnapshotRestore)->Unit(benchmark::kMillisecond)->Apply(median_of_three);
 
 // Separable-convolution axis for the KDE engine, kept in this baseline next
 // to the conditioning axes because the two are the pipeline's raw-speed hot

@@ -153,10 +153,8 @@ void BM_KdeClustered(benchmark::State& state) {
   const kde::KernelDensityEstimator estimator{config};
   const auto box = estimator.padded_box(points);
   const auto grid = estimator.estimate(points, box);
-  std::size_t support = 0;
-  for (std::size_t r = 0; r < grid.rows(); ++r) {
-    support += grid.row_support(r).hi - grid.row_support(r).lo;
-  }
+  const std::size_t support = grid.stored_cells();
+  const std::size_t grid_bytes = support * sizeof(double);
   const bool analysis = state.range(0) == 1;
   for (auto _ : state) {
     if (analysis) {
@@ -168,7 +166,8 @@ void BM_KdeClustered(benchmark::State& state) {
   }
   state.SetLabel(std::string{analysis ? "peaks+contour, " : "estimate, "} +
                  std::to_string(support) + " of " + std::to_string(grid.cell_count()) +
-                 " cells in the support");
+                 " cells in the support, " + std::to_string(grid_bytes) + " grid bytes");
+  state.counters["grid_bytes"] = static_cast<double>(grid_bytes);
 }
 BENCHMARK(BM_KdeClustered)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 

@@ -120,9 +120,11 @@ void kde_accuracy_ablation() {
     const auto exact = estimator.estimate_exact(points, box);
     double worst = 0.0;
     double dmax = 0.0;
-    for (std::size_t i = 0; i < fast.values().size(); ++i) {
-      worst = std::max(worst, std::abs(fast.values()[i] - exact.values()[i]));
-      dmax = std::max(dmax, exact.values()[i]);
+    for (std::size_t r = 0; r < fast.rows(); ++r) {
+      for (std::size_t c = 0; c < fast.cols(); ++c) {
+        worst = std::max(worst, std::abs(fast.value(r, c) - exact.value(r, c)));
+        dmax = std::max(dmax, exact.value(r, c));
+      }
     }
     table.add_row({util::fixed(cell, 0) + " km", util::percent(worst / dmax, 2),
                    std::to_string(fast.cell_count())});

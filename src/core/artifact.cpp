@@ -81,16 +81,17 @@ void put_u32_at(std::span<std::byte> out, std::size_t at, std::uint32_t v) {
 /// Zero-suppresses a grid: appends its maximal runs of bit-nonzero cells to
 /// `runs` as (start, count) pairs and returns how many cells they cover.
 /// "Zero" means the u64 bit pattern is exactly zero — -0.0 and denormals
-/// count as nonzero and round-trip bit-exactly.  Only each row's support is
+/// count as nonzero and round-trip bit-exactly.  Only the stored cells are
 /// scanned (all else is +0.0), in row-major cell order like a dense scan.
 std::uint64_t append_runs(const kde::DensityGrid& grid, std::vector<std::uint64_t>& runs) {
   const std::size_t first = runs.size();
   std::uint64_t nonzero = 0;
   for (std::size_t row = 0; row < grid.rows(); ++row) {
-    const auto [lo, hi] = grid.row_support(row);
-    const std::uint64_t row_start = row * grid.cols();
-    for (std::uint64_t cell = row_start + lo; cell < row_start + hi; ++cell) {
-      if (std::bit_cast<std::uint64_t>(grid.values()[cell]) == 0) continue;
+    const std::span<const double> values = grid.row_values(row);
+    const std::uint64_t row_start = row * grid.cols() + grid.row_support(row).lo;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (std::bit_cast<std::uint64_t>(values[i]) == 0) continue;
+      const std::uint64_t cell = row_start + i;
       if (runs.size() == first || runs[runs.size() - 2] + runs.back() != cell) {
         runs.push_back(cell);
         runs.push_back(0);
@@ -100,6 +101,22 @@ std::uint64_t append_runs(const kde::DensityGrid& grid, std::vector<std::uint64_
     }
   }
   return nonzero;
+}
+
+/// Calls `piece(row, col, count)` for each row's share of the cells
+/// [start, start + count) of a grid `cols` wide: a run that crosses a row
+/// boundary is split there.
+template <typename Piece>
+void for_each_row_piece(std::uint64_t start, std::uint64_t count, std::uint64_t cols,
+                        Piece&& piece) {
+  while (count > 0) {
+    const std::uint64_t col = start % cols;
+    const std::uint64_t n = std::min(count, cols - col);
+    piece(static_cast<std::size_t>(start / cols), static_cast<std::size_t>(col),
+          static_cast<std::size_t>(n));
+    start += n;
+    count -= n;
+  }
 }
 
 /// One AS's zero-suppressed grid: its (start, count) run pairs and the
@@ -145,9 +162,13 @@ void put_record(std::vector<std::byte>& out, const AsAnalysis& analysis,
   put_u64(out, runs.size() / 2);
   for (const std::uint64_t v : runs) put_u64(out, v);
   put_u64(out, zero_suppressed.nonzero);
-  const std::span<const double> values = grid.values();
   for (std::size_t i = 0; i < runs.size(); i += 2) {
-    for (const double v : values.subspan(runs[i], runs[i + 1])) put_f64(out, v);
+    for_each_row_piece(runs[i], runs[i + 1], grid.cols(),
+                       [&](std::size_t row, std::size_t col, std::size_t n) {
+                         const std::span<const double> cells = grid.row_values(row).subspan(
+                             col - grid.row_support(row).lo, n);
+                         for (const double v : cells) put_f64(out, v);
+                       });
   }
 
   const kde::Footprint& contour = analysis.footprint.contour;
@@ -242,16 +263,12 @@ void put_record(std::vector<std::byte>& out, const AsAnalysis& analysis,
       !r.read_count(8, nonzero_count) || !r.take(nonzero_count * 8, values)) {
     return truncated_record();
   }
-  // The shape check above pinned rows/cols to exactly what this constructor
-  // derives, so the cell count as the budget reproduces the original grid
-  // without triggering the coarsening loop.
-  kde::DensityGrid grid{box, cell_km, cells == 0 ? 1 : static_cast<std::size_t>(cells)};
-  EYEBALL_DCHECK(grid.rows() == rows && grid.cols() == cols,
-                 "artifact grid shape diverged from DensityGrid's derivation");
   // Canonical runs — non-empty, strictly separated (maximal), inside the
   // grid, covering exactly the stored values, each bit-nonzero — make the
-  // encoding unique for a given grid and bound this scatter.
-  const std::span<double> dense = grid.mutable_values();
+  // encoding unique for a given grid and bound this walk.  It checks every
+  // run and value before anything is allocated, and notes each row's span:
+  // the hull of its stored cells.
+  std::vector<kde::DensityGrid::RowSpan> support(static_cast<std::size_t>(rows));
   Reader run_reader{runs};
   Reader value_reader{values};
   std::uint64_t prev_end = 0;
@@ -275,12 +292,35 @@ void put_record(std::vector<std::byte>& out, const AsAnalysis& analysis,
       std::uint64_t bits = 0;
       if (!value_reader.read_u64(bits)) return truncated_record();
       if (bits == 0) return corruption_at("bit-zero value stored as a nonzero grid cell");
-      dense[static_cast<std::size_t>(start + c)] = std::bit_cast<double>(bits);
     }
+    for_each_row_piece(start, count, cols, [&](std::size_t row, std::size_t col, std::size_t n) {
+      support[row].cover(col, col + n);
+    });
     prev_end = start + count;
   }
   if (value_reader.remaining() != 0) {
     return corruption_at("grid runs do not cover the stored nonzero values");
+  }
+
+  // The shape check above pinned rows/cols to exactly what this constructor
+  // derives, so the cell count as the budget reproduces the original grid
+  // without triggering the coarsening loop.
+  kde::DensityGrid grid{box, cell_km, cells == 0 ? 1 : static_cast<std::size_t>(cells)};
+  EYEBALL_DCHECK(grid.rows() == rows && grid.cols() == cols,
+                 "artifact grid shape diverged from DensityGrid's derivation");
+  grid.set_support(support);
+  run_reader = Reader{runs};
+  value_reader = Reader{values};
+  for (std::uint64_t i = 0; i < run_count; ++i) {
+    std::uint64_t start = 0;
+    std::uint64_t count = 0;
+    (void)run_reader.read_u64(start);
+    (void)run_reader.read_u64(count);
+    for_each_row_piece(start, count, cols, [&](std::size_t row, std::size_t col, std::size_t n) {
+      const std::span<double> stored =
+          grid.row_values(row).subspan(col - grid.row_support(row).lo, n);
+      for (double& v : stored) (void)value_reader.read_f64(v);
+    });
   }
   out.emplace(std::move(grid));
   return util::Status{};

@@ -64,7 +64,9 @@
 // stored as maximal runs of bit-nonzero cells (AS-local cell indices) plus
 // just the nonzero doubles, in run order.  A cell is zero iff its IEEE-754
 // bit pattern is exactly zero, so -0.0 and denormals survive the round trip
-// bit-exactly.
+// bit-exactly.  A decoded grid stores, per row, the hull of that row's
+// stored cells (a run crossing a row boundary counts toward both rows), so
+// a replica allocates no more than the runs span.
 //
 // Images of another format version are refused as kVersionMismatch (v1 had
 // 11 sections, v2 had 10 with a per-AS offset index, per-kind arenas and a
@@ -178,8 +180,9 @@ class ArtifactView {
   /// Decodes every AS record, in dataset order, into the exact in-memory
   /// analyses the epoch was published with — what a replica's restore runs
   /// once.  Damaged records are kCorruption; a grid of more than
-  /// `max_grid_cells` cells is kConfigMismatch, refused before it is
-  /// allocated.  On any failure `out` is untouched.
+  /// `max_grid_cells` cells (rows x cols, stored or not) is
+  /// kConfigMismatch, refused before anything is allocated for it.  On any
+  /// failure `out` is untouched.
   [[nodiscard]] util::Status materialize(std::size_t max_grid_cells,
                                          std::vector<AsAnalysis>& out) const;
 

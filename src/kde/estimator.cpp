@@ -5,6 +5,7 @@
 #include <numbers>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "kde/convolve.hpp"
@@ -93,35 +94,56 @@ struct RowRuns {
   }
 };
 
+/// The points' counts on `geometry`'s cells, stored over each row's
+/// occupied columns alone; `used` is how many points fell inside the box.
+DensityGrid bin_points(const DensityGrid& geometry, std::span<const geo::GeoPoint> points,
+                       std::size_t& used) {
+  DensityGrid binned = geometry;
+  std::vector<std::pair<std::size_t, std::size_t>> cells;
+  cells.reserve(points.size());
+  std::vector<DensityGrid::RowSpan> occupied(geometry.rows());
+  for (const auto& p : points) {
+    if (const auto cell = geometry.cell_of(p)) {
+      cells.push_back(*cell);
+      occupied[cell->first].cover(cell->second, cell->second + 1);
+    }
+  }
+  binned.set_support(occupied);
+  for (const auto& [r, c] : cells) {
+    binned.row_values(r)[c - binned.row_support(r).lo] += 1.0;
+  }
+  used = cells.size();
+  return binned;
+}
+
 /// Output runs of the horizontal pass over the binned counts: each row's
 /// nonzero cells grouped into clusters, split where two nonzero cells are
 /// more than two kernel radii apart (their widened outputs cannot meet),
 /// each cluster widened by the row's radius and clipped to the row.  Within
-/// one radius outside a run every input cell is zero.
-RowRuns horizontal_runs(std::span<const double> cells, std::size_t cols,
-                        std::span<const DensityGrid::RowSpan> occupied,
-                        const KernelArena& kernels) {
+/// one radius outside a run every input cell is zero.  `binned` stores each
+/// row's occupied columns, whose first and last cells are nonzero.
+RowRuns horizontal_runs(const DensityGrid& binned, const KernelArena& kernels) {
   RowRuns out;
-  out.begin.reserve(occupied.size() + 1);
-  for (std::size_t r = 0; r < occupied.size(); ++r) {
+  out.begin.reserve(binned.rows() + 1);
+  for (std::size_t r = 0; r < binned.rows(); ++r) {
     out.begin.push_back(out.spans.size());
-    const DensityGrid::RowSpan span = occupied[r];
-    if (span.lo == span.hi) continue;
+    const std::span<const double> row = binned.row_values(r);
+    if (row.empty()) continue;
+    const std::size_t lo = binned.row_support(r).lo;
     const std::size_t radius = kernels.tap_count(r) / 2;
     const auto emit = [&](std::size_t first, std::size_t last) {
-      out.spans.push_back({first >= radius ? first - radius : 0,
-                           std::min(cols, last + 1 + radius)});
+      out.spans.push_back({lo + first >= radius ? lo + first - radius : 0,
+                           std::min(binned.cols(), lo + last + 1 + radius)});
     };
-    const double* row = cells.data() + r * cols;
-    std::size_t first = span.lo;  // binned, hence nonzero
-    std::size_t last = span.lo;
-    for (std::size_t c = span.lo + 1; c < span.hi; ++c) {
-      if (row[c] == 0.0) continue;
-      if (c - last > 2 * radius) {
+    std::size_t first = 0;  // binned, hence nonzero
+    std::size_t last = 0;
+    for (std::size_t i = 1; i < row.size(); ++i) {
+      if (row[i] == 0.0) continue;
+      if (i - last > 2 * radius) {
         emit(first, last);
-        first = c;
+        first = i;
       }
-      last = c;
+      last = i;
     }
     emit(first, last);
   }
@@ -332,28 +354,12 @@ DensityGrid KernelDensityEstimator::estimate(std::span<const geo::GeoPoint> poin
   DensityGrid grid{box, config_.cell_km, config_.max_cells};
   const std::size_t rows = grid.rows();
   const std::size_t cols = grid.cols();
-  const std::span<double> cells = grid.mutable_values();
-
-  // Bin, noting each row's occupied column range.
-  std::vector<DensityGrid::RowSpan> occupied(rows);
-  std::size_t used = 0;
-  for (const auto& p : points) {
-    if (const auto cell = grid.cell_of(p)) {
-      const auto [r, c] = *cell;
-      cells[r * cols + c] += 1.0;
-      occupied[r].cover(c, c + 1);
-      ++used;
-    }
-  }
-  if (used == 0) {
-    throw std::invalid_argument{"KernelDensityEstimator::estimate: no points inside box"};
-  }
 
   // Both passes below run only where their output can be nonzero (see
-  // DESIGN.md "Sparse support").  Every count and every tap is
-  // non-negative, so each term a pass skips would add exactly +0.0 to a sum
-  // that is never -0.0: the sparse passes are bit-identical to convolving
-  // the whole box.
+  // DESIGN.md "Sparse support"), and the grid stores only those cells.
+  // Every count and every tap is non-negative, so each term a pass skips
+  // would add exactly +0.0 to a sum that is never -0.0: the sparse passes
+  // are bit-identical to convolving the whole box.
   //
   // The whole quantized kernel set is built up front into one flat arena so
   // the parallel regions only read const data — no locking.
@@ -362,7 +368,40 @@ DensityGrid KernelDensityEstimator::estimate(std::span<const geo::GeoPoint> poin
   const auto vertical = detail::gaussian_taps(
       config_.bandwidth_km / grid.cell_height_km(), config_.truncate_sigmas);
   const std::size_t vradius = vertical.size() / 2;
-  const RowRuns runs = horizontal_runs(cells, cols, occupied, kernels);
+
+  std::size_t used = 0;
+  RowRuns runs;
+  {
+    const DensityGrid binned = bin_points(grid, points, used);
+    if (used == 0) {
+      throw std::invalid_argument{"KernelDensityEstimator::estimate: no points inside box"};
+    }
+    runs = horizontal_runs(binned, kernels);
+
+    // The result's support: a row's output can be nonzero only in columns
+    // some horizontal run within one vertical radius covers.  It holds every
+    // row's own runs, hence its binned cells, and is all the grid stores.
+    std::vector<DensityGrid::RowSpan> support(rows);
+    for (std::size_t j = 0; j < rows; ++j) {
+      const auto row_runs = runs.of(j);
+      if (row_runs.empty()) continue;
+      const std::size_t lo = row_runs.front().lo;
+      const std::size_t hi = row_runs.back().hi;
+      for (std::size_t r = j >= vradius ? j - vradius : 0;
+           r < std::min(rows, j + vradius + 1); ++r) {
+        support[r].cover(lo, hi);
+      }
+    }
+    grid.set_support(support);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const std::span<const double> counts = binned.row_values(r);
+      if (counts.empty()) continue;
+      std::copy(counts.begin(), counts.end(),
+                grid.row_values(r)
+                    .subspan(binned.row_support(r).lo - grid.row_support(r).lo)
+                    .begin());
+    }
+  }
 
   auto& pool = util::ThreadPool::shared();
   const std::size_t ways =
@@ -379,12 +418,14 @@ DensityGrid KernelDensityEstimator::estimate(std::span<const geo::GeoPoint> poin
       [&](std::size_t lo, std::size_t hi) {
         std::vector<double> out;
         for (std::size_t r = lo; r < hi; ++r) {
+          const std::span<double> row = grid.row_values(r);
+          const std::size_t row_lo = grid.row_support(r).lo;
           for (const auto& span : runs.of(r)) {
-            double* row = cells.data() + r * cols + span.lo;
+            double* run = row.data() + (span.lo - row_lo);
             out.resize(span.hi - span.lo);
-            detail::convolve_row(row, out.data(), out.size(), kernels.taps_of(r),
+            detail::convolve_row(run, out.data(), out.size(), kernels.taps_of(r),
                                  kernels.tap_count(r));
-            std::copy(out.begin(), out.end(), row);
+            std::copy(out.begin(), out.end(), run);
           }
         }
       },
@@ -394,12 +435,14 @@ DensityGrid KernelDensityEstimator::estimate(std::span<const geo::GeoPoint> poin
   // groups.  Within a tile, the rows whose horizontal runs reach it are
   // grouped into bands, split where two such rows are more than two radii
   // apart.  Each band, widened by the radius, is gathered into a compact
-  // rows x width buffer (unit stride for convolve_columns_tile), convolved
-  // and written back; its clipped edges drop only rows that are zero in
-  // the tile, and the widened bands of one tile never overlap.  Rows
-  // outside every band are zero in the tile and stay so.  Tiles are
-  // disjoint and the chunk boundaries depend only on the tile count and
-  // `ways`, so the pass stays bit-identical at any thread count.
+  // rows x width buffer (unit stride for convolve_columns_tile; +0.0 where
+  // a row stores nothing), convolved and written back to the stored cells;
+  // what falls outside a row's span is +0.0, since no run within one radius
+  // reaches it.  Its clipped edges drop only rows that are zero in the
+  // tile, and the widened bands of one tile never overlap.  Rows outside
+  // every band are zero in the tile and stay so.  Tiles are disjoint and
+  // the chunk boundaries depend only on the tile count and `ways`, so the
+  // pass stays bit-identical at any thread count.
   const std::size_t tiles =
       (cols + detail::kConvolveTile - 1) / detail::kConvolveTile;
   pool.parallel_for(
@@ -410,20 +453,32 @@ DensityGrid KernelDensityEstimator::estimate(std::span<const geo::GeoPoint> poin
         for (std::size_t t = lo; t < hi; ++t) {
           const std::size_t col = t * detail::kConvolveTile;
           const std::size_t width = std::min(detail::kConvolveTile, cols - col);
+          // The stored cells of `row` inside the tile, and the tile column
+          // the first of them sits in.
+          const auto stored = [&](std::size_t row) -> std::pair<std::span<double>, std::size_t> {
+            const DensityGrid::RowSpan span = grid.row_support(row);
+            const std::size_t from = std::max(span.lo, col);
+            const std::size_t to = std::min(span.hi, col + width);
+            if (from >= to) return {{}, 0};
+            return {grid.row_values(row).subspan(from - span.lo, to - from), from - col};
+          };
           const auto band = [&](std::size_t first, std::size_t last) {
             const std::size_t top = first >= vradius ? first - vradius : 0;
             const std::size_t height = std::min(rows, last + 1 + vradius) - top;
             in.resize(height * width);
             out.resize(height * width);
             for (std::size_t i = 0; i < height; ++i) {
-              std::copy_n(cells.data() + (top + i) * cols + col, width,
-                          in.data() + i * width);
+              const auto [cells, at] = stored(top + i);
+              double* const row = in.data() + i * width;
+              std::fill(row, row + at, 0.0);
+              std::copy(cells.begin(), cells.end(), row + at);
+              std::fill(row + at + cells.size(), row + width, 0.0);
             }
             detail::convolve_columns_tile(in.data(), out.data(), height, width, 0, width,
                                           vertical.data(), vertical.size());
             for (std::size_t i = 0; i < height; ++i) {
-              std::copy_n(out.data() + i * width, width,
-                          cells.data() + (top + i) * cols + col);
+              const auto [cells, at] = stored(top + i);
+              std::copy_n(out.data() + i * width + at, cells.size(), cells.data());
             }
           };
           bool open = false;
@@ -446,20 +501,6 @@ DensityGrid KernelDensityEstimator::estimate(std::span<const geo::GeoPoint> poin
       },
       ways);
 
-  // The result's support: a row's output can be nonzero only in columns
-  // some horizontal run within one vertical radius covers.
-  std::vector<DensityGrid::RowSpan> support(rows);
-  for (std::size_t j = 0; j < rows; ++j) {
-    const auto row_runs = runs.of(j);
-    if (row_runs.empty()) continue;
-    const std::size_t lo = row_runs.front().lo;
-    const std::size_t hi = row_runs.back().hi;
-    for (std::size_t r = j >= vradius ? j - vradius : 0;
-         r < std::min(rows, j + vradius + 1); ++r) {
-      support[r].cover(lo, hi);
-    }
-  }
-
   // Normalize: expected count per cell -> probability density per km^2.
   pool.parallel_for(
       0, rows,
@@ -467,12 +508,10 @@ DensityGrid KernelDensityEstimator::estimate(std::span<const geo::GeoPoint> poin
         for (std::size_t r = lo; r < hi; ++r) {
           const double scale =
               1.0 / (static_cast<double>(used) * grid.cell_area_km2(r));
-          double* row = cells.data() + r * cols;
-          for (std::size_t c = support[r].lo; c < support[r].hi; ++c) row[c] *= scale;
+          for (double& v : grid.row_values(r)) v *= scale;
         }
       },
       ways);
-  grid.restrict_support(std::move(support));
   return grid;
 }
 
@@ -482,6 +521,7 @@ DensityGrid KernelDensityEstimator::estimate_exact(std::span<const geo::GeoPoint
     throw std::invalid_argument{"KernelDensityEstimator::estimate_exact: no points"};
   }
   DensityGrid grid{box, config_.cell_km, config_.max_cells};
+  grid.set_support(std::vector<DensityGrid::RowSpan>(grid.rows(), {0, grid.cols()}));
   const double sigma = config_.bandwidth_km;
   const double support = sigma * config_.truncate_sigmas;
   const double norm = 1.0 / (2.0 * std::numbers::pi * sigma * sigma *
@@ -500,7 +540,7 @@ DensityGrid KernelDensityEstimator::estimate_exact(std::span<const geo::GeoPoint
               const double d = geo::approx_distance_km(center, p);
               if (d <= support) acc += std::exp(-0.5 * (d / sigma) * (d / sigma));
             }
-            grid.at(r, c) = acc * norm;
+            grid.set(r, c, acc * norm);
           }
         }
       },

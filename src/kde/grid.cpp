@@ -1,9 +1,7 @@
 #include "kde/grid.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstdint>
 #include <stdexcept>
 
 namespace eyeball::kde {
@@ -41,29 +39,19 @@ DensityGrid::DensityGrid(const geo::BoundingBox& box, double cell_km,
     cell_km_ *= 1.5;
   }
   EYEBALL_DCHECK(rows_ * cols_ <= max_cells, "cell budget violated after coarsening");
-  values_.assign(rows_ * cols_, 0.0);
-  support_.assign(rows_, RowSpan{0, cols_});
+  rows_info_.assign(rows_, StoredRow{});
 }
 
-std::span<double> DensityGrid::mutable_values() noexcept {
-  std::fill(support_.begin(), support_.end(), RowSpan{0, cols_});
-  return values_;
-}
-
-void DensityGrid::restrict_support(std::vector<RowSpan> support) {
+void DensityGrid::set_support(std::span<const RowSpan> support) {
   EYEBALL_DCHECK(support.size() == rows_, "support needs one span per row");
-#if EYEBALL_DCHECK_ENABLED
+  std::size_t total = 0;
   for (std::size_t r = 0; r < rows_; ++r) {
     const RowSpan span = support[r];
     EYEBALL_DCHECK(span.lo <= span.hi && span.hi <= cols_, "support span out of bounds");
-    for (std::size_t c = 0; c < cols_; ++c) {
-      EYEBALL_DCHECK((c >= span.lo && c < span.hi) ||
-                         std::bit_cast<std::uint64_t>(value(r, c)) == 0,
-                     "nonzero cell outside the declared support");
-    }
+    rows_info_[r] = {span, total};
+    total += span.hi - span.lo;
   }
-#endif
-  support_ = std::move(support);
+  cells_.assign(total, 0.0);
 }
 
 geo::GeoPoint DensityGrid::center_of(std::size_t row, std::size_t col) const noexcept {
@@ -105,10 +93,9 @@ std::optional<DensityGrid::MaxCell> DensityGrid::max_cell() const noexcept {
   // neither beat nor tie a positive maximum.
   std::optional<MaxCell> best;
   for (std::size_t r = 0; r < rows_; ++r) {
-    const RowSpan span = support_[r];
-    for (std::size_t c = span.lo; c < span.hi; ++c) {
-      const double v = values_[r * cols_ + c];
-      if (!best || best->value < v) best = MaxCell{r, c, v};
+    const std::span<const double> row = row_values(r);
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      if (!best || best->value < row[i]) best = MaxCell{r, rows_info_[r].span.lo + i, row[i]};
     }
   }
   if (!best || best->value <= 0.0) return std::nullopt;
@@ -119,24 +106,13 @@ double DensityGrid::integral() const noexcept {
   // Skipped cells add exactly +0.0 to a sum that can never be -0.0.
   double total = 0.0;
   for (std::size_t r = 0; r < rows_; ++r) {
-    const RowSpan span = support_[r];
-    if (span.lo == span.hi) continue;
+    const std::span<const double> row = row_values(r);
+    if (row.empty()) continue;
     double row_sum = 0.0;
-    for (std::size_t c = span.lo; c < span.hi; ++c) row_sum += value(r, c);
+    for (const double v : row) row_sum += v;
     total += row_sum * cell_area_km2(r);
   }
   return total;
-}
-
-SupportFlags::SupportFlags(const DensityGrid& grid)
-    : grid_(grid), offsets_(grid.rows()) {
-  std::size_t total = 0;
-  for (std::size_t r = 0; r < grid.rows(); ++r) {
-    offsets_[r] = total;
-    const DensityGrid::RowSpan span = grid.row_support(r);
-    total += span.hi - span.lo;
-  }
-  flags_.assign(total, 0);
 }
 
 }  // namespace eyeball::kde

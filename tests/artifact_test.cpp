@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
@@ -107,6 +108,20 @@ const ArtifactWorld& world() {
 /// No cell budget: decode every grid the image holds.
 constexpr std::size_t kAnyGrid = std::numeric_limits<std::size_t>::max();
 
+/// Cells in the per-row hulls of `grid`'s bit-nonzero cells: the most a
+/// grid decoded from its runs may store.
+[[nodiscard]] std::size_t nonzero_hull_cells(const kde::DensityGrid& grid) {
+  std::size_t total = 0;
+  for (std::size_t r = 0; r < grid.rows(); ++r) {
+    kde::DensityGrid::RowSpan hull;
+    for (std::size_t c = 0; c < grid.cols(); ++c) {
+      if (std::bit_cast<std::uint64_t>(grid.value(r, c)) != 0) hull.cover(c, c + 1);
+    }
+    total += hull.hi - hull.lo;
+  }
+  return total;
+}
+
 void expect_decodes_to_epoch(const core::ArtifactView& view,
                              const core::TargetDataset& dataset,
                              std::span<const core::AsAnalysis> analyses,
@@ -130,6 +145,10 @@ void expect_decodes_to_epoch(const core::ArtifactView& view,
   for (std::size_t i = 0; i < decoded.size(); ++i) {
     EXPECT_EQ(decoded[i].asn, dataset.ases()[i].asn) << context << " as index " << i;
     EXPECT_TRUE(same_analysis(decoded[i], analyses[i])) << context << " as index " << i;
+    // A replica allocates what the runs span, not the box.
+    EXPECT_LE(decoded[i].footprint.grid.stored_cells(),
+              nonzero_hull_cells(analyses[i].footprint.grid))
+        << context << " as index " << i;
   }
 }
 
@@ -291,6 +310,58 @@ TEST(Artifact, RecordsWithEveryArrayEmptyRoundTrip) {
   const Status opened = core::ArtifactView::from_borrowed(bytes, view);
   ASSERT_TRUE(opened.ok()) << opened;
   expect_decodes_to_epoch(view, dataset, analyses, "minimal records");
+}
+
+TEST(Artifact, RunsCrossingARowBoundaryRoundTrip) {
+  // A hand-built grid whose nonzero cells run from the end of row 1 into
+  // the start of row 2 (one stored run, split across two rows on decode),
+  // plus a row whose span holds zeros at both ends and between two nonzero
+  // cells, and a -0.0 (bit-nonzero, so stored).
+  const auto& w = world();
+  const geo::BoundingBox box{45.0, 45.5, 9.0, 10.0};
+  kde::DensityGrid grid{box, 5.0};
+  const std::size_t cols = grid.cols();
+  ASSERT_GE(grid.rows(), 5u);
+  ASSERT_GE(cols, 9u);
+  std::vector<kde::DensityGrid::RowSpan> support(grid.rows());
+  support[1] = {cols - 3, cols};
+  support[2] = {0, 2};
+  support[4] = {1, 9};
+  grid.set_support(support);
+  grid.set(1, cols - 3, 1.5);
+  grid.set(1, cols - 2, 2.5);
+  grid.set(1, cols - 1, 3.5);
+  grid.set(2, 0, 4.5);
+  grid.set(2, 1, 5.5);
+  grid.set(4, 2, -0.0);
+  grid.set(4, 7, 6.5);
+
+  std::vector<core::AsPeerSet> ases{{net::Asn{5}, {}}};
+  std::vector<core::AsAnalysis> analyses{core::AsAnalysis{
+      net::Asn{5}, core::Classification{},
+      core::AsFootprint{grid, kde::Footprint{}, {}, 0, 40.0}, core::PopFootprint{}}};
+  core::DatasetStats stats;
+  stats.final_ases = 1;
+  const core::TargetDataset dataset{std::move(ases), std::move(stats)};
+  const std::vector<std::byte> bytes = encode_or_die(dataset, analyses, 4, w.fingerprint);
+  core::ArtifactView view;
+  ASSERT_TRUE(core::ArtifactView::from_borrowed(bytes, view).ok());
+  expect_decodes_to_epoch(view, dataset, analyses, "run across a row boundary");
+
+  std::vector<core::AsAnalysis> decoded;
+  ASSERT_TRUE(view.materialize(kAnyGrid, decoded).ok());
+  const kde::DensityGrid& restored = decoded.at(0).footprint.grid;
+  EXPECT_EQ(restored.row_support(1).lo, cols - 3);
+  EXPECT_EQ(restored.row_support(1).hi, cols);
+  EXPECT_EQ(restored.row_support(2).lo, 0u);
+  EXPECT_EQ(restored.row_support(2).hi, 2u);
+  // Row 4 shrinks to the hull of its bit-nonzero cells.
+  EXPECT_EQ(restored.row_support(4).lo, 2u);
+  EXPECT_EQ(restored.row_support(4).hi, 8u);
+  EXPECT_EQ(restored.stored_cells(), 3u + 2u + 6u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(restored.value(4, 2)),
+            std::bit_cast<std::uint64_t>(-0.0));
+  EXPECT_EQ(restored.value(2, 0), 4.5);
 }
 
 TEST(Artifact, EncodeRefusesMismatchedInputs) {

@@ -15,6 +15,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <vector>
 
@@ -196,7 +197,7 @@ TEST(KdeSimd, EstimateByteIdenticalAcrossThreadCounts) {
       ASSERT_EQ(parallel.rows(), reference.rows());
       ASSERT_EQ(parallel.cols(), reference.cols());
       // Bytes, not approximately: the convolutions never reassociate.
-      EXPECT_TRUE(parallel.values() == reference.values())
+      EXPECT_TRUE(std::ranges::equal(parallel.values(), reference.values()))
           << "seed " << seed << " threads " << threads;
     }
   }
@@ -213,7 +214,7 @@ TEST(KdeSimd, EstimateIsDeterministicAcrossRepeatedCalls) {
   // The passes run in place over per-call buffers; nothing from the first
   // call may leak into the second.
   const auto second = estimator.estimate(points, box);
-  EXPECT_TRUE(first.values() == second.values());
+  EXPECT_TRUE(std::ranges::equal(first.values(), second.values()));
 }
 
 
@@ -229,14 +230,15 @@ TEST(KdeSimd, EstimateIsDeterministicAcrossRepeatedCalls) {
 
 /// The estimate the obvious way: bin, convolve every row of the box with
 /// its own kernel, then every column, then normalize every cell — the
-/// scalar reference convolutions above, no support anywhere.  Filled
-/// through at() on a fresh grid, so its support is the whole box and every
-/// analysis over it walks every cell.
+/// scalar reference convolutions above, no support anywhere.  Its spans
+/// are whole rows, so it stores the whole box and every analysis over it
+/// walks every cell.
 DensityGrid dense_reference_estimate(std::span<const geo::GeoPoint> points,
                                      const geo::BoundingBox& box, const KdeConfig& config) {
   DensityGrid grid{box, config.cell_km, config.max_cells};
   const std::size_t rows = grid.rows();
   const std::size_t cols = grid.cols();
+  grid.set_support(std::vector<DensityGrid::RowSpan>(rows, {0, cols}));
   std::vector<double> binned(rows * cols, 0.0);
   std::size_t used = 0;
   for (const auto& p : points) {
@@ -260,7 +262,7 @@ DensityGrid dense_reference_estimate(std::span<const geo::GeoPoint> points,
   const auto vertical = reference_convolve_columns(horizontal, rows, cols, vertical_taps);
   for (std::size_t r = 0; r < rows; ++r) {
     const double scale = 1.0 / (static_cast<double>(used) * grid.cell_area_km2(r));
-    for (std::size_t c = 0; c < cols; ++c) grid.at(r, c) = vertical[r * cols + c] * scale;
+    for (std::size_t c = 0; c < cols; ++c) grid.set(r, c, vertical[r * cols + c] * scale);
   }
   return grid;
 }
@@ -326,13 +328,14 @@ void expect_sparse_matches_dense(std::span<const geo::GeoPoint> points,
       }
     }
   }
+  EXPECT_EQ(sparse.stored_cells(), support_cells);
   if (expect_skipped_cells) {
     EXPECT_LT(support_cells, sparse.cell_count());
   }
 
   // max_cell: the first maximum in row-major order, as max_element finds it.
   const auto it = std::max_element(dense.values().begin(), dense.values().end());
-  const auto index = static_cast<std::size_t>(it - dense.values().begin());
+  const auto index = static_cast<std::size_t>(std::distance(dense.values().begin(), it));
   const auto max = sparse.max_cell();
   ASSERT_TRUE(max.has_value());
   EXPECT_EQ(max->row, index / dense.cols());
@@ -466,6 +469,40 @@ TEST(KdeSparse, UniformCloudFillingTheBox) {
   const auto points = random_cloud(21, 500);
   expect_sparse_matches_dense(points, geo::BoundingBox::around(points),
                               sparse_config(25.0, 5.0), false);
+}
+
+TEST(KdeSparse, SinglePointInALargeBoxStoresOnlyItsKernel) {
+  // ~2250 x ~2500 cells, inside the default budget: a dense box would be
+  // ~45 MB of doubles.  The estimate stores the kernel's reach alone.
+  const KdeConfig config = sparse_config(10.0, 2.5);
+  const KernelDensityEstimator estimator{config};
+  const geo::BoundingBox box{10.0, 60.0, -30.0, 41.0};
+  const std::vector<geo::GeoPoint> points{{35.0, 5.0}};
+  const DensityGrid grid = estimator.estimate(points, box);
+  ASSERT_GT(grid.cell_count(), 5000000u);
+  ASSERT_LE(grid.cell_count(), config.max_cells);
+
+  const auto [row, col] = *grid.cell_of(points[0]);
+  const std::size_t vertical_taps =
+      detail::gaussian_taps(config.bandwidth_km / grid.cell_height_km(),
+                            config.truncate_sigmas)
+          .size();
+  std::size_t widest = 0;
+  for (std::size_t r = 0; r < grid.rows(); ++r) {
+    widest = std::max(widest, grid.row_values(r).size());
+  }
+  const std::size_t row_taps =
+      detail::gaussian_taps(detail::row_sigma_cells(grid, row, config.bandwidth_km),
+                            config.truncate_sigmas)
+          .size();
+  EXPECT_EQ(widest, row_taps);
+  EXPECT_EQ(grid.stored_cells(), vertical_taps * row_taps);
+
+  const auto max = grid.max_cell();
+  ASSERT_TRUE(max.has_value());
+  EXPECT_EQ(max->row, row);
+  EXPECT_EQ(max->col, col);
+  EXPECT_NEAR(grid.integral(), 1.0, 1e-3);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <vector>
 
@@ -87,12 +90,18 @@ TEST(DensityGrid, ExtremeResolutionCoarsensWithoutOverflow) {
   EXPECT_GE(grid.cols(), 1u);
 }
 
+/// One span per row of `grid`, [lo, hi) for every row.
+std::vector<DensityGrid::RowSpan> full_rows(const DensityGrid& grid) {
+  return std::vector<DensityGrid::RowSpan>(grid.rows(), {0, grid.cols()});
+}
+
 TEST(DensityGrid, MaxCellFindsMaximum) {
   const geo::BoundingBox box{40.0, 41.0, 10.0, 11.0};
   DensityGrid grid{box, 10.0};
+  grid.set_support(full_rows(grid));
   EXPECT_FALSE(grid.max_cell());
-  grid.at(1, 2) = 5.0;
-  grid.at(2, 1) = 9.0;
+  grid.set(1, 2, 5.0);
+  grid.set(2, 1, 9.0);
   const auto max = grid.max_cell();
   ASSERT_TRUE(max);
   EXPECT_EQ(max->row, 2u);
@@ -100,38 +109,91 @@ TEST(DensityGrid, MaxCellFindsMaximum) {
   EXPECT_DOUBLE_EQ(max->value, 9.0);
 }
 
-TEST(DensityGrid, SupportStartsFullAndOnlyWidensUnderMutation) {
+TEST(DensityGrid, BoxOnlyGridStoresNothing) {
+  const geo::BoundingBox box{40.0, 41.0, 10.0, 11.0};
+  const DensityGrid grid{box, 10.0};
+  EXPECT_EQ(grid.stored_cells(), 0u);
+  EXPECT_EQ(grid.cell_count(), grid.rows() * grid.cols());
+  for (std::size_t r = 0; r < grid.rows(); ++r) {
+    EXPECT_EQ(grid.row_support(r).lo, grid.row_support(r).hi);
+    EXPECT_TRUE(grid.row_values(r).empty());
+  }
+  EXPECT_FALSE(grid.max_cell());
+  EXPECT_EQ(grid.integral(), 0.0);
+  std::size_t seen = 0;
+  for (const double v : grid.values()) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(v), 0u);
+    ++seen;
+  }
+  EXPECT_EQ(seen, grid.cell_count());
+}
+
+TEST(DensityGrid, StorageIsTheSumOfTheSpans) {
   const geo::BoundingBox box{40.0, 41.0, 10.0, 11.0};
   DensityGrid grid{box, 10.0};
-  ASSERT_GE(grid.cols(), 4u);
-  // A fresh grid's support is every row in full.
-  for (std::size_t r = 0; r < grid.rows(); ++r) {
-    EXPECT_EQ(grid.row_support(r).lo, 0u);
-    EXPECT_EQ(grid.row_support(r).hi, grid.cols());
-  }
+  ASSERT_GE(grid.rows(), 3u);
+  ASSERT_GE(grid.cols(), 5u);
   std::vector<DensityGrid::RowSpan> support(grid.rows());
-  support[1] = {1, 2};
-  grid.at(1, 1) = 3.0;
-  grid.restrict_support(support);
-  EXPECT_EQ(grid.row_support(0).hi, 0u);
-  // at() widens, never narrows; a write into an empty row opens a span.
-  grid.at(1, 3) = 4.0;
-  grid.at(0, 2) = 1.0;
-  EXPECT_EQ(grid.row_support(1).lo, 1u);
-  EXPECT_EQ(grid.row_support(1).hi, 4u);
-  EXPECT_EQ(grid.row_support(0).lo, 2u);
-  EXPECT_EQ(grid.row_support(0).hi, 3u);
+  support[0] = {2, 3};
+  support[1] = {1, 5};
+  support[grid.rows() - 1] = {0, grid.cols()};
+  grid.set_support(support);
+  EXPECT_EQ(grid.stored_cells(), 1 + 4 + grid.cols());
+  for (std::size_t r = 0; r < grid.rows(); ++r) {
+    EXPECT_EQ(grid.row_values(r).size(), support[r].hi - support[r].lo) << r;
+    for (const double v : grid.row_values(r)) EXPECT_EQ(std::bit_cast<std::uint64_t>(v), 0u);
+  }
+  grid.set(0, 2, 1.0);
+  grid.set(1, 1, 3.0);
+  grid.set(1, 4, 4.0);
+  EXPECT_EQ(grid.row_values(1)[0], 3.0);
+  EXPECT_EQ(grid.row_values(1)[3], 4.0);
   const auto max = grid.max_cell();
   ASSERT_TRUE(max);
   EXPECT_EQ(max->row, 1u);
-  EXPECT_EQ(max->col, 3u);
+  EXPECT_EQ(max->col, 4u);
   EXPECT_DOUBLE_EQ(grid.integral(),
                    1.0 * grid.cell_area_km2(0) + 7.0 * grid.cell_area_km2(1));
-  // The dense mutable view gives the whole rows back.
-  grid.mutable_values()[0] = 2.0;
-  EXPECT_EQ(grid.row_support(0).lo, 0u);
-  EXPECT_EQ(grid.row_support(0).hi, grid.cols());
-  EXPECT_EQ(grid.row_support(grid.rows() - 1).hi, grid.cols());
+  // Declaring new spans drops the old values.
+  grid.set_support(full_rows(grid));
+  EXPECT_EQ(grid.stored_cells(), grid.cell_count());
+  EXPECT_FALSE(grid.max_cell());
+}
+
+TEST(DensityGrid, DenseViewYieldsEveryCellInRowMajorOrder) {
+  const geo::BoundingBox box{40.0, 41.0, 10.0, 11.0};
+  DensityGrid grid{box, 10.0};
+  ASSERT_GE(grid.rows(), 3u);
+  ASSERT_GE(grid.cols(), 5u);
+  std::vector<DensityGrid::RowSpan> support(grid.rows());
+  support[0] = {0, 2};
+  support[2] = {3, grid.cols()};
+  grid.set_support(support);
+  grid.set(0, 0, 0.5);
+  grid.set(0, 1, -0.0);  // stored bits survive the view
+  grid.set(2, 3, 2.0);
+  grid.set(2, grid.cols() - 1, 7.0);
+
+  const auto view = grid.values();
+  EXPECT_EQ(view.size(), grid.cell_count());
+  std::size_t index = 0;
+  for (auto it = view.begin(); it != view.end(); ++it, ++index) {
+    const std::size_t r = index / grid.cols();
+    const std::size_t c = index % grid.cols();
+    ASSERT_LT(r, grid.rows());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*it), std::bit_cast<std::uint64_t>(grid.value(r, c)))
+        << "(" << r << ", " << c << ")";
+    if (c < support[r].lo || c >= support[r].hi) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(*it), 0u) << "(" << r << ", " << c << ")";
+    }
+  }
+  EXPECT_EQ(index, grid.rows() * grid.cols());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(grid.value(0, 1)),
+            std::bit_cast<std::uint64_t>(-0.0));
+  // Iterators of two views of one grid compare.
+  EXPECT_EQ(std::count_if(grid.values().begin(), grid.values().end(),
+                          [](double v) { return v != 0.0; }),
+            3);
 }
 
 TEST(Estimator, ConfigValidation) {
@@ -213,8 +275,10 @@ TEST(Estimator, BinnedMatchesExact) {
   double max_value = 0.0;
   for (const double v : exact.values()) max_value = std::max(max_value, v);
   double worst = 0.0;
-  for (std::size_t i = 0; i < fast.values().size(); ++i) {
-    worst = std::max(worst, std::abs(fast.values()[i] - exact.values()[i]));
+  for (std::size_t r = 0; r < fast.rows(); ++r) {
+    for (std::size_t c = 0; c < fast.cols(); ++c) {
+      worst = std::max(worst, std::abs(fast.value(r, c) - exact.value(r, c)));
+    }
   }
   // Binning shifts each point by at most half a cell (2.5 km << 40 km).
   EXPECT_LT(worst, 0.08 * max_value);
@@ -380,12 +444,13 @@ TEST(Peaks, EqualDensityPeaksSortInTotalOrder) {
   DensityGrid grid{box, 10.0};
   ASSERT_GE(grid.rows(), 14u);
   ASSERT_GE(grid.cols(), 14u);
+  grid.set_support(full_rows(grid));
   // Three exactly-equal maxima: a two-cell plateau (collapses to one peak
   // anchored at its first cell) plus two isolated single-cell peaks.
-  grid.at(5, 5) = 1.0;
-  grid.at(5, 6) = 1.0;
-  grid.at(5, 12) = 1.0;
-  grid.at(12, 5) = 1.0;
+  grid.set(5, 5, 1.0);
+  grid.set(5, 6, 1.0);
+  grid.set(5, 12, 1.0);
+  grid.set(12, 5, 1.0);
   const auto peaks = find_peaks(grid, {0.01, 30.0, false});
   ASSERT_EQ(peaks.size(), 3u);
   for (const auto& peak : peaks) EXPECT_EQ(peak.density, 1.0);

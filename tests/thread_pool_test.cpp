@@ -222,7 +222,7 @@ TEST(ParallelKde, BinnedEstimateBitIdenticalAcrossThreadCounts) {
     const kde::KernelDensityEstimator estimator{config};
     const auto grid = estimator.estimate(points, box);
     ASSERT_EQ(grid.values().size(), reference.values().size());
-    EXPECT_EQ(grid.values(), reference.values()) << "threads=" << threads;
+    EXPECT_TRUE(std::ranges::equal(grid.values(), reference.values())) << "threads=" << threads;
   }
 }
 
@@ -239,7 +239,8 @@ TEST(ParallelKde, ExactEstimateBitIdenticalAcrossThreadCounts) {
   kde::KdeConfig parallel_config = serial_config;
   parallel_config.threads = 4;
   const kde::KernelDensityEstimator parallel{parallel_config};
-  EXPECT_EQ(parallel.estimate_exact(points, box).values(), reference.values());
+  EXPECT_TRUE(std::ranges::equal(parallel.estimate_exact(points, box).values(),
+                                 reference.values()));
 }
 
 using testing::same_analysis;

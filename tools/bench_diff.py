@@ -22,8 +22,13 @@ When both files record the host that produced them (`context.host_name`,
 precedes the table: such deltas mix host noise into the comparison.  The
 warning never changes the exit status.
 
+A benchmark recorded with repetitions is compared by its median aggregate,
+under the name a single run of it carries, so a baseline recorded before an
+axis gained repetitions still lines up with one recorded after.
+
 `--self-test` runs the built-in fixtures (improvement, small wobble, real
-regression, disjoint axes, malformed input, same host, different host) and
+regression, disjoint axes, malformed input, same host, different host,
+repeated benchmarks) and
 is wired into the lint ctest stage so the tool cannot bit-rot.
 """
 
@@ -32,10 +37,29 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import re
 import sys
 
 
 HOST_FIELDS = ("host_name", "num_cpus")
+
+
+def index_entries(entries: list) -> dict[str, dict]:
+    """Benchmark name -> entry.  A repeated benchmark (google-benchmark's
+    `Repetitions` with aggregates) stands by its median under the name a
+    single run of it carries (its run name without the `/repeats:N` part);
+    its other aggregates and its per-repetition runs are dropped."""
+    named = [e for e in entries if isinstance(e, dict) and isinstance(e.get("name"), str)]
+    repeated = {e.get("run_name") for e in named if e.get("run_type") == "aggregate"}
+    out: dict[str, dict] = {}
+    for entry in named:
+        if entry.get("run_type") == "aggregate":
+            run_name = entry.get("run_name")
+            if entry.get("aggregate_name") == "median" and isinstance(run_name, str):
+                out[re.sub(r"/repeats:\d+", "", run_name)] = entry
+        elif entry.get("run_name") not in repeated:
+            out[entry["name"]] = entry
+    return out
 
 
 def load_benchmarks(path: pathlib.Path) -> tuple[dict[str, dict], dict]:
@@ -47,10 +71,7 @@ def load_benchmarks(path: pathlib.Path) -> tuple[dict[str, dict], dict]:
         raise ValueError(f"{path}: unreadable or invalid JSON: {error}") from error
     if not isinstance(data, dict) or not isinstance(data.get("benchmarks"), list):
         raise ValueError(f"{path}: missing 'benchmarks' array")
-    out: dict[str, dict] = {}
-    for entry in data["benchmarks"]:
-        if isinstance(entry, dict) and isinstance(entry.get("name"), str):
-            out[entry["name"]] = entry
+    out = index_entries(data["benchmarks"])
     if not out:
         raise ValueError(f"{path}: no named benchmarks")
     context = data.get("context")
@@ -169,10 +190,25 @@ def self_test() -> int:
            fields == ["num_cpus"] and "CROSS-HOST" in warning.getvalue()
            and "num_cpus" in warning.getvalue())
 
+    # 10. A repeated benchmark compares by its median under its run name.
+    repeated = index_entries([
+        {"name": "a/repeats:3", "run_name": "a/repeats:3", "run_type": "iteration",
+         "real_time": 9.0},
+        {"name": "a/repeats:3_mean", "run_name": "a/repeats:3", "run_type": "aggregate",
+         "aggregate_name": "mean", "real_time": 1.0},
+        {"name": "a/repeats:3_median", "run_name": "a/repeats:3", "run_type": "aggregate",
+         "aggregate_name": "median", "real_time": 100.0},
+        {"name": "b", "run_name": "b", "run_type": "iteration", "real_time": 5.0},
+    ])
+    expect("median aggregate keyed by run name",
+           sorted(repeated) == ["a", "b"] and repeated["a"]["real_time"] == 100.0)
+    r = diff(bench(a={"real_time": 100.0}), repeated, 10.0, sink)
+    expect("single run compares with a median", r == [])
+
     for failure in failures:
         print(f"bench_diff self-test FAILED: {failure}", file=sys.stderr)
     if not failures:
-        print("bench_diff: self-test OK (9 fixtures)")
+        print("bench_diff: self-test OK (10 fixtures)")
     return 1 if failures else 0
 
 
