@@ -163,10 +163,19 @@ std::string snapshot_bench_dir(const char* name) {
   return dir.string();
 }
 
+/// Snapshot bytes per unique admitted sample: ~5 for the stored sample log
+/// (the envelope and window records add a few hundred bytes in all).
+void set_bytes_per_sample(benchmark::State& state, std::size_t bytes,
+                          std::size_t unique_samples) {
+  state.counters["bytes_per_sample"] =
+      static_cast<double>(bytes) / static_cast<double>(unique_samples);
+}
+
 // Crash-safety economics, write side: the cost of persisting the full
-// six-window streaming state (canonical encode + CRCs + temp-fsync-rename),
-// with the snapshot size on the label.  save_snapshot prunes to the two
-// newest generations, so the loop does not grow the directory.
+// six-window streaming state (derived-state digest + sample log encode +
+// CRC + temp-fsync-rename), with the snapshot size on the label.
+// save_snapshot prunes to the two newest generations, so the loop does not
+// grow the directory.
 void BM_SnapshotSave(benchmark::State& state) {
   const auto& w = world();
   core::StreamingDatasetBuilder stream = w.pipeline.streaming_builder();
@@ -183,14 +192,17 @@ void BM_SnapshotSave(benchmark::State& state) {
                  std::to_string(stream.unique_samples()) + " unique samples");
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(bytes));
+  set_bytes_per_sample(state, bytes, stream.unique_samples());
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_SnapshotSave)->Unit(benchmark::kMillisecond)->Apply(median_of_three);
 
 // Crash-safety economics, read side: restoring the six-window state into a
-// fresh builder.  items/s counts the crawl samples the restored state covers,
-// so the rate is directly comparable with BM_DatasetBuildThreads /
-// BM_LongitudinalStreamingTotal — the replay work a restore avoids.
+// fresh builder, which replays the stored sample log through conditioning at
+// the builder's configured thread count and checks the derived-state
+// digest.  items/s counts the crawl samples the restored state covers, so
+// the rate is directly comparable with BM_DatasetBuildThreads /
+// BM_LongitudinalStreamingTotal.
 void BM_SnapshotRestore(benchmark::State& state) {
   const auto& w = world();
   core::StreamingDatasetBuilder stream = w.pipeline.streaming_builder();
@@ -208,10 +220,12 @@ void BM_SnapshotRestore(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(restored.unique_samples());
   }
-  state.SetLabel("replaces replay of " +
-                 std::to_string(w.crawl.samples.size()) + " samples");
+  state.SetLabel("replays " + std::to_string(stream.unique_samples()) +
+                 " unique samples of " + std::to_string(w.crawl.samples.size()));
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(w.crawl.samples.size()));
+  set_bytes_per_sample(state, core::SnapshotCodec::encode(stream, 0).size(),
+                       stream.unique_samples());
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_SnapshotRestore)->Unit(benchmark::kMillisecond)->Apply(median_of_three);

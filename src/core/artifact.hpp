@@ -3,9 +3,9 @@
 // grid, contour, peaks, PoP mapping) — that a replica decodes once.
 //
 // Why a second on-disk format next to EYBSNAP1: the two persist different
-// things.  The snapshot holds *builder* state, the kept peers included
-// (buckets, dedup keys, window trail, touched set) — what a writer's
-// restore() needs to keep ingesting.  The artifact holds the *served* epoch
+// things.  The snapshot holds the *builder's* input (the admitted sample
+// stream and window trail) — what a writer's restore() replays to keep
+// ingesting.  The artifact holds the *served* epoch
 // and nothing else (no peer records: replicas answer the paper's §3
 // footprint and PoP queries, which never read them).  A replica's restore
 // opens it (envelope + checksums + stats), then materialize() walks the

@@ -1,8 +1,9 @@
 // Little-endian byte layer shared by the two on-disk codecs (EYBSNAP1 in
 // snapshot.cpp, EYBART1 in artifact.cpp): canonical writers that append to
 // a buffer, unchecked loads for callers that have already bounded the read,
-// the bounds-checked Reader both decoders walk their payloads with, and the
-// DatasetStats record both formats lay out the same way.  Internal to core;
+// the bounds-checked Reader both decoders walk their payloads with, the
+// WindowStats record both formats lay out the same way, and the artifact's
+// DatasetStats record built from it.  Internal to core;
 // neither format's layout lives here, only the shared vocabulary.
 #pragma once
 
@@ -132,6 +133,13 @@ class Reader {
 inline constexpr std::size_t kStatsFixedSize = 11 * 8;
 inline constexpr std::size_t kWindowRecordSize = 5 * 8;
 
+inline void put_window(std::vector<std::byte>& out, const WindowStats& w) {
+  for (const std::size_t field :
+       {w.offered, w.duplicates, w.admitted, w.cumulative_unique, w.rejected}) {
+    put_u64(out, static_cast<std::uint64_t>(field));
+  }
+}
+
 inline void put_stats(std::vector<std::byte>& out, const DatasetStats& s) {
   for (const std::size_t counter :
        {s.raw_samples, s.missing_geo, s.high_error, s.unmapped_as,
@@ -139,12 +147,7 @@ inline void put_stats(std::vector<std::byte>& out, const DatasetStats& s) {
         s.final_peers, s.final_ases, s.rejected_samples, s.windows.size()}) {
     put_u64(out, static_cast<std::uint64_t>(counter));
   }
-  for (const WindowStats& w : s.windows) {
-    for (const std::size_t field :
-         {w.offered, w.duplicates, w.admitted, w.cumulative_unique, w.rejected}) {
-      put_u64(out, static_cast<std::uint64_t>(field));
-    }
-  }
+  for (const WindowStats& w : s.windows) put_window(out, w);
 }
 
 /// Decodes a payload that must hold exactly one stats record.  False (and

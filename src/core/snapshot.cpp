@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <charconv>
-#include <cmath>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -13,6 +12,7 @@
 #include "core/byte_io.hpp"
 #include "core/streaming_dataset.hpp"
 #include "util/annotations.hpp"
+#include "util/check.hpp"
 #include "util/crc32c.hpp"
 #include "util/file.hpp"
 #include "util/mutex.hpp"
@@ -30,48 +30,47 @@ using byte_io::Reader;
 // Layout constants (see the format comment in snapshot.hpp).
 constexpr char kHeadMagic[8] = {'E', 'Y', 'B', 'S', 'N', 'A', 'P', '1'};
 constexpr char kTailMagic[8] = {'E', 'Y', 'B', 'S', 'N', 'E', 'N', 'D'};
-constexpr std::size_t kHeaderSize = 8 + 4 + 8 + 8 + 4;
-constexpr std::size_t kSectionHeaderSize = 4 + 8 + 4;
+constexpr std::size_t kHeaderSize = 8 + 4 + 8 + 8 + 8;
+constexpr std::size_t kConfigSize = 3 * 8;
 constexpr std::size_t kFooterSize = 4 + 8;
-
-// Section ids, in the order they appear in the file.
-enum SectionId : std::uint32_t {
-  kConfig = 1,
-  kBuckets = 2,
-  kSeen = 3,
-  kStats = 4,
-  kTouched = 5,
-};
-constexpr std::uint32_t kSectionCount = 5;
-
-constexpr std::size_t kPeerRecordSize = 4 + 1 + 8 + 8 + 8 + 4;
-constexpr std::size_t kBucketHeaderSize = 4 + 8;
-constexpr std::size_t kConfigPayloadSize = 3 * 8;
+/// Header, config block, window count and footer: the size of a snapshot
+/// of a builder that has ingested nothing.
+constexpr std::size_t kEnvelopeSize = kHeaderSize + kConfigSize + 8 + kFooterSize;
+/// WindowStats plus the sample count that opens each window record.
+constexpr std::size_t kWindowHeaderSize = byte_io::kWindowRecordSize + 8;
+constexpr std::size_t kSampleSize = 4 + 1;
 
 [[nodiscard]] util::Status corrupt(const char* what) {
   return util::Status::corruption(what);
 }
 
-/// Decodes a u64 count followed by that many strictly ascending `Width`-byte
-/// values (the kSeen and kTouched layout) into `out`.
-template <std::size_t Width, typename T>
-[[nodiscard]] util::Status read_ascending(std::span<const std::byte> payload,
-                                          const std::string& what, std::vector<T>& out) {
-  Reader r{payload};
-  std::uint64_t count = 0;
-  // Divide, never multiply: a hostile count must not overflow the check.
-  if (!r.read_u64(count) || r.remaining() % Width != 0 || count != r.remaining() / Width) {
-    return util::Status::corruption(what + ": count disagrees with the payload");
+/// 64-bit digest of what conditioning derived from the admitted stream:
+/// every bucket's ASN and peer count, each peer field bit for bit, then
+/// the stage-1 drop counters (geo-row rejects ride in rejected_samples).
+/// Each step is a bijection of the running value for a fixed word and
+/// injective in the word, so any one changed word changes the digest.
+[[nodiscard]] std::uint64_t derived_state_digest(std::span<const AsPeerSet> by_as,
+                                                 const DatasetStats& stats) noexcept {
+  std::uint64_t h = 0;
+  const auto add = [&h](std::uint64_t word) {
+    h = std::rotl((h ^ word) * 0x9e3779b97f4a7c15ULL, 27);
+  };
+  for (const AsPeerSet& set : by_as) {
+    add(net::value_of(set.asn));
+    add(set.peers.size());
+    for (const PeerRecord& peer : set.peers) {
+      add(std::uint64_t{peer.ip.value()} | std::uint64_t{peer.reported_city} << 32);
+      add(static_cast<std::uint64_t>(peer.app));
+      add(std::bit_cast<std::uint64_t>(peer.location.lat_deg));
+      add(std::bit_cast<std::uint64_t>(peer.location.lon_deg));
+      add(std::bit_cast<std::uint64_t>(peer.geo_error_km));
+    }
   }
-  out.reserve(static_cast<std::size_t>(count));
-  for (std::size_t at = 8; at < payload.size(); at += Width) {
-    out.push_back(static_cast<T>(Width == 8 ? byte_io::load_u64(payload, at)
-                                            : byte_io::load_u32(payload, at)));
+  for (const std::size_t counter :
+       {stats.missing_geo, stats.high_error, stats.unmapped_as, stats.rejected_samples}) {
+    add(counter);
   }
-  if (std::adjacent_find(out.begin(), out.end(), std::greater_equal<>{}) != out.end()) {
-    return util::Status::corruption(what + " not strictly ascending");
-  }
-  return util::Status{};
+  return util::mix64(h, by_as.size());
 }
 
 /// snapshot.<20-digit zero-padded generation>.eyb
@@ -145,68 +144,39 @@ std::uint64_t SnapshotCodec::config_fingerprint(const DatasetConfig& config) noe
 std::vector<std::byte> SnapshotCodec::encode(const StreamingDatasetBuilder& builder,
                                              std::uint64_t generation)
     EYEBALL_NO_THREAD_SAFETY_ANALYSIS {
-  // Sized up front (growing by doubling cost half the encode): the bucket
-  // section dominates, then the dedup keys; the rest is small.
-  std::size_t buckets_size = 8 + builder.by_as_.size() * kBucketHeaderSize;
-  for (const AsPeerSet& set : builder.by_as_) {
-    buckets_size += set.peers.size() * kPeerRecordSize;
-  }
-  const std::size_t seen_size = 8 + 8 * builder.seen_.size();
+  const std::vector<WindowStats>& windows = builder.stats_.windows;
+  const std::span<const p2p::PeerSample> admitted{builder.admitted_};
   std::vector<std::byte> out;
-  out.reserve(buckets_size + seen_size + 4096);
+  out.reserve(kEnvelopeSize + windows.size() * kWindowHeaderSize +
+              admitted.size() * kSampleSize);
 
   // Header.
   for (const char c : kHeadMagic) out.push_back(static_cast<std::byte>(c));
   put_u32(out, kFormatVersion);
   put_u64(out, generation);
   put_u64(out, config_fingerprint(builder.config_));
-  put_u32(out, kSectionCount);
+  put_u64(out, derived_state_digest(builder.by_as_, builder.stats_));
 
-  std::vector<std::byte> payload;
-  payload.reserve(std::max(buckets_size, seen_size));
-  const auto emit_section = [&out, &payload](std::uint32_t id) {
-    put_u32(out, id);
-    put_u64(out, payload.size());
-    put_u32(out, util::crc32c_fast(payload));
-    out.insert(out.end(), payload.begin(), payload.end());
-    payload.clear();
-  };
-
-  // kConfig: the recorded result-affecting fields, human-recoverable even
+  // Config: the recorded result-affecting fields, human-recoverable even
   // though the fingerprint alone decides admissibility.
-  put_f64(payload, builder.config_.max_geo_error_km);
-  put_u64(payload, static_cast<std::uint64_t>(builder.config_.min_peers_per_as));
-  put_f64(payload, builder.config_.max_p90_geo_error_km);
-  emit_section(kConfig);
+  put_f64(out, builder.config_.max_geo_error_km);
+  put_u64(out, static_cast<std::uint64_t>(builder.config_.min_peers_per_as));
+  put_f64(out, builder.config_.max_p90_geo_error_km);
 
-  // kBuckets, kSeen and kTouched: the builder keeps all three in file order
-  // (ascending ASN / key), so each is a straight sequential copy.
-  put_u64(payload, static_cast<std::uint64_t>(builder.by_as_.size()));
-  for (const AsPeerSet& set : builder.by_as_) {
-    put_u32(payload, net::value_of(set.asn));
-    put_u64(payload, static_cast<std::uint64_t>(set.peers.size()));
-    for (const PeerRecord& peer : set.peers) {
-      put_u32(payload, peer.ip.value());
-      payload.push_back(static_cast<std::byte>(peer.app));
-      put_f64(payload, peer.location.lat_deg);
-      put_f64(payload, peer.location.lon_deg);
-      put_f64(payload, peer.geo_error_km);
-      put_u32(payload, peer.reported_city);
+  // One record per window: its trail entry, then its slice of the admitted
+  // stream in admission order.
+  put_u64(out, windows.size());
+  std::size_t next = 0;
+  for (const WindowStats& window : windows) {
+    byte_io::put_window(out, window);
+    put_u64(out, window.admitted);
+    for (const p2p::PeerSample& sample : admitted.subspan(next, window.admitted)) {
+      put_u32(out, sample.ip.value());
+      out.push_back(static_cast<std::byte>(sample.app));
     }
+    next += window.admitted;
   }
-  emit_section(kBuckets);
-
-  put_u64(payload, static_cast<std::uint64_t>(builder.seen_.size()));
-  for (const std::uint64_t key : builder.seen_) put_u64(payload, key);
-  emit_section(kSeen);
-
-  // kStats: cumulative counters + per-window snapshots.
-  byte_io::put_stats(payload, builder.stats_);
-  emit_section(kStats);
-
-  put_u64(payload, static_cast<std::uint64_t>(builder.touched_.size()));
-  for (const net::Asn asn : builder.touched_) put_u32(payload, net::value_of(asn));
-  emit_section(kTouched);
+  EYEBALL_DCHECK(next == admitted.size(), "window trail covers the admitted stream");
 
   // Footer: whole-file CRC over everything so far, then the tail magic.
   put_u32(out, util::crc32c_fast(out));
@@ -220,7 +190,7 @@ util::Status SnapshotCodec::decode(std::span<const std::byte> bytes,
                                    std::uint64_t* generation)
     EYEBALL_NO_THREAD_SAFETY_ANALYSIS {
   // ---- Envelope: magics, whole-file CRC, version, fingerprint. ----
-  if (bytes.size() < kHeaderSize + kSectionCount * kSectionHeaderSize + kFooterSize) {
+  if (bytes.size() < kEnvelopeSize) {
     return corrupt("snapshot truncated: shorter than the minimum envelope");
   }
   if (std::memcmp(bytes.data(), kHeadMagic, sizeof kHeadMagic) != 0) {
@@ -246,9 +216,9 @@ util::Status SnapshotCodec::decode(std::span<const std::byte> bytes,
   std::uint32_t version = 0;
   std::uint64_t stored_generation = 0;
   std::uint64_t stored_fingerprint = 0;
-  std::uint32_t section_count = 0;
+  std::uint64_t stored_digest = 0;
   if (!reader.read_u32(version) || !reader.read_u64(stored_generation) ||
-      !reader.read_u64(stored_fingerprint) || !reader.read_u32(section_count)) {
+      !reader.read_u64(stored_fingerprint) || !reader.read_u64(stored_digest)) {
     return corrupt("unreadable header");
   }
   if (version != kFormatVersion) {
@@ -263,145 +233,117 @@ util::Status SnapshotCodec::decode(std::span<const std::byte> bytes,
         "snapshot was written under a different dataset configuration; "
         "loading it would silently change results");
   }
-  if (section_count != kSectionCount) {
-    return corrupt("unexpected section count for format v1");
-  }
 
-  // ---- Section walk: bounds, per-section CRC, strict id order. ----
-  std::array<std::span<const std::byte>, kSectionCount> sections;
-  for (std::uint32_t expected_id = 1; expected_id <= kSectionCount; ++expected_id) {
-    std::uint32_t id = 0;
-    std::uint64_t size = 0;
-    std::uint32_t crc = 0;
-    if (!reader.read_u32(id) || !reader.read_u64(size) || !reader.read_u32(crc)) {
-      return corrupt("unreadable section header");
-    }
-    if (id != expected_id) return corrupt("unknown, duplicate, or misordered section id");
-    std::span<const std::byte> payload;
-    if (!reader.take(size, payload)) return corrupt("section payload overruns the file");
-    if (util::crc32c_fast(payload) != crc) return corrupt("section CRC mismatch");
-    sections[expected_id - 1] = payload;
-  }
-  if (reader.remaining() != 0) return corrupt("trailing garbage after the last section");
-
-  // ---- kConfig: must agree with the header fingerprint AND the live
+  // ---- Config: must agree with the header fingerprint AND the live
   // config (defense in depth; the message names the offending field). ----
-  {
-    Reader r{sections[kConfig - 1]};
-    if (sections[kConfig - 1].size() != kConfigPayloadSize) {
-      return corrupt("config section has the wrong size");
-    }
-    double max_geo = 0.0;
-    std::uint64_t min_peers = 0;
-    double max_p90 = 0.0;
-    if (!r.read_f64(max_geo) || !r.read_u64(min_peers) || !r.read_f64(max_p90)) {
-      return corrupt("unreadable config section");
-    }
-    DatasetConfig recorded;
-    recorded.max_geo_error_km = max_geo;
-    recorded.min_peers_per_as = static_cast<std::size_t>(min_peers);
-    recorded.max_p90_geo_error_km = max_p90;
-    if (config_fingerprint(recorded) != stored_fingerprint) {
-      return corrupt("config section disagrees with the header fingerprint");
-    }
-    if (std::bit_cast<std::uint64_t>(max_geo) !=
-        std::bit_cast<std::uint64_t>(builder.config_.max_geo_error_km)) {
-      return util::Status::config_mismatch("max_geo_error_km differs from the live config");
-    }
-    if (min_peers != static_cast<std::uint64_t>(builder.config_.min_peers_per_as)) {
-      return util::Status::config_mismatch("min_peers_per_as differs from the live config");
-    }
-    if (std::bit_cast<std::uint64_t>(max_p90) !=
-        std::bit_cast<std::uint64_t>(builder.config_.max_p90_geo_error_km)) {
-      return util::Status::config_mismatch(
-          "max_p90_geo_error_km differs from the live config");
-    }
+  double max_geo = 0.0;
+  std::uint64_t min_peers = 0;
+  double max_p90 = 0.0;
+  if (!reader.read_f64(max_geo) || !reader.read_u64(min_peers) ||
+      !reader.read_f64(max_p90)) {
+    return corrupt("unreadable config block");
+  }
+  DatasetConfig recorded;
+  recorded.max_geo_error_km = max_geo;
+  recorded.min_peers_per_as = static_cast<std::size_t>(min_peers);
+  recorded.max_p90_geo_error_km = max_p90;
+  if (config_fingerprint(recorded) != stored_fingerprint) {
+    return corrupt("config block disagrees with the header fingerprint");
+  }
+  if (std::bit_cast<std::uint64_t>(max_geo) !=
+      std::bit_cast<std::uint64_t>(builder.config_.max_geo_error_km)) {
+    return util::Status::config_mismatch("max_geo_error_km differs from the live config");
+  }
+  if (min_peers != static_cast<std::uint64_t>(builder.config_.min_peers_per_as)) {
+    return util::Status::config_mismatch("min_peers_per_as differs from the live config");
+  }
+  if (std::bit_cast<std::uint64_t>(max_p90) !=
+      std::bit_cast<std::uint64_t>(builder.config_.max_p90_geo_error_km)) {
+    return util::Status::config_mismatch(
+        "max_p90_geo_error_km differs from the live config");
   }
 
-  // ---- Parse every data section into temporaries; nothing below touches
-  // the builder until all of them have validated. ----
-  std::vector<AsPeerSet> by_as;
-  {
-    Reader r{sections[kBuckets - 1]};
-    std::uint64_t as_count = 0;
-    if (!r.read_u64(as_count)) return corrupt("unreadable bucket count");
-    if (as_count > r.remaining() / kBucketHeaderSize) {
-      return corrupt("bucket count exceeds the section payload");
+  // ---- Window records: the trail and the admitted stream, bounds and
+  // counter conservation checked as they are read. ----
+  std::uint64_t window_count = 0;
+  if (!reader.read_count(kWindowHeaderSize, window_count)) {
+    return corrupt("window count exceeds the file");
+  }
+  std::vector<WindowStats> windows;
+  windows.reserve(static_cast<std::size_t>(window_count));
+  std::vector<p2p::PeerSample> samples;
+  samples.reserve(reader.remaining() / kSampleSize);
+  for (std::uint64_t k = 0; k < window_count; ++k) {
+    std::array<std::uint64_t, 5> fields{};
+    for (std::uint64_t& field : fields) {
+      if (!reader.read_u64(field)) return corrupt("unreadable window record");
     }
-    by_as.reserve(static_cast<std::size_t>(as_count));
-    for (std::uint64_t a = 0; a < as_count; ++a) {
-      std::uint32_t asn_value = 0;
-      std::uint64_t peer_count = 0;
-      if (!r.read_u32(asn_value) || !r.read_u64(peer_count)) {
-        return corrupt("unreadable bucket header");
+    const auto [offered, duplicates, admitted, cumulative_unique, rejected] = fields;
+    // Subtract, never add: hostile counters must not wrap the check.
+    if (admitted > offered || duplicates > offered - admitted ||
+        rejected != offered - admitted - duplicates) {
+      return corrupt("window counters do not add up: offered != duplicates + admitted "
+                     "+ rejected");
+    }
+    std::uint64_t count = 0;
+    if (!reader.read_count(kSampleSize, count)) {
+      return corrupt("sample count exceeds the file");
+    }
+    if (count != admitted) {
+      return corrupt("sample count disagrees with the window's admitted count");
+    }
+    for (std::uint64_t i = 0; i < count; ++i) {
+      std::uint32_t ip = 0;
+      std::uint8_t app = 0;
+      if (!reader.read_u32(ip) || !reader.read_u8(app)) {
+        return corrupt("unreadable sample");
       }
-      if (!by_as.empty() && asn_value <= net::value_of(by_as.back().asn)) {
-        return corrupt("bucket ASNs not strictly ascending");
-      }
-      if (peer_count > r.remaining() / kPeerRecordSize) {
-        return corrupt("peer count exceeds the section payload");
-      }
-      AsPeerSet set;
-      set.asn = net::Asn{asn_value};
-      set.peers.reserve(static_cast<std::size_t>(peer_count));
-      for (std::uint64_t p = 0; p < peer_count; ++p) {
-        std::uint32_t ip = 0;
-        std::uint8_t app = 0;
-        double lat = 0.0;
-        double lon = 0.0;
-        double err = 0.0;
-        std::uint32_t city = 0;
-        if (!r.read_u32(ip) || !r.read_u8(app) || !r.read_f64(lat) ||
-            !r.read_f64(lon) || !r.read_f64(err) || !r.read_u32(city)) {
-          return corrupt("unreadable peer record");
-        }
-        if (app >= p2p::kAllApps.size()) return corrupt("peer record has an unknown app tag");
-        if (!geo::is_valid(geo::GeoPoint{lat, lon})) {
-          return corrupt("peer record has out-of-range coordinates");
-        }
-        if (!std::isfinite(err) || err < 0.0) {
-          return corrupt("peer record has an invalid geo error");
-        }
-        set.peers.push_back(PeerRecord{net::Ipv4Address{ip}, static_cast<p2p::App>(app),
-                                       geo::GeoPoint{lat, lon}, err, city});
-      }
-      by_as.push_back(std::move(set));
+      samples.push_back(p2p::PeerSample{net::Ipv4Address{ip}, static_cast<p2p::App>(app)});
     }
-    if (r.remaining() != 0) return corrupt("trailing bytes in the bucket section");
+    windows.push_back(WindowStats{
+        static_cast<std::size_t>(offered), static_cast<std::size_t>(duplicates),
+        static_cast<std::size_t>(admitted), static_cast<std::size_t>(cumulative_unique),
+        static_cast<std::size_t>(rejected)});
+  }
+  if (reader.remaining() != 0) return corrupt("trailing bytes after the last window");
+
+  // ---- Replay: every window through ingest into a scratch builder with
+  // this builder's databases and config.  The log holds exactly what the
+  // writer admitted, so replay must admit all of it again. ----
+  StreamingDatasetBuilder scratch{builder.primary_, builder.secondary_, builder.mapper_,
+                                  builder.config_};
+  std::size_t next = 0;
+  for (const WindowStats& stored : windows) {
+    scratch.ingest_locked(std::span<const p2p::PeerSample>{samples}.subspan(
+                              next, stored.admitted),
+                          builder.config_.threads);
+    next += stored.admitted;
+    WindowStats& replayed = scratch.stats_.windows.back();
+    if (replayed.rejected != 0) {
+      return corrupt("the log holds a sample the admission door rejects");
+    }
+    if (replayed.duplicates != 0) return corrupt("the log holds a sample twice");
+    if (replayed.cumulative_unique != stored.cumulative_unique) {
+      return corrupt("a window's cumulative_unique disagrees with replay");
+    }
+    // The door rejected and dedup dropped the writer's samples before the
+    // log; its counts are the stored ones.
+    replayed = stored;
+    scratch.stats_.rejected_samples += stored.rejected;
+  }
+  if (derived_state_digest(scratch.by_as_, scratch.stats_) != stored_digest) {
+    return util::Status::config_mismatch(
+        "snapshot replays to different conditioned state: the geo databases or the "
+        "RIB differ from those it was written under");
   }
 
-  std::vector<std::uint64_t> seen_keys;
-  util::Status status = read_ascending<8>(sections[kSeen - 1], "dedup keys", seen_keys);
-  if (!status.ok()) return status;
-
-  DatasetStats stats;
-  if (!byte_io::decode_stats(sections[kStats - 1], stats)) {
-    return corrupt("stats section disagrees with its window count");
-  }
-
-  std::vector<net::Asn> touched;
-  status = read_ascending<4>(sections[kTouched - 1], "touched ASNs", touched);
-  if (!status.ok()) return status;
-
-  // ---- Cross-section invariants of real builder state. ----
-  if (stats.raw_samples != seen_keys.size()) {
-    return corrupt("raw_samples disagrees with the dedup-key count");
-  }
-  if (!stats.windows.empty() &&
-      stats.windows.back().cumulative_unique != seen_keys.size()) {
-    return corrupt("last window's cumulative_unique disagrees with the dedup-key count");
-  }
-  if (!std::ranges::includes(by_as, touched, {}, &AsPeerSet::asn)) {
-    return corrupt("touched ASN has no bucket");
-  }
-
-  // ---- Commit: every check passed; the validated arrays become the
-  // builder's live state as they are. ----
-  builder.by_as_ = std::move(by_as);
-  builder.seen_ = std::move(seen_keys);
-  builder.stats_ = std::move(stats);
-  builder.touched_ = std::move(touched);
-  builder.pending_.clear();
+  // ---- Commit: every check passed; the replayed state becomes the
+  // builder's. ----
+  builder.admitted_ = std::move(scratch.admitted_);
+  builder.by_as_ = std::move(scratch.by_as_);
+  builder.seen_ = std::move(scratch.seen_);
+  builder.stats_ = std::move(scratch.stats_);
+  builder.touched_ = std::move(scratch.touched_);
   builder.last_generation_ = stored_generation;
   if (generation != nullptr) *generation = stored_generation;
   return util::Status{};
@@ -506,7 +448,9 @@ util::Status StreamingDatasetBuilder::restore_snapshot_locked(const std::string&
   // generations it may remove.  Version/config mismatches are NOT
   // quarantined — those files are intact property of another binary or
   // configuration — and read failures are not either (the bytes may be
-  // fine; the disk said no today).
+  // fine; the disk said no today).  A config mismatch also ends the walk:
+  // every older generation was written under the same inputs, and one that
+  // happens to replay cleanly would silently drop the newer windows.
   util::Status newest_error;
   for (std::size_t i = 0; i < generations.size(); ++i) {
     const std::uint64_t gen = generations[i];
@@ -517,6 +461,9 @@ util::Status StreamingDatasetBuilder::restore_snapshot_locked(const std::string&
     if (status.ok()) {
       if (info != nullptr) *info = SnapshotRestoreInfo{gen, i};
       return util::Status{};
+    }
+    if (status.code() == util::StatusCode::kConfigMismatch) {
+      return status.with_context("restore_snapshot: generation " + std::to_string(gen));
     }
     if (status.code() == util::StatusCode::kCorruption) {
       // Best-effort: a failed quarantine leaves the corpse in place, which

@@ -112,10 +112,9 @@ void StreamingDatasetBuilder::ingest_locked(std::span<const p2p::PeerSample> win
   // semantics).
   WindowStats window_stats;
   window_stats.offered = window.size();
-  pending_.clear();
-  pending_.reserve(window.size());
-  admit_first_observations(window, seen_, pending_, window_stats);
-  window_stats.admitted = pending_.size();
+  const std::size_t first_admitted = admitted_.size();
+  admit_first_observations(window, seen_, admitted_, window_stats);
+  window_stats.admitted = admitted_.size() - first_admitted;
   window_stats.cumulative_unique = seen_.size();
   stats_.raw_samples += window_stats.admitted;
   stats_.rejected_samples += window_stats.rejected;
@@ -125,7 +124,8 @@ void StreamingDatasetBuilder::ingest_locked(std::span<const p2p::PeerSample> win
   // order, so each AS's bucket extends in stream order — the ordered-merge
   // invariant, applied window by window.
   detail::ConditionCounters dropped;
-  const std::span<const p2p::PeerSample> admitted{pending_};
+  const std::span<const p2p::PeerSample> admitted =
+      std::span<const p2p::PeerSample>{admitted_}.subspan(first_admitted);
   // Local references for the reduce lambda: the thread-safety analysis
   // checks a lambda body as its own function, so guarded members reached
   // through the captured `this` would need the role re-claimed there.
@@ -178,12 +178,11 @@ std::vector<net::Asn> StreamingDatasetBuilder::touched_asns() const {
 
 void StreamingDatasetBuilder::reset() {
   const util::SerialSection owner{serial_};
+  admitted_.clear();
   by_as_.clear();
   seen_.clear();
   stats_ = DatasetStats{};
   touched_.clear();
-  pending_.clear();
-  pending_.shrink_to_fit();
   last_generation_ = 0;
 }
 

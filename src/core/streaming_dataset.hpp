@@ -105,28 +105,31 @@ class StreamingDatasetBuilder {
   [[nodiscard]] std::size_t memo_hits() const noexcept { return 0; }
   [[nodiscard]] std::size_t memo_misses() const noexcept { return 0; }
 
-  /// Forgets every window: buckets, dedup keys and stats.  The builder is
-  /// then equivalent to a freshly constructed one.
+  /// Forgets every window: admitted samples, buckets, dedup keys and stats.
+  /// The builder is then equivalent to a freshly constructed one.
   void reset();
 
-  /// Persists the complete logical state to `dir` as the next snapshot
-  /// generation, crash-safely (write-to-temp + fsync + atomic rename +
-  /// directory sync; see core/snapshot.hpp for the format).  The two newest
-  /// generations are retained — current plus a last-good fallback — older
-  /// ones are pruned best-effort.  `generation` (optional) receives the
-  /// generation number written.
+  /// Persists the admitted sample stream and window trail to `dir` as the
+  /// next snapshot generation, crash-safely (write-to-temp + fsync + atomic
+  /// rename + directory sync; see core/snapshot.hpp for the format).  The
+  /// two newest generations are retained — current plus a last-good
+  /// fallback — older ones are pruned best-effort.  `generation` (optional)
+  /// receives the generation number written.
   [[nodiscard]] util::Status save_snapshot(const std::string& dir);
   [[nodiscard]] util::Status save_snapshot(const std::string& dir, util::FileSystem& fs,
                                            std::uint64_t* generation = nullptr);
 
   /// Replaces this builder's state with the newest loadable generation in
-  /// `dir`.  Degrades gracefully: a corrupt, truncated, or version-skewed
-  /// newest file is reported through the Status taxonomy internally and the
-  /// previous generation is tried — the builder loads silently-wrong state
-  /// under NO fault (the invariant the fault-injection harness pins).
-  /// Typed refusals: kConfigMismatch when the snapshot was written under a
-  /// different result-affecting configuration, kNotFound when `dir` holds
-  /// no snapshots.  On failure the builder is untouched.
+  /// `dir`, replayed through this builder's databases.  Degrades
+  /// gracefully: a corrupt, truncated, or version-skewed newest file is
+  /// reported through the Status taxonomy internally and the previous
+  /// generation is tried — the builder loads silently-wrong state under NO
+  /// fault (the invariant the fault-injection harness pins).  Typed
+  /// refusals: kConfigMismatch when the newest snapshot was written under a
+  /// different result-affecting configuration, geo databases or RIB (no
+  /// older generation is tried then: it was written under the same
+  /// inputs), kNotFound when `dir` holds no snapshots.  On failure the
+  /// builder is untouched.
   [[nodiscard]] util::Status restore_snapshot(const std::string& dir,
                                               SnapshotRestoreInfo* info = nullptr);
   [[nodiscard]] util::Status restore_snapshot(const std::string& dir, util::FileSystem& fs,
@@ -164,8 +167,11 @@ class StreamingDatasetBuilder {
   bgp::IpToAsMapper mapper_;
   DatasetConfig config_;
 
-  // by_as_, seen_ and touched_ are kept in the order EYBSNAP1 writes them,
-  // so a save copies them out and a restore moves its arrays straight in.
+  /// Every admitted sample in admission order: window k's samples are the
+  /// stats_.windows[k].admitted entries after those of windows 0..k-1.
+  /// Everything below it is derived from it (and the databases), so it and
+  /// the window trail are all a snapshot stores.
+  std::vector<p2p::PeerSample> admitted_ EYEBALL_GUARDED_BY(serial_);
   /// Live buckets, ASN-ascending; grown by ingest, read by finalize.
   std::vector<AsPeerSet> by_as_ EYEBALL_GUARDED_BY(serial_);
   /// Exact (app, ip) keys admitted so far (app in the high bits — no
@@ -175,8 +181,6 @@ class StreamingDatasetBuilder {
   DatasetStats stats_ EYEBALL_GUARDED_BY(serial_);
   /// ASNs touched by ingests since the last finalize(), strictly ascending.
   std::vector<net::Asn> touched_ EYEBALL_GUARDED_BY(serial_);
-  /// Window scratch: admitted samples (reused allocation across ingests).
-  std::vector<p2p::PeerSample> pending_ EYEBALL_GUARDED_BY(serial_);
 
   /// Newest snapshot generation written or restored (see last_generation()).
   std::uint64_t last_generation_ EYEBALL_GUARDED_BY(serial_) = 0;

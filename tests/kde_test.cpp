@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numbers>
+#include <ostream>
 #include <vector>
 
 #include "geo/point.hpp"
@@ -360,6 +361,15 @@ struct SeparationCase {
   double bandwidth_km;
   bool expect_two_peaks;
 };
+
+/// Names each case by its parameters, e.g. `sep200km_bw40km`.  Without it
+/// gtest prints the parameter as a hex dump of the struct, padding bytes
+/// included, and CMake's test discovery folds that printout into every
+/// case's ctest name, so the names differed between builds.
+void PrintTo(const SeparationCase& c, std::ostream* os) {
+  *os << "sep" << static_cast<int>(c.separation_km) << "km_bw"
+      << static_cast<int>(c.bandwidth_km) << "km";
+}
 
 class PeakSeparation : public ::testing::TestWithParam<SeparationCase> {};
 

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/snapshot.hpp"
 #include "core/streaming_dataset.hpp"
 #include "p2p/churn.hpp"
 #include "pipeline_fixture.hpp"
@@ -312,7 +313,8 @@ TEST(Serving, RestoreRefusesWhenEveryGenerationIsDeadAndKeepsServing) {
   bytes[bytes.size() / 2] ^= std::byte{0x20};
   ASSERT_TRUE(util::atomic_write_file(fs, gen2, bytes).ok());
   ASSERT_TRUE(fs.read_file(gen1, bytes).ok());
-  bytes[8] = std::byte{2};  // format version field, little-endian low byte
+  // Format version field, little-endian low byte: one past this binary's.
+  bytes[8] = static_cast<std::byte>(core::SnapshotCodec::kFormatVersion + 1);
   const std::size_t body_size = bytes.size() - 12;
   const std::uint32_t crc = util::crc32c({bytes.data(), body_size});
   for (int i = 0; i < 4; ++i) {

@@ -1,26 +1,33 @@
 // Snapshot/restore coverage for StreamingDatasetBuilder: round-trip
 // byte-identity (including finalize() at threads 1/2/hw — this suite runs
 // under the TSan gate), restore→ingest→finalize interleavings, the typed
-// refusal taxonomy (corruption / version skew / config mismatch), byte-level
-// corruption fuzzing, and the generation fallback scheme.
+// refusal taxonomy (corruption / version skew / config mismatch, including
+// a replay under other geo databases or another RIB), byte-level corruption
+// fuzzing, and the generation fallback scheme.
 //
 // State identity is asserted two ways: SnapshotCodec::encode at generation 0
 // is canonical (equal states → equal bytes), and finalize() results are
 // compared field-by-field.  The encode comparison catches divergence in
-// state finalize() doesn't read (window trail, touched set, dedup keys).
+// state finalize() doesn't read: the window trail and admitted stream it
+// stores, and the sub-threshold buckets and drop counters its digest
+// covers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bgp/rib.hpp"
 #include "core/byte_io.hpp"
 #include "core/snapshot.hpp"
 #include "core/streaming_dataset.hpp"
+#include "geodb/synthetic_db.hpp"
 #include "p2p/churn.hpp"
 #include "pipeline_fixture.hpp"
 #include "scratch.hpp"
@@ -163,9 +170,13 @@ TEST(Snapshot, RoundTripPreservesWindowTrailAndTouchedSet) {
   const std::string dir = scratch_dir("observability");
   auto& fs = util::local_filesystem();
 
+  // A finalize between the windows leaves only the ASNs of a few window-1
+  // samples touched.
+  const auto second = std::span<const p2p::PeerSample>{w.churn.windows[1]}.first(20);
   auto original = w.streaming();
   original.ingest(w.churn.windows[0], 2);
-  original.ingest(w.churn.windows[1], 2);
+  static_cast<void>(original.finalize(2));
+  original.ingest(second, 2);
 
   ASSERT_TRUE(original.save_snapshot(dir, fs).ok());
   auto restored = w.streaming();
@@ -177,11 +188,18 @@ TEST(Snapshot, RoundTripPreservesWindowTrailAndTouchedSet) {
   }
   EXPECT_EQ(restored.stats(), original.stats());
   EXPECT_EQ(restored.stats().rejected_samples, original.stats().rejected_samples);
-  // The incremental re-analysis work list survives the restart.
+  // Restore replays every window, so every restored bucket is touched: a
+  // superset of the saved work list (EyeballService::restore re-analyzes
+  // every AS anyway).  A builder that never finalized touched every bucket.
+  auto never_finalized = w.streaming();
+  never_finalized.ingest(w.churn.windows[0], 2);
+  never_finalized.ingest(second, 2);
   const auto touched_original = original.touched_asns();
   const auto touched_restored = restored.touched_asns();
-  ASSERT_FALSE(touched_restored.empty());
-  EXPECT_EQ(touched_restored, touched_original);
+  ASSERT_FALSE(touched_original.empty());
+  EXPECT_LT(touched_original.size(), touched_restored.size());
+  EXPECT_TRUE(std::ranges::includes(touched_restored, touched_original));
+  EXPECT_EQ(touched_restored, never_finalized.touched_asns());
 }
 
 TEST(Snapshot, RestoreReplacesExistingStateWholesale) {
@@ -203,8 +221,8 @@ TEST(Snapshot, RestoreReplacesExistingStateWholesale) {
 
 TEST(Snapshot, EncodeIsCanonicalAcrossBatchSplits) {
   const auto& w = snap_world();
-  // Same admitted stream through different batchings → identical bytes
-  // (unordered containers are sorted on encode).
+  // Same admitted stream through the same batching at other thread counts
+  // → identical bytes.
   auto by_window = w.streaming();
   for (const auto& window : w.churn.windows) by_window.ingest(window, 2);
 
@@ -215,9 +233,8 @@ TEST(Snapshot, EncodeIsCanonicalAcrossBatchSplits) {
   auto one_gulp = w.streaming();
   one_gulp.ingest(concatenated, 1);
 
-  // Window trails differ (5 windows vs 1), so compare after aligning: the
-  // buckets/seen/touched sections must match byte-for-byte.  Simplest
-  // sufficient check here: same stream re-batched identically twice.
+  // Window trails differ (5 windows vs 1), so the files differ; the same
+  // stream re-batched identically must match byte-for-byte.
   auto by_window_again = w.streaming();
   for (const auto& window : w.churn.windows) by_window_again.ingest(window, 0);
   EXPECT_EQ(state_bytes(by_window), state_bytes(by_window_again));
@@ -262,156 +279,128 @@ TEST(Snapshot, ThreadCountDoesNotFingerprint) {
             core::SnapshotCodec::config_fingerprint(w.config));
 }
 
-TEST(Snapshot, VersionSkewOnAnIntactFileIsVersionMismatchNotCorruption) {
-  const auto& w = snap_world();
-  auto builder = w.streaming();
-  builder.ingest(std::span<const p2p::PeerSample>{w.churn.windows[0]}.first(64), 1);
-
-  // A genuine future-format file: version bumped AND the file CRC redone,
-  // so every checksum passes and only the version check can refuse it.
-  auto bytes = core::SnapshotCodec::encode(builder, 1);
-  bytes[8] = std::byte{2};  // format version field, little-endian low byte
+/// `bytes` with the whole-file CRC recomputed, so only the decoder's
+/// semantic checks can refuse the result.
+[[nodiscard]] std::vector<std::byte> resealed(std::vector<std::byte> bytes) {
   const std::size_t body_size = bytes.size() - 12;
   const std::uint32_t crc = util::crc32c({bytes.data(), body_size});
   for (int i = 0; i < 4; ++i) {
     bytes[body_size + static_cast<std::size_t>(i)] =
         static_cast<std::byte>((crc >> (8 * i)) & 0xffU);
   }
+  return bytes;
+}
 
+TEST(Snapshot, VersionSkewOnAnIntactFileIsVersionMismatchNotCorruption) {
+  const auto& w = snap_world();
+  auto builder = w.streaming();
+  builder.ingest(std::span<const p2p::PeerSample>{w.churn.windows[0]}.first(64), 1);
   auto target = w.streaming();
-  EXPECT_EQ(core::SnapshotCodec::decode(bytes, target).code(),
-            StatusCode::kVersionMismatch);
+  target.ingest(w.churn.windows[1], 1);
+  const auto target_state = state_bytes(target);
+
+  // A genuine other-format file: version changed AND the file CRC redone,
+  // so every checksum passes and only the version check can refuse it.
+  // v1 (the derived-state format) has no decoder any more; a future
+  // version is refused the same way.
+  for (const std::uint32_t version : {core::SnapshotCodec::kFormatVersion - 1,
+                                      core::SnapshotCodec::kFormatVersion + 1}) {
+    auto bytes = core::SnapshotCodec::encode(builder, 1);
+    bytes[8] = static_cast<std::byte>(version);  // version field, low byte
+    EXPECT_EQ(core::SnapshotCodec::decode(resealed(std::move(bytes)), target).code(),
+              StatusCode::kVersionMismatch)
+        << "v" << version;
+    EXPECT_EQ(state_bytes(target), target_state) << "v" << version;
+  }
 
   // The same byte damaged WITHOUT fixing the CRC is indistinguishable from
   // media corruption and must say so.
   auto corrupt_bytes = core::SnapshotCodec::encode(builder, 1);
-  corrupt_bytes[8] = std::byte{2};
+  corrupt_bytes[8] = static_cast<std::byte>(core::SnapshotCodec::kFormatVersion + 1);
   EXPECT_EQ(core::SnapshotCodec::decode(corrupt_bytes, target).code(),
             StatusCode::kCorruption);
 }
 
-// ---- Crafted files: every checksum passes, one section breaks an invariant ----
+// ---- The stored log: its size, and crafted files whose checksums pass ----
 
-using core::byte_io::load_u32;
 using core::byte_io::load_u64;
-using core::byte_io::put_u32;
-using core::byte_io::put_u64;
 
-// Section ids and the envelope size, as laid out in core/snapshot.hpp.
-constexpr std::uint32_t kBucketsSection = 2;
-constexpr std::uint32_t kSeenSection = 3;
-constexpr std::uint32_t kTouchedSection = 5;
-constexpr std::size_t kSnapshotHeaderSize = 8 + 4 + 8 + 8 + 4;
-constexpr std::size_t kSnapshotFooterSize = 4 + 8;
+// The v2 layout, as documented in core/snapshot.hpp: header, config block
+// and window count, then one record per window (5 x u64 WindowStats, u64
+// sample count, 5 B per sample), then the footer.
+constexpr std::size_t kHeaderAndConfigSize = 8 + 4 + 8 + 8 + 8 + 3 * 8;
+constexpr std::size_t kEnvelopeSize = kHeaderAndConfigSize + 8 + 4 + 8;
+constexpr std::size_t kWindowHeaderSize = 5 * 8 + 8;
+constexpr std::size_t kSampleSize = 5;
 
-/// Walks the section table, handing each (id, payload) to `visit`.
-template <typename Visit>
-void for_each_section(std::span<const std::byte> bytes, Visit&& visit) {
-  std::size_t at = kSnapshotHeaderSize;
-  while (at < bytes.size() - kSnapshotFooterSize) {
-    const std::uint32_t id = load_u32(bytes, at);
-    const auto size = static_cast<std::size_t>(load_u64(bytes, at + 4));
-    visit(id, bytes.subspan(at + 16, size));
-    at += 16 + size;
-  }
-}
-
-[[nodiscard]] std::vector<std::byte> section_payload(std::span<const std::byte> bytes,
-                                                     std::uint32_t id) {
-  std::vector<std::byte> out;
-  for_each_section(bytes, [&](std::uint32_t section, std::span<const std::byte> payload) {
-    if (section == id) out.assign(payload.begin(), payload.end());
-  });
-  return out;
-}
-
-/// `bytes` with section `id`'s payload replaced by `payload`; the section's
-/// size and CRC and the whole-file CRC are recomputed, so only the decoder's
-/// semantic checks can refuse the result.
-[[nodiscard]] std::vector<std::byte> with_section(std::span<const std::byte> bytes,
-                                                  std::uint32_t id,
-                                                  std::span<const std::byte> payload) {
-  std::vector<std::byte> out{bytes.begin(), bytes.begin() + kSnapshotHeaderSize};
-  for_each_section(bytes, [&](std::uint32_t section, std::span<const std::byte> original) {
-    const std::span<const std::byte> body = section == id ? payload : original;
-    put_u32(out, section);
-    put_u64(out, body.size());
-    put_u32(out, util::crc32c(body));
-    out.insert(out.end(), body.begin(), body.end());
-  });
-  put_u32(out, util::crc32c(out));
-  out.insert(out.end(), bytes.end() - 8, bytes.end());  // tail magic
-  return out;
-}
-
-/// A payload of one u64 count followed by `values`, each `width` bytes.
-[[nodiscard]] std::vector<std::byte> counted(const std::vector<std::uint64_t>& values,
-                                             std::size_t width) {
-  std::vector<std::byte> out;
-  put_u64(out, values.size());
-  for (const std::uint64_t v : values) {
-    if (width == 8) {
-      put_u64(out, v);
-    } else {
-      put_u32(out, static_cast<std::uint32_t>(v));
-    }
-  }
-  return out;
-}
-
-TEST(Snapshot, CraftedInvariantViolationsAreCorruptionAndLeaveTheBuilderUntouched) {
+TEST(Snapshot, EncodedSizeIsTheAdmittedStream) {
   const auto& w = snap_world();
   auto builder = w.streaming();
-  builder.ingest(std::span<const p2p::PeerSample>{w.churn.windows[0]}.first(600), 1);
+  EXPECT_EQ(state_bytes(builder).size(), kEnvelopeSize);
+  for (const auto& window : w.churn.windows) builder.ingest(window, 2);
+  EXPECT_EQ(state_bytes(builder).size(),
+            kEnvelopeSize + w.churn.windows.size() * kWindowHeaderSize +
+                kSampleSize * builder.unique_samples());
+}
+
+/// Little-endian u64 store into a crafted file.
+void store_u64(std::vector<std::byte>& bytes, std::size_t at, std::uint64_t value) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[at + i] = static_cast<std::byte>((value >> (8 * i)) & 0xffU);
+  }
+}
+
+TEST(Snapshot, CraftedLogsThatReplayDoesNotReproduceAreCorruption) {
+  const auto& w = snap_world();
+  auto builder = w.streaming();
+  const auto first = std::span<const p2p::PeerSample>{w.churn.windows[0]}.first(600);
+  builder.ingest(first, 1);
+  builder.ingest(std::span<const p2p::PeerSample>{w.churn.windows[1]}.first(400), 1);
   const auto pristine = core::SnapshotCodec::encode(builder, 1);
 
-  // The decoded arrays become the builder's live structures as they are, so
-  // the decoder's ordering and cross-section checks are all that keep a
-  // malformed file out.  Read the parts the cases rearrange.
-  const auto buckets = section_payload(pristine, kBucketsSection);
-  std::vector<std::uint64_t> bucket_asns;
-  std::vector<std::size_t> bucket_offsets;
-  constexpr std::size_t kPeerRecordSize = 4 + 1 + 8 + 8 + 8 + 4;
-  for (std::size_t at = 8; at < buckets.size();) {
-    bucket_offsets.push_back(at);
-    bucket_asns.push_back(load_u32(buckets, at));
-    at += 12 + static_cast<std::size_t>(load_u64(buckets, at + 4)) * kPeerRecordSize;
-  }
-  const auto seen = section_payload(pristine, kSeenSection);
-  std::vector<std::uint64_t> keys;
-  for (std::size_t at = 8; at < seen.size(); at += 8) keys.push_back(load_u64(seen, at));
-  ASSERT_GE(bucket_asns.size(), 2u);
-  ASSERT_GE(keys.size(), 2u);
+  // Window 0's record opens right after the window count; window 1's
+  // follows its samples.  Field offsets within a record: offered 0,
+  // duplicates 8, admitted 16, cumulative_unique 24, rejected 32, count 40.
+  const std::size_t window0 = kHeaderAndConfigSize + 8;
+  const std::size_t admitted0 = static_cast<std::size_t>(load_u64(pristine, window0 + 16));
+  ASSERT_GE(admitted0, 2u);
+  const std::size_t samples0 = window0 + kWindowHeaderSize;
+  const std::size_t window1 = samples0 + admitted0 * kSampleSize;
 
+  const auto crafted = [&pristine](auto&& edit) {
+    auto bytes = pristine;
+    edit(bytes);
+    return resealed(std::move(bytes));
+  };
   std::vector<std::pair<const char*, std::vector<std::byte>>> cases;
-  auto swapped_keys = keys;
-  std::swap(swapped_keys[0], swapped_keys[1]);
-  cases.emplace_back("dedup keys not strictly ascending",
-                     with_section(pristine, kSeenSection, counted(swapped_keys, 8)));
-  auto repeated_key = keys;
-  repeated_key[1] = repeated_key[0];
-  cases.emplace_back("repeated dedup key",
-                     with_section(pristine, kSeenSection, counted(repeated_key, 8)));
-  auto swapped_buckets = buckets;
-  for (std::size_t i = 0; i < 4; ++i) {
-    swapped_buckets[bucket_offsets[0] + i] = buckets[bucket_offsets[1] + i];
-    swapped_buckets[bucket_offsets[1] + i] = buckets[bucket_offsets[0] + i];
-  }
-  cases.emplace_back("bucket ASNs not ascending",
-                     with_section(pristine, kBucketsSection, swapped_buckets));
-  cases.emplace_back("touched ASN with no bucket",
-                     with_section(pristine, kTouchedSection,
-                                  counted({bucket_asns.back() + 1}, 4)));
-  cases.emplace_back("touched ASNs not ascending",
-                     with_section(pristine, kTouchedSection,
-                                  counted({bucket_asns[1], bucket_asns[0]}, 4)));
-  auto fewer_keys = keys;
-  fewer_keys.pop_back();
-  cases.emplace_back("raw_samples differs from the key count",
-                     with_section(pristine, kSeenSection, counted(fewer_keys, 8)));
+  cases.emplace_back("duplicate key inside a window", crafted([&](auto& bytes) {
+                       std::copy_n(bytes.begin() + static_cast<std::ptrdiff_t>(samples0),
+                                   kSampleSize,
+                                   bytes.begin() +
+                                       static_cast<std::ptrdiff_t>(samples0 + kSampleSize));
+                     }));
+  cases.emplace_back("door-rejected sample in the log", crafted([&](auto& bytes) {
+                       // 10.0.0.1: RFC 1918, refused at the admission door.
+                       bytes[samples0] = std::byte{0x01};
+                       bytes[samples0 + 1] = std::byte{0x00};
+                       bytes[samples0 + 2] = std::byte{0x00};
+                       bytes[samples0 + 3] = std::byte{0x0a};
+                     }));
+  cases.emplace_back("offered != duplicates + admitted + rejected",
+                     crafted([&](auto& bytes) {
+                       store_u64(bytes, window0, load_u64(bytes, window0) + 1);
+                     }));
+  cases.emplace_back("cumulative_unique disagrees with replay", crafted([&](auto& bytes) {
+                       store_u64(bytes, window1 + 24, load_u64(bytes, window1 + 24) + 1);
+                     }));
+  cases.emplace_back("sample count differs from admitted", crafted([&](auto& bytes) {
+                       // offered and admitted both + 1: the counters still add up.
+                       store_u64(bytes, window0, load_u64(bytes, window0) + 1);
+                       store_u64(bytes, window0 + 16, load_u64(bytes, window0 + 16) + 1);
+                     }));
 
   auto target = w.streaming();
-  target.ingest(w.churn.windows[1], 1);
+  target.ingest(w.churn.windows[2], 1);
   const auto target_state = state_bytes(target);
   for (const auto& [what, bytes] : cases) {
     EXPECT_EQ(core::SnapshotCodec::decode(bytes, target).code(), StatusCode::kCorruption)
@@ -419,12 +408,115 @@ TEST(Snapshot, CraftedInvariantViolationsAreCorruptionAndLeaveTheBuilderUntouche
     EXPECT_EQ(state_bytes(target), target_state) << what;
   }
 
-  // Control: re-sealing an unchanged section yields a file that loads, so
-  // each refusal above is the decoder's verdict on the one broken invariant.
-  const auto resealed = with_section(pristine, kSeenSection, seen);
-  EXPECT_EQ(resealed, pristine);
-  ASSERT_TRUE(core::SnapshotCodec::decode(resealed, target).ok());
+  // Control: re-sealing the unchanged file yields the same bytes, which
+  // load, so each refusal above is the decoder's verdict on the one edit.
+  ASSERT_EQ(resealed(pristine), pristine);
+  ASSERT_TRUE(core::SnapshotCodec::decode(pristine, target).ok());
   EXPECT_EQ(state_bytes(target), state_bytes(builder));
+}
+
+// ---- Replay under other inputs: refused, never silently re-conditioned ----
+
+/// Saves two generations of `w`'s stream to `dir`: generation 1 holds
+/// `first`, generation 2 adds window 1.
+void save_two_generations(const SnapWorld& w, std::span<const p2p::PeerSample> first,
+                          const std::string& dir) {
+  auto& fs = util::local_filesystem();
+  auto writer = w.streaming();
+  writer.ingest(first, 2);
+  ASSERT_TRUE(writer.save_snapshot(dir, fs).ok());
+  writer.ingest(w.churn.windows[1], 2);
+  ASSERT_TRUE(writer.save_snapshot(dir, fs).ok());
+}
+
+/// The refusal contract for a replay under other inputs: kConfigMismatch,
+/// the builder untouched, no generation quarantined or removed, and no
+/// older generation loaded in the newest one's place.
+void expect_replay_refused(core::StreamingDatasetBuilder& builder, const std::string& dir,
+                           const std::vector<std::string>& files_before) {
+  const auto before = state_bytes(builder);
+  const std::uint64_t generation_before = builder.last_generation();
+  const Status status = builder.restore_snapshot(dir, util::local_filesystem());
+  EXPECT_EQ(status.code(), StatusCode::kConfigMismatch) << status;
+  EXPECT_NE(status.message().find("generation 2"), std::string::npos) << status;
+  EXPECT_EQ(state_bytes(builder), before);
+  EXPECT_EQ(builder.last_generation(), generation_before);
+  EXPECT_EQ(snapshot_files(dir), files_before);
+}
+
+TEST(Snapshot, ReplayUnderAnotherSecondaryDatabaseIsConfigMismatch) {
+  const auto& w = snap_world();
+  const std::string dir = scratch_dir("other_secondary");
+  save_two_generations(w, w.churn.windows[0], dir);
+  const auto files = snapshot_files(dir);
+  ASSERT_EQ(files.size(), 2u);
+
+  // Same name and error model, another seed: the same database product at
+  // another version, which geolocates some IPs elsewhere.
+  const geodb::SyntheticGeoDatabase other_secondary{"ip2location-like", w.f.truth,
+                                                    geodb::ErrorModel{}, 0xbbbc};
+  core::StreamingDatasetBuilder builder{w.f.primary, other_secondary, w.f.mapper, w.config};
+  builder.ingest(w.churn.windows[2], 1);
+  expect_replay_refused(builder, dir, files);
+}
+
+TEST(Snapshot, ReplayUnderARibMissingOnePrefixIsConfigMismatch) {
+  const auto& w = snap_world();
+  const std::string dir = scratch_dir("missing_prefix");
+  // Generation 1 is small, so a prefix that only window 1's peers use can
+  // be withdrawn without touching it.
+  const auto first = std::span<const p2p::PeerSample>{w.churn.windows[0]}.first(200);
+  save_two_generations(w, first, dir);
+  const auto files = snapshot_files(dir);
+  ASSERT_EQ(files.size(), 2u);
+
+  // Withdraw the most specific prefix of a peer that window 1 conditioned,
+  // choosing one that covers no generation-1 sample and whose withdrawal
+  // re-maps that peer.
+  auto reference = w.streaming();
+  reference.ingest(first, 1);
+  reference.ingest(w.churn.windows[1], 1);
+  const auto entries = w.f.rib.entries();
+  const auto covers_first = [&first](const net::Ipv4Prefix& prefix) {
+    return std::ranges::any_of(
+        first, [&prefix](const p2p::PeerSample& s) { return prefix.contains(s.ip); });
+  };
+  const core::TargetDataset conditioned = reference.finalize(1);
+  std::optional<bgp::RibSnapshot> withdrawn;
+  for (const auto& set : conditioned.ases()) {
+    for (const auto& peer : set.peers) {
+      std::optional<std::size_t> match;
+      for (std::size_t e = 0; e < entries.size(); ++e) {
+        if (entries[e].prefix.contains(peer.ip) &&
+            (!match || entries[e].prefix.length() > entries[*match].prefix.length())) {
+          match = e;
+        }
+      }
+      if (!match || covers_first(entries[*match].prefix)) continue;
+      std::vector<bgp::RibEntry> kept{entries.begin(), entries.end()};
+      kept.erase(kept.begin() + static_cast<std::ptrdiff_t>(*match));
+      bgp::RibSnapshot candidate{std::move(kept)};
+      if (candidate.origin(peer.ip) != std::optional<net::Asn>{set.asn}) {
+        withdrawn.emplace(std::move(candidate));
+        break;
+      }
+    }
+    if (withdrawn) break;
+  }
+  ASSERT_TRUE(withdrawn.has_value());
+  const bgp::IpToAsMapper mapper{*withdrawn};
+  core::StreamingDatasetBuilder builder{w.f.primary, w.f.secondary, mapper, w.config};
+
+  // Generation 1 alone replays cleanly under the withdrawn RIB, so a
+  // restore that fell back past generation 2 would load it and silently
+  // drop window 1.
+  std::vector<std::byte> generation1;
+  ASSERT_TRUE(util::local_filesystem().read_file(dir + "/" + files[0], generation1).ok());
+  auto probe = core::StreamingDatasetBuilder{w.f.primary, w.f.secondary, mapper, w.config};
+  ASSERT_TRUE(core::SnapshotCodec::decode(generation1, probe).ok());
+
+  builder.ingest(w.churn.windows[2], 1);
+  expect_replay_refused(builder, dir, files);
 }
 
 // ---- Byte-level corruption fuzz ----

@@ -29,7 +29,7 @@ STAGES=(
   "thread-safety|EYEBALL_THREAD_SAFETY=ON Clang build: capability analysis as errors + compile-fail probes [skipped when clang++ is absent]"
   "lint|tools/eyeball_lint.py self-test + repo scan, BENCH_*.json schema check, bench_diff self-test"
   "strict|EYEBALL_STRICT=ON (-Wconversion -Wdouble-promotion -Werror) build"
-  "bench-smoke|each bm_* binary runs one cheap benchmark, bm_dataset also its snapshot ingest-save-restore round (bit-rot guard; a missing or failing binary is a hard stage failure)"
+  "bench-smoke|each bm_* binary runs one cheap benchmark, bm_dataset also its snapshot save and restore axes (bit-rot guard; a missing or failing binary is a hard stage failure)"
   "format|clang-format --dry-run --Werror via the format-check target [skipped when clang-format is absent]"
 )
 
@@ -238,8 +238,11 @@ bench_smoke_stage() {
     --benchmark_filter='BM_HaversineDistance' --benchmark_min_time=0.01 || return 1
   run_bench bm_dataset \
     --benchmark_filter='BM_DatasetFind' --benchmark_min_time=0.01 || return 1
-  # Its setup ingests the crawl windows and saves a snapshot, and its loop
-  # restores it: the streaming builder's state end to end.
+  # Their setup ingests the crawl windows; the save loop digests the derived
+  # state and writes the sample log, the restore loop replays it: the
+  # streaming builder's durable state end to end.
+  run_bench bm_dataset \
+    --benchmark_filter='BM_SnapshotSave$' --benchmark_min_time=0.01 || return 1
   run_bench bm_dataset \
     --benchmark_filter='BM_SnapshotRestore$' --benchmark_min_time=0.01 || return 1
   local serving_out
