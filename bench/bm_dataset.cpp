@@ -230,6 +230,29 @@ void BM_SnapshotRestore(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotRestore)->Unit(benchmark::kMillisecond)->Apply(median_of_three);
 
+// The per-publish finalize over the six-window streaming state: the
+// min-peers / p90 geo-error filter over every bucket (a selection per
+// bucket) plus the copy of every kept bucket into the dataset.  Threads
+// axis as above; wall time.
+void BM_StreamingFinalize(benchmark::State& state) {
+  const auto& w = world();
+  core::StreamingDatasetBuilder stream = w.pipeline.streaming_builder();
+  for (const auto& window : crawl_windows()) stream.ingest(window, 0);
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  std::size_t peers = 0;
+  for (auto _ : state) {
+    const core::TargetDataset dataset = stream.finalize(threads);
+    peers = dataset.stats().final_peers;
+    benchmark::DoNotOptimize(dataset.ases().data());
+  }
+  state.SetLabel(std::to_string(peers) + " kept peers of " +
+                 std::to_string(stream.unique_samples()) + " unique samples");
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(stream.unique_samples()));
+}
+BENCHMARK(BM_StreamingFinalize)->Arg(1)->Arg(0)->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 // Separable-convolution axis for the KDE engine, kept in this baseline next
 // to the conditioning axes because the two are the pipeline's raw-speed hot
 // paths (see ISSUE 7 / DESIGN.md "Data layout & vectorization").  The
@@ -286,27 +309,33 @@ std::uint64_t world_fingerprint() {
   return core::SnapshotCodec::config_fingerprint(world().pipeline.config().dataset);
 }
 
-// Canonical encode + checked atomic write of the full epoch.
+// Canonical encode + checked atomic write of the full epoch, with the
+// encoder's threads axis (1 = serial, 0 = pool width); wall time, since
+// the encode fans out.
 void BM_ArtifactWrite(benchmark::State& state) {
   const auto& w = world();
   const auto& analyses = world_analyses();
+  const auto threads = static_cast<std::size_t>(state.range(0));
   const std::string path = snapshot_bench_dir("artifact_write") + "/epoch.eyb";
   std::filesystem::create_directories(std::filesystem::path{path}.parent_path());
   for (auto _ : state) {
     if (!core::ArtifactCodec::write(util::local_filesystem(), path, w.dataset,
-                                    analyses, 1, world_fingerprint())
+                                    analyses, 1, world_fingerprint(), threads)
              .ok()) {
       state.SkipWithError("artifact write failed");
       break;
     }
   }
   const auto bytes = static_cast<std::int64_t>(std::filesystem::file_size(path));
+  const std::size_t effective =
+      threads == 0 ? util::ThreadPool::shared().worker_count() : threads;
   state.SetLabel(std::to_string(bytes) + " byte artifact, " +
-                 std::to_string(w.dataset.ases().size()) + " ASes");
+                 std::to_string(w.dataset.ases().size()) + " ASes, " +
+                 std::to_string(effective) + " threads");
   state.SetBytesProcessed(state.iterations() * bytes);
   std::filesystem::remove_all(std::filesystem::path{path}.parent_path());
 }
-BENCHMARK(BM_ArtifactWrite)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ArtifactWrite)->Arg(1)->Arg(0)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // mmap + envelope and CRC checks + every AS record decoded: exactly what a
 // service's restore_from_artifact pays before it publishes the epoch.

@@ -5,12 +5,14 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <utility>
 
 #include "core/byte_io.hpp"
 #include "util/check.hpp"
 #include "util/crc32c.hpp"
+#include "util/thread_pool.hpp"
 
 // EYBART1 encoder / checker / record decoder.  The format contract (layout,
 // check order) lives in artifact.hpp; this file keeps the byte-level
@@ -23,10 +25,8 @@ namespace {
 
 using byte_io::load_u32;
 using byte_io::load_u64;
-using byte_io::put_f64;
-using byte_io::put_u32;
-using byte_io::put_u64;
 using byte_io::Reader;
+using byte_io::Writer;
 
 static_assert(sizeof(double) == 8 && std::numeric_limits<double>::is_iec559,
               "EYBART1 stores doubles as IEEE-754 bit patterns");
@@ -63,11 +63,9 @@ constexpr std::size_t kSectionCount = 2;
   return (n + 7U) & ~std::size_t{7};
 }
 
-void put_u32_at(std::span<std::byte> out, std::size_t at, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out[at + static_cast<std::size_t>(i)] =
-        static_cast<std::byte>((v >> (8 * i)) & 0xffU);
-  }
+/// Overwrites the u32 at `at` (the CRC slots of an already laid-out image).
+void put_u32_at(std::span<std::byte> image, std::size_t at, std::uint32_t v) {
+  Writer{image.subspan(at, 4)}.put_u32(v);
 }
 
 [[nodiscard]] util::Status corruption_at(const char* what) {
@@ -78,29 +76,57 @@ void put_u32_at(std::span<std::byte> out, std::size_t at, std::uint32_t v) {
   return corruption_at("AS record runs past the end of its section");
 }
 
-/// Zero-suppresses a grid: appends its maximal runs of bit-nonzero cells to
-/// `runs` as (start, count) pairs and returns how many cells they cover.
-/// "Zero" means the u64 bit pattern is exactly zero — -0.0 and denormals
-/// count as nonzero and round-trip bit-exactly.  Only the stored cells are
-/// scanned (all else is +0.0), in row-major cell order like a dense scan.
-std::uint64_t append_runs(const kde::DensityGrid& grid, std::vector<std::uint64_t>& runs) {
-  const std::size_t first = runs.size();
-  std::uint64_t nonzero = 0;
+/// Calls `stretch(cell, values)` for each maximal stretch of bit-nonzero
+/// cells inside one row's stored cells, in row-major order; `cell` is the
+/// grid-wide index of values[0].  "Zero" means the u64 bit pattern is
+/// exactly zero — -0.0 and denormals count as nonzero and round-trip
+/// bit-exactly.  Only the stored cells are scanned (all else is +0.0).
+template <typename Stretch>
+void for_each_nonzero_stretch(const kde::DensityGrid& grid, Stretch&& stretch) {
   for (std::size_t row = 0; row < grid.rows(); ++row) {
     const std::span<const double> values = grid.row_values(row);
     const std::uint64_t row_start = row * grid.cols() + grid.row_support(row).lo;
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      if (std::bit_cast<std::uint64_t>(values[i]) == 0) continue;
-      const std::uint64_t cell = row_start + i;
-      if (runs.size() == first || runs[runs.size() - 2] + runs.back() != cell) {
-        runs.push_back(cell);
-        runs.push_back(0);
+    const std::size_t n = values.size();
+    const auto bits = [&values](std::size_t i) {
+      return std::bit_cast<std::uint64_t>(values[i]);
+    };
+    // Most stored cells are zero and both kinds come in long stretches, so
+    // each scan steps four cells at a time while all four agree.
+    std::size_t i = 0;
+    for (;;) {
+      while (i + 4 <= n && (bits(i) | bits(i + 1) | bits(i + 2) | bits(i + 3)) == 0) i += 4;
+      while (i < n && bits(i) == 0) ++i;
+      if (i == n) break;
+      std::size_t end = i + 1;
+      while (end + 4 <= n && ((bits(end) != 0) & (bits(end + 1) != 0) &
+                              (bits(end + 2) != 0) & (bits(end + 3) != 0))) {
+        end += 4;
       }
-      ++runs.back();
-      ++nonzero;
+      while (end < n && bits(end) != 0) ++end;
+      stretch(row_start + i, values.subspan(i, end - i));
+      i = end;
     }
   }
-  return nonzero;
+}
+
+/// One AS's zero-suppressed grid, measured: its maximal runs of bit-nonzero
+/// cells in row-major cell order (a run crossing a row boundary is one
+/// run) and the cells they cover.  Stretches join into one run exactly
+/// when one ends where the next begins.
+struct SparseCounts {
+  std::uint64_t runs = 0;
+  std::uint64_t nonzero = 0;
+};
+
+[[nodiscard]] SparseCounts count_sparse(const kde::DensityGrid& grid) {
+  SparseCounts counts;
+  std::uint64_t run_end = 0;  // one past the open run; 0 before the first
+  for_each_nonzero_stretch(grid, [&](std::uint64_t cell, std::span<const double> values) {
+    if (run_end == 0 || cell != run_end) ++counts.runs;
+    counts.nonzero += values.size();
+    run_end = cell + values.size();
+  });
+  return counts;
 }
 
 /// Calls `piece(row, col, count)` for each row's share of the cells
@@ -119,100 +145,107 @@ void for_each_row_piece(std::uint64_t start, std::uint64_t count, std::uint64_t 
   }
 }
 
-/// One AS's zero-suppressed grid: its (start, count) run pairs and the
-/// number of cells they cover.
-struct SparseGrid {
-  std::span<const std::uint64_t> runs;
-  std::uint64_t nonzero = 0;
-};
-
-/// The bytes put_record appends for `analysis`, whose grid is `grid`.
-[[nodiscard]] std::size_t record_size(const AsAnalysis& analysis, const SparseGrid& grid) {
+/// The bytes put_record writes for `analysis`, whose grid measures `grid`.
+[[nodiscard]] std::size_t record_size(const AsAnalysis& analysis,
+                                      const SparseCounts& grid) {
   return kMinRecordSize + analysis.classification.dominant_region.size() +
-         grid.runs.size() / 2 * kRunSize + grid.nonzero * 8 +
+         grid.runs * kRunSize + grid.nonzero * 8 +
          analysis.footprint.contour.partitions.size() * kPartitionSize +
          analysis.footprint.contour.boundary.size() * kSegmentSize +
          analysis.footprint.peaks.size() * kPeakSize +
          analysis.pops.pops.size() * kPopSize;
 }
 
-/// Appends one AS's record (layout in artifact.hpp); `zero_suppressed` is
-/// its grid after append_runs.
-void put_record(std::vector<std::byte>& out, const AsAnalysis& analysis,
-                const SparseGrid& zero_suppressed) {
+/// Writes one AS's record (layout in artifact.hpp) through `out`, which
+/// spans exactly record_size(analysis, sparse) bytes.
+void put_record(Writer& out, const AsAnalysis& analysis, const SparseCounts& sparse) {
   const Classification& c = analysis.classification;
-  put_u32(out, net::value_of(analysis.asn));
-  put_u32(out, static_cast<std::uint32_t>(c.level));
-  put_u32(out, static_cast<std::uint32_t>(c.continent));
-  put_f64(out, c.dominant_share);
-  put_u64(out, c.dominant_region.size());
-  for (const char ch : c.dominant_region) out.push_back(static_cast<std::byte>(ch));
+  out.put_u32(net::value_of(analysis.asn));
+  out.put_u32(static_cast<std::uint32_t>(c.level));
+  out.put_u32(static_cast<std::uint32_t>(c.continent));
+  out.put_f64(c.dominant_share);
+  out.put_u64(c.dominant_region.size());
+  out.put_bytes(std::as_bytes(std::span{c.dominant_region}));
 
   const kde::DensityGrid& grid = analysis.footprint.grid;
-  put_u64(out, grid.rows());
-  put_u64(out, grid.cols());
-  put_f64(out, grid.box().min_lat());
-  put_f64(out, grid.box().max_lat());
-  put_f64(out, grid.box().min_lon());
-  put_f64(out, grid.box().max_lon());
-  put_f64(out, grid.cell_km());
+  out.put_u64(grid.rows());
+  out.put_u64(grid.cols());
+  out.put_f64(grid.box().min_lat());
+  out.put_f64(grid.box().max_lat());
+  out.put_f64(grid.box().min_lon());
+  out.put_f64(grid.box().max_lon());
+  out.put_f64(grid.cell_km());
 
-  // The runs, then their cells' values (and only those).
-  const std::span<const std::uint64_t> runs = zero_suppressed.runs;
-  put_u64(out, runs.size() / 2);
-  for (const std::uint64_t v : runs) put_u64(out, v);
-  put_u64(out, zero_suppressed.nonzero);
-  for (std::size_t i = 0; i < runs.size(); i += 2) {
-    for_each_row_piece(runs[i], runs[i + 1], grid.cols(),
-                       [&](std::size_t row, std::size_t col, std::size_t n) {
-                         const std::span<const double> cells = grid.row_values(row).subspan(
-                             col - grid.row_support(row).lo, n);
-                         for (const double v : cells) put_f64(out, v);
-                       });
+  // The runs, then their cells' values (and only those): both regions are
+  // sized by count_sparse, so one walk of the grid fills them side by side,
+  // each row piece of values as one copy.
+  out.put_u64(sparse.runs);
+  Writer runs = out.take(sparse.runs * kRunSize);
+  out.put_u64(sparse.nonzero);
+  Writer values = out.take(sparse.nonzero * 8);
+  std::uint64_t run_start = 0;
+  std::uint64_t run_end = 0;  // as in count_sparse
+  for_each_nonzero_stretch(grid, [&](std::uint64_t cell, std::span<const double> stretch) {
+    if (run_end == 0 || cell != run_end) {  // a new run; flush the open one
+      if (run_end != 0) {
+        runs.put_u64(run_start);
+        runs.put_u64(run_end - run_start);
+      }
+      run_start = cell;
+    }
+    run_end = cell + stretch.size();
+    values.put_f64s(stretch);
+  });
+  if (run_end != 0) {
+    runs.put_u64(run_start);
+    runs.put_u64(run_end - run_start);
   }
+  EYEBALL_DCHECK(runs.remaining() == 0 && values.remaining() == 0,
+                 "artifact grid runs drifted from count_sparse");
 
   const kde::Footprint& contour = analysis.footprint.contour;
-  put_f64(out, contour.level);
-  put_u64(out, contour.partitions.size());
+  out.put_f64(contour.level);
+  out.put_u64(contour.partitions.size());
   for (const kde::FootprintPartition& p : contour.partitions) {
-    put_u64(out, p.cell_count);
-    put_f64(out, p.area_km2);
-    put_f64(out, p.mass);
-    put_f64(out, p.peak_density);
-    put_f64(out, p.peak_location.lat_deg);
-    put_f64(out, p.peak_location.lon_deg);
-    put_f64(out, p.min_lat);
-    put_f64(out, p.max_lat);
-    put_f64(out, p.min_lon);
-    put_f64(out, p.max_lon);
+    out.put_u64(p.cell_count);
+    out.put_f64(p.area_km2);
+    out.put_f64(p.mass);
+    out.put_f64(p.peak_density);
+    out.put_f64(p.peak_location.lat_deg);
+    out.put_f64(p.peak_location.lon_deg);
+    out.put_f64(p.min_lat);
+    out.put_f64(p.max_lat);
+    out.put_f64(p.min_lon);
+    out.put_f64(p.max_lon);
   }
-  put_u64(out, contour.boundary.size());
+  out.put_u64(contour.boundary.size());
   for (const kde::BoundarySegment& s : contour.boundary) {
-    put_f64(out, s.a.lat_deg);
-    put_f64(out, s.a.lon_deg);
-    put_f64(out, s.b.lat_deg);
-    put_f64(out, s.b.lon_deg);
+    out.put_f64(s.a.lat_deg);
+    out.put_f64(s.a.lon_deg);
+    out.put_f64(s.b.lat_deg);
+    out.put_f64(s.b.lon_deg);
   }
-  put_u64(out, analysis.footprint.peaks.size());
+  out.put_u64(analysis.footprint.peaks.size());
   for (const kde::Peak& peak : analysis.footprint.peaks) {
-    put_f64(out, peak.location.lat_deg);
-    put_f64(out, peak.location.lon_deg);
-    put_f64(out, peak.density);
-    put_f64(out, peak.score);
-    put_u32(out, static_cast<std::uint32_t>(peak.row));
-    put_u32(out, static_cast<std::uint32_t>(peak.col));
+    out.put_f64(peak.location.lat_deg);
+    out.put_f64(peak.location.lon_deg);
+    out.put_f64(peak.density);
+    out.put_f64(peak.score);
+    out.put_u32(static_cast<std::uint32_t>(peak.row));
+    out.put_u32(static_cast<std::uint32_t>(peak.col));
   }
-  put_u64(out, analysis.pops.pops.size());
+  out.put_u64(analysis.pops.pops.size());
   for (const PopEntry& pop : analysis.pops.pops) {
-    put_u32(out, pop.city);
-    put_f64(out, pop.score);
-    put_f64(out, pop.peak_density);
-    put_f64(out, pop.peak_location.lat_deg);
-    put_f64(out, pop.peak_location.lon_deg);
+    out.put_u32(pop.city);
+    out.put_f64(pop.score);
+    out.put_f64(pop.peak_density);
+    out.put_f64(pop.peak_location.lat_deg);
+    out.put_f64(pop.peak_location.lon_deg);
   }
-  put_u64(out, analysis.pops.unmapped_peaks);
-  put_u64(out, analysis.footprint.sample_count);
-  put_f64(out, analysis.footprint.bandwidth_km);
+  out.put_u64(analysis.pops.unmapped_peaks);
+  out.put_u64(analysis.footprint.sample_count);
+  out.put_f64(analysis.footprint.bandwidth_km);
+  EYEBALL_DCHECK(out.remaining() == 0, "artifact record size drifted from put_record");
 }
 
 /// Decodes the grid part of a record (box through the nonzero values).
@@ -436,7 +469,7 @@ util::Status ArtifactCodec::encode(const TargetDataset& dataset,
                                    std::span<const AsAnalysis> analyses,
                                    std::uint64_t epoch,
                                    std::uint64_t config_fingerprint,
-                                   std::vector<std::byte>& out) {
+                                   std::vector<std::byte>& out, std::size_t threads) {
   const std::span<const AsPeerSet> ases = dataset.ases();
   if (analyses.size() != ases.size()) {
     return util::Status::invalid_argument(
@@ -446,34 +479,40 @@ util::Status ArtifactCodec::encode(const TargetDataset& dataset,
     return util::Status::invalid_argument(
         "artifact: stats final_ases does not match the dataset's AS count");
   }
-
-  std::vector<std::byte> stats_pay;
-  byte_io::put_stats(stats_pay, dataset.stats());
-
-  // Zero-suppress every grid first, so the record section is sized exactly
-  // and the image is written once into a buffer allocated once.
-  std::vector<std::uint64_t> runs;  // every AS's run pairs, back to back
-  std::vector<std::size_t> runs_end(ases.size());
-  std::vector<std::uint64_t> nonzero(ases.size());
   for (std::size_t i = 0; i < ases.size(); ++i) {
     if (analyses[i].asn != ases[i].asn) {
       return util::Status::invalid_argument(
           "artifact: analyses out of order vs the dataset's ASes");
     }
-    nonzero[i] = append_runs(analyses[i].footprint.grid, runs);
-    runs_end[i] = runs.size();
   }
-  const auto grid_runs = [&](std::size_t i) {
-    const std::size_t begin = i == 0 ? 0 : runs_end[i - 1];
-    return SparseGrid{std::span{runs}.subspan(begin, runs_end[i] - begin), nonzero[i]};
-  };
-  std::size_t records_size = 0;
-  for (std::size_t i = 0; i < ases.size(); ++i) {
-    records_size += record_size(analyses[i], grid_runs(i));
-  }
-  const std::array<std::size_t, kSectionCount> sizes{stats_pay.size(), records_size};
 
-  // -- assembly: header + table + packed sections + tail --------------------
+  // Size, then fill.  Both per-AS passes run largest grid first at
+  // `threads`; each AS writes only its own slot or its own slice of the
+  // image, so the bytes are the same at any thread count.
+  std::vector<std::size_t> order(ases.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const auto stored_cells = [&](std::size_t i) {
+    return analyses[i].footprint.grid.stored_cells();
+  };
+
+  // Pass 1: measure every zero-suppressed grid and size its record.
+  // record_end[i] is where record i ends inside the record section once
+  // the serial prefix sum below has run.
+  std::vector<SparseCounts> sparse(ases.size());
+  std::vector<std::size_t> record_end(ases.size());
+  util::for_each_largest_first(
+      order, stored_cells,
+      [&](std::size_t i) {
+        sparse[i] = count_sparse(analyses[i].footprint.grid);
+        record_end[i] = record_size(analyses[i], sparse[i]);
+      },
+      threads);
+  std::partial_sum(record_end.begin(), record_end.end(), record_end.begin());
+  const std::size_t records_size = record_end.empty() ? 0 : record_end.back();
+  const std::array<std::size_t, kSectionCount> sizes{byte_io::stats_size(dataset.stats()),
+                                                     records_size};
+
+  // -- layout: header + table + packed sections + tail ----------------------
   constexpr std::size_t kMetaSize = kHeaderSize + kSectionCount * kTableEntrySize;
   std::size_t cursor = kMetaSize;
   std::array<std::uint64_t, kSectionCount> offsets{};
@@ -484,45 +523,52 @@ util::Status ArtifactCodec::encode(const TargetDataset& dataset,
   }
   const std::size_t file_size = align8(cursor) + kTailSize;
 
-  std::vector<std::byte> buffer;
-  buffer.reserve(file_size);
-  buffer.insert(buffer.end(), kHeadMagic.begin(), kHeadMagic.end());
-  put_u32(buffer, kFormatVersion);
-  put_u32(buffer, static_cast<std::uint32_t>(kSectionCount));
-  put_u64(buffer, epoch);
-  put_u64(buffer, config_fingerprint);
-  put_u64(buffer, file_size);
-  put_u64(buffer, ases.size());
-  put_u32(buffer, 0);  // meta CRC, patched below
-  put_u32(buffer, 0);  // reserved
-  EYEBALL_DCHECK(buffer.size() == kHeaderSize, "artifact header layout drifted");
+  // The one allocation of the image.  Zero-filled, so the padding between
+  // the sections and before the tail needs no writes.
+  std::vector<std::byte> buffer(file_size);
+  const std::span<std::byte> image{buffer};
+  Writer meta{image.first(kMetaSize)};
+  meta.put_bytes(kHeadMagic);
+  meta.put_u32(kFormatVersion);
+  meta.put_u32(static_cast<std::uint32_t>(kSectionCount));
+  meta.put_u64(epoch);
+  meta.put_u64(config_fingerprint);
+  meta.put_u64(file_size);
+  meta.put_u64(ases.size());
+  meta.put_u32(0);  // meta CRC, patched below
+  meta.put_u32(0);  // reserved
+  EYEBALL_DCHECK(meta.remaining() == kSectionCount * kTableEntrySize,
+                 "artifact header layout drifted");
 
   constexpr std::size_t kEntryCrcOffset = 32;
   for (std::size_t s = 0; s < kSectionCount; ++s) {
-    put_u32(buffer, static_cast<std::uint32_t>(s + 1));  // section id
-    put_u32(buffer, 0);                                   // reserved
-    put_u64(buffer, offsets[s]);
-    put_u64(buffer, sizes[s]);
-    put_u64(buffer, 0);  // reserved
-    put_u32(buffer, 0);  // section CRC, patched below
-    put_u32(buffer, 0);  // reserved
+    meta.put_u32(static_cast<std::uint32_t>(s + 1));  // section id
+    meta.put_u32(0);                                   // reserved
+    meta.put_u64(offsets[s]);
+    meta.put_u64(sizes[s]);
+    meta.put_u64(0);  // reserved
+    meta.put_u32(0);  // section CRC, patched below
+    meta.put_u32(0);  // reserved
   }
 
-  buffer.resize(offsets[0], std::byte{0});
-  buffer.insert(buffer.end(), stats_pay.begin(), stats_pay.end());
-  buffer.resize(offsets[1], std::byte{0});
-  for (std::size_t i = 0; i < ases.size(); ++i) {
-    put_record(buffer, analyses[i], grid_runs(i));
-  }
-  EYEBALL_DCHECK(buffer.size() == offsets[1] + records_size,
-                 "artifact record size drifted from put_record");
-  buffer.resize(file_size - kTailSize, std::byte{0});
-  buffer.insert(buffer.end(), kTailMagic.begin(), kTailMagic.end());
-  EYEBALL_DCHECK(buffer.size() == file_size, "artifact assembly size drifted");
+  Writer stats{image.subspan(offsets[0], sizes[0])};
+  byte_io::put_stats(stats, dataset.stats());
+  EYEBALL_DCHECK(stats.remaining() == 0, "artifact stats size drifted");
+
+  // Pass 2: every record into its own slice of the record section.
+  const std::span<std::byte> records = image.subspan(offsets[1], sizes[1]);
+  util::for_each_largest_first(
+      order, stored_cells,
+      [&](std::size_t i) {
+        const std::size_t begin = i == 0 ? 0 : record_end[i - 1];
+        Writer record{records.subspan(begin, record_end[i] - begin)};
+        put_record(record, analyses[i], sparse[i]);
+      },
+      threads);
+  Writer{image.last(kTailSize)}.put_bytes(kTailMagic);
 
   // Section CRCs into the table, then the meta CRC over the header (with
   // its CRC field still zero) + the table.
-  const std::span<std::byte> image{buffer};
   for (std::size_t s = 0; s < kSectionCount; ++s) {
     put_u32_at(image, kHeaderSize + s * kTableEntrySize + kEntryCrcOffset,
                util::crc32c_fast(image.subspan(offsets[s], sizes[s])));
@@ -536,9 +582,11 @@ util::Status ArtifactCodec::encode(const TargetDataset& dataset,
 util::Status ArtifactCodec::write(util::FileSystem& fs, const std::string& path,
                                   const TargetDataset& dataset,
                                   std::span<const AsAnalysis> analyses,
-                                  std::uint64_t epoch, std::uint64_t config_fingerprint) {
+                                  std::uint64_t epoch, std::uint64_t config_fingerprint,
+                                  std::size_t threads) {
   std::vector<std::byte> bytes;
-  if (util::Status status = encode(dataset, analyses, epoch, config_fingerprint, bytes);
+  if (util::Status status =
+          encode(dataset, analyses, epoch, config_fingerprint, bytes, threads);
       !status.ok()) {
     return status;
   }

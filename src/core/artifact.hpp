@@ -130,13 +130,16 @@ class ArtifactCodec {
   /// Serializes one epoch into `out` (replaced).  `analyses` must be
   /// parallel to `dataset.ases()` and the stats' final_ases must equal the
   /// AS count (kInvalidArgument otherwise); of the dataset, only its stats
-  /// and each AS's ASN are written.  Canonical: equal inputs encode to
-  /// identical bytes.
+  /// and each AS's ASN are written.  Sizes every record first, allocates
+  /// the image once, then fills each record's slice; both per-AS passes
+  /// fan out at `threads` (0 = one per pool worker).  Canonical: equal
+  /// inputs encode to identical bytes at any `threads`.
   [[nodiscard]] static util::Status encode(const TargetDataset& dataset,
                                            std::span<const AsAnalysis> analyses,
                                            std::uint64_t epoch,
                                            std::uint64_t config_fingerprint,
-                                           std::vector<std::byte>& out);
+                                           std::vector<std::byte>& out,
+                                           std::size_t threads = 1);
 
   /// encode() + crash-safe publish via atomic_write_file: a crash leaves
   /// the previous artifact or the new one, never a hybrid.
@@ -144,7 +147,8 @@ class ArtifactCodec {
                                           const TargetDataset& dataset,
                                           std::span<const AsAnalysis> analyses,
                                           std::uint64_t epoch,
-                                          std::uint64_t config_fingerprint);
+                                          std::uint64_t config_fingerprint,
+                                          std::size_t threads = 1);
 };
 
 /// Reader over one artifact image.  open() maps the file and checks the

@@ -1,46 +1,74 @@
 // Little-endian byte layer shared by the two on-disk codecs (EYBSNAP1 in
-// snapshot.cpp, EYBART1 in artifact.cpp): canonical writers that append to
-// a buffer, unchecked loads for callers that have already bounded the read,
-// the bounds-checked Reader both decoders walk their payloads with, the
-// WindowStats record both formats lay out the same way, and the artifact's
-// DatasetStats record built from it.  Internal to core;
-// neither format's layout lives here, only the shared vocabulary.
+// snapshot.cpp, EYBART1 in artifact.cpp): the cursor both encoders fill
+// their pre-sized images through, unchecked loads for callers that have
+// already bounded the read, the bounds-checked Reader both decoders walk
+// their payloads with, the WindowStats record both formats lay out the
+// same way, and the artifact's DatasetStats record built from it.
+// Internal to core; neither format's layout lives here, only the shared
+// vocabulary.
 #pragma once
 
-#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <initializer_list>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "core/dataset.hpp"
+#include "util/check.hpp"
 
 namespace eyeball::core::byte_io {
 
-// Writers: each value is one append, not one per byte.
+// The writer stores each value as its native bytes (one memcpy, and one per
+// block of doubles), which is the little-endian layout only on a
+// little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "byte_io::Writer copies native bytes as the little-endian format");
 
-inline void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  std::array<std::byte, 4> bytes{};
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    bytes[i] = static_cast<std::byte>((v >> (8 * i)) & 0xffU);
+/// Cursor over a buffer the encoder has already sized exactly: each put
+/// stores at the cursor and steps past it, never growing anything.
+/// Writing past the end is a sizing bug in the encoder, not an input
+/// error, so it is a DCHECK.
+class Writer {
+ public:
+  explicit Writer(std::span<std::byte> out) noexcept : out_(out) {}
+
+  [[nodiscard]] std::size_t remaining() const noexcept { return out_.size() - pos_; }
+
+  void put_u8(std::uint8_t v) noexcept { put_raw(&v, sizeof v); }
+  void put_u32(std::uint32_t v) noexcept { put_raw(&v, sizeof v); }
+  void put_u64(std::uint64_t v) noexcept { put_raw(&v, sizeof v); }
+  void put_f64(double v) noexcept { put_raw(&v, sizeof v); }
+  void put_bytes(std::span<const std::byte> bytes) noexcept {
+    put_raw(bytes.data(), bytes.size());
   }
-  out.insert(out.end(), bytes.begin(), bytes.end());
-}
-
-inline void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  std::array<std::byte, 8> bytes{};
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    bytes[i] = static_cast<std::byte>((v >> (8 * i)) & 0xffU);
+  /// The doubles' IEEE-754 bit patterns, as one copy.
+  void put_f64s(std::span<const double> values) noexcept {
+    put_raw(values.data(), values.size_bytes());
   }
-  out.insert(out.end(), bytes.begin(), bytes.end());
-}
 
-inline void put_f64(std::vector<std::byte>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
+  /// A writer over the next `size` bytes, which this one steps past: lets
+  /// an encoder fill two regions it has laid out in one walk.
+  [[nodiscard]] Writer take(std::size_t size) noexcept {
+    EYEBALL_DCHECK(size <= remaining(), "byte_io::Writer ran past its sized buffer");
+    Writer region{out_.subspan(pos_, size)};
+    pos_ += size;
+    return region;
+  }
+
+ private:
+  void put_raw(const void* data, std::size_t size) noexcept {
+    EYEBALL_DCHECK(size <= remaining(), "byte_io::Writer ran past its sized buffer");
+    if (size != 0) std::memcpy(out_.data() + pos_, data, size);
+    pos_ += size;
+  }
+
+  std::span<std::byte> out_;
+  std::size_t pos_ = 0;
+};
 
 // Readers: the caller guarantees `at + width <= bytes.size()`.
 
@@ -133,19 +161,23 @@ class Reader {
 inline constexpr std::size_t kStatsFixedSize = 11 * 8;
 inline constexpr std::size_t kWindowRecordSize = 5 * 8;
 
-inline void put_window(std::vector<std::byte>& out, const WindowStats& w) {
+inline void put_window(Writer& out, const WindowStats& w) {
   for (const std::size_t field :
        {w.offered, w.duplicates, w.admitted, w.cumulative_unique, w.rejected}) {
-    put_u64(out, static_cast<std::uint64_t>(field));
+    out.put_u64(static_cast<std::uint64_t>(field));
   }
 }
 
-inline void put_stats(std::vector<std::byte>& out, const DatasetStats& s) {
+[[nodiscard]] inline std::size_t stats_size(const DatasetStats& s) noexcept {
+  return kStatsFixedSize + s.windows.size() * kWindowRecordSize;
+}
+
+inline void put_stats(Writer& out, const DatasetStats& s) {
   for (const std::size_t counter :
        {s.raw_samples, s.missing_geo, s.high_error, s.unmapped_as,
         s.peers_in_small_ases, s.ases_below_min_peers, s.ases_above_p90_error,
         s.final_peers, s.final_ases, s.rejected_samples, s.windows.size()}) {
-    put_u64(out, static_cast<std::uint64_t>(counter));
+    out.put_u64(static_cast<std::uint64_t>(counter));
   }
   for (const WindowStats& w : s.windows) put_window(out, w);
 }

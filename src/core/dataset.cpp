@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <numeric>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -339,20 +340,19 @@ std::vector<std::size_t> filter_ases(std::span<const AsPeerSet> buckets,
 
   enum Verdict : std::uint8_t { kKeep, kBelowMinPeers, kAboveP90Error };
   std::vector<std::uint8_t> verdicts(buckets.size(), kKeep);
-  util::ThreadPool::shared().parallel_for(
-      0, buckets.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        std::vector<double> scratch;  // one allocation per chunk, not per AS
-        for (std::size_t i = lo; i < hi; ++i) {
-          const auto& set = buckets[i];
-          if (set.peers.size() < config.min_peers_per_as) {
-            verdicts[i] = kBelowMinPeers;
-            continue;
-          }
-          set.geo_errors(scratch);
-          if (util::percentile_in_place(scratch, 90.0) > config.max_p90_geo_error_km) {
-            verdicts[i] = kAboveP90Error;
-          }
+  std::vector<std::size_t> order(buckets.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  util::for_each_largest_first<std::vector<double>>(
+      std::move(order), [&](std::size_t i) { return buckets[i].peers.size(); },
+      [&](std::size_t i, std::vector<double>& scratch) {
+        const auto& set = buckets[i];
+        if (set.peers.size() < config.min_peers_per_as) {
+          verdicts[i] = kBelowMinPeers;
+          return;
+        }
+        set.geo_errors(scratch);
+        if (util::percentile_in_place(scratch, 90.0) > config.max_p90_geo_error_km) {
+          verdicts[i] = kAboveP90Error;
         }
       },
       threads);

@@ -217,8 +217,9 @@ void merge_shard_ordered(ConditionShard shard, std::vector<AsPeerSet>& by_as,
                          ConditionCounters& dropped);
 
 /// Stage 2: the min-peers / p90 geo-error per-AS filter over ASN-ascending
-/// `buckets`.  Verdicts parallelize into disjoint slots at `threads`; the
-/// filter counters then accrue in ASN order, exactly like the serial loop.
+/// `buckets`.  Verdicts parallelize into disjoint slots at `threads`,
+/// largest bucket first; the filter counters then accrue in ASN order,
+/// exactly like the serial loop.
 /// Returns the indices of the kept buckets, ascending: the one-shot build
 /// moves those sets out, streaming finalize copies them and leaves the live
 /// buckets intact for further ingestion.

@@ -1,7 +1,6 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <optional>
 
 #include "util/check.hpp"
@@ -60,30 +59,15 @@ std::vector<AsAnalysis> EyeballPipeline::refresh_analyses(
 std::vector<AsAnalysis> EyeballPipeline::fill_slots(
     std::span<const AsPeerSet> ases, std::vector<std::optional<AsAnalysis>> slots,
     std::size_t threads) const {
-  // Empty slots are handed out largest peer set first, from one shared
-  // cursor: a big AS starts early instead of landing last in some worker's
-  // contiguous chunk, and a worker that finishes takes the next AS rather
-  // than idling.  The order only schedules work; each AS writes just its
-  // own slot, so the output is the same at any thread count.
-  std::vector<std::size_t> order;
+  // Empty slots are analyzed largest peer set first; each AS writes just
+  // its own slot, so the output is the same at any thread count.
+  std::vector<std::size_t> empty;
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (!slots[i]) order.push_back(i);
+    if (!slots[i]) empty.push_back(i);
   }
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return ases[a].peers.size() > ases[b].peers.size();
-  });
-  auto& pool = util::ThreadPool::shared();
-  const std::size_t ways = threads == 0 ? pool.worker_count() : threads;
-  std::atomic<std::size_t> cursor{0};
-  pool.parallel_for(
-      0, std::min(ways, order.size()),
-      [&](std::size_t, std::size_t) {
-        for (std::size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
-             k < order.size(); k = cursor.fetch_add(1, std::memory_order_relaxed)) {
-          slots[order[k]] = analyze(ases[order[k]]);
-        }
-      },
-      ways);
+  util::for_each_largest_first(
+      std::move(empty), [&](std::size_t i) { return ases[i].peers.size(); },
+      [&](std::size_t i) { slots[i] = analyze(ases[i]); }, threads);
   std::vector<AsAnalysis> out;
   out.reserve(slots.size());
   for (auto& slot : slots) out.push_back(std::move(*slot));

@@ -22,9 +22,6 @@ namespace eyeball::core {
 
 namespace {
 
-using byte_io::put_f64;
-using byte_io::put_u32;
-using byte_io::put_u64;
 using byte_io::Reader;
 
 // Layout constants (see the format comment in snapshot.hpp).
@@ -146,41 +143,43 @@ std::vector<std::byte> SnapshotCodec::encode(const StreamingDatasetBuilder& buil
     EYEBALL_NO_THREAD_SAFETY_ANALYSIS {
   const std::vector<WindowStats>& windows = builder.stats_.windows;
   const std::span<const p2p::PeerSample> admitted{builder.admitted_};
-  std::vector<std::byte> out;
-  out.reserve(kEnvelopeSize + windows.size() * kWindowHeaderSize +
-              admitted.size() * kSampleSize);
+  // Sized once, then filled through a cursor: no per-sample append.
+  std::vector<std::byte> out(kEnvelopeSize + windows.size() * kWindowHeaderSize +
+                             admitted.size() * kSampleSize);
+  byte_io::Writer w{out};
 
   // Header.
-  for (const char c : kHeadMagic) out.push_back(static_cast<std::byte>(c));
-  put_u32(out, kFormatVersion);
-  put_u64(out, generation);
-  put_u64(out, config_fingerprint(builder.config_));
-  put_u64(out, derived_state_digest(builder.by_as_, builder.stats_));
+  w.put_bytes(std::as_bytes(std::span{kHeadMagic}));
+  w.put_u32(kFormatVersion);
+  w.put_u64(generation);
+  w.put_u64(config_fingerprint(builder.config_));
+  w.put_u64(derived_state_digest(builder.by_as_, builder.stats_));
 
   // Config: the recorded result-affecting fields, human-recoverable even
   // though the fingerprint alone decides admissibility.
-  put_f64(out, builder.config_.max_geo_error_km);
-  put_u64(out, static_cast<std::uint64_t>(builder.config_.min_peers_per_as));
-  put_f64(out, builder.config_.max_p90_geo_error_km);
+  w.put_f64(builder.config_.max_geo_error_km);
+  w.put_u64(static_cast<std::uint64_t>(builder.config_.min_peers_per_as));
+  w.put_f64(builder.config_.max_p90_geo_error_km);
 
   // One record per window: its trail entry, then its slice of the admitted
   // stream in admission order.
-  put_u64(out, windows.size());
+  w.put_u64(windows.size());
   std::size_t next = 0;
   for (const WindowStats& window : windows) {
-    byte_io::put_window(out, window);
-    put_u64(out, window.admitted);
+    byte_io::put_window(w, window);
+    w.put_u64(window.admitted);
     for (const p2p::PeerSample& sample : admitted.subspan(next, window.admitted)) {
-      put_u32(out, sample.ip.value());
-      out.push_back(static_cast<std::byte>(sample.app));
+      w.put_u32(sample.ip.value());
+      w.put_u8(static_cast<std::uint8_t>(sample.app));
     }
     next += window.admitted;
   }
   EYEBALL_DCHECK(next == admitted.size(), "window trail covers the admitted stream");
 
   // Footer: whole-file CRC over everything so far, then the tail magic.
-  put_u32(out, util::crc32c_fast(out));
-  for (const char c : kTailMagic) out.push_back(static_cast<std::byte>(c));
+  EYEBALL_DCHECK(w.remaining() == kFooterSize, "snapshot size drifted from its layout");
+  w.put_u32(util::crc32c_fast(std::span{out}.first(out.size() - kFooterSize)));
+  w.put_bytes(std::as_bytes(std::span{kTailMagic}));
   return out;
 }
 

@@ -204,10 +204,12 @@ std::shared_ptr<const ServingSnapshot> EyeballService::publish_from(
           core::SnapshotCodec::config_fingerprint(pipeline_.config().dataset);
       const core::TargetDataset& finalized = *dataset;
       const ServingSnapshot& epoch = *next;
-      last_artifact_retry_ = policy.run([&fs, &path, &finalized, &epoch, fingerprint] {
-        return core::ArtifactCodec::write(fs, path, finalized, epoch.analyses(),
-                                          epoch.epoch(), fingerprint);
-      });
+      const std::size_t threads = config_.threads;
+      last_artifact_retry_ =
+          policy.run([&fs, &path, &finalized, &epoch, fingerprint, threads] {
+            return core::ArtifactCodec::write(fs, path, finalized, epoch.analyses(),
+                                              epoch.epoch(), fingerprint, threads);
+          });
       last_artifact_status_ = last_artifact_retry_.status;
       if (!last_artifact_status_.ok()) durability = last_artifact_status_;
     }

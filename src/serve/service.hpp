@@ -84,8 +84,8 @@
 namespace eyeball::serve {
 
 struct ServiceConfig {
-  /// Concurrency for finalize() and the analysis refresh on the writer
-  /// path; 0 = one chunk per hardware thread.
+  /// Concurrency for finalize(), the analysis refresh and the artifact
+  /// encode on the writer path; 0 = one chunk per hardware thread.
   std::size_t threads = 0;
   /// When non-empty, publish() persists the builder state to this directory
   /// after each epoch swing (crash-safe generations; see last_save_status()).

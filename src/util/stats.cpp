@@ -46,25 +46,49 @@ double RunningStats::variance() const noexcept {
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 double percentile(std::span<const double> values, double q) {
-  std::vector<double> sorted(values.begin(), values.end());
-  return percentile_in_place(sorted, q);
+  std::vector<double> copy(values.begin(), values.end());
+  return percentile_in_place(copy, q);
 }
 
-double percentile_in_place(std::span<double> values, double q) {
-  if (values.empty()) throw std::invalid_argument{"percentile: empty sample"};
+namespace {
+
+/// Rejects what percentile() refuses and returns the fractional rank of
+/// quantile `q` (percent) in a sample of `size` values.
+double checked_rank(std::size_t size, double q) {
+  if (size == 0) throw std::invalid_argument{"percentile: empty sample"};
   // The negated comparison also rejects NaN: a NaN q would sail through
   // `q < 0 || q > 100`, poison `rank`, and hit the float->int cast below
   // (undefined behaviour for NaN).
   if (!(q >= 0.0 && q <= 100.0)) {
     throw std::invalid_argument{"percentile: q outside [0,100]"};
   }
-  std::sort(values.begin(), values.end());
-  const double rank = q / 100.0 * static_cast<double>(values.size() - 1);
+  return q / 100.0 * static_cast<double>(size - 1);
+}
+
+/// Linear interpolation between order statistic `lo` = floor(rank) and the
+/// one after it (`vhi == vlo` at the top of the sample).
+double interpolate(double rank, std::size_t lo, double vlo, double vhi) {
+  const double frac = rank - static_cast<double>(lo);
+  return vlo + frac * (vhi - vlo);
+}
+
+}  // namespace
+
+double percentile_in_place(std::span<double> values, double q) {
+  const double rank = checked_rank(values.size(), q);
   const auto lo = static_cast<std::size_t>(rank);
   EYEBALL_DCHECK(lo < values.size(), "percentile rank landed outside the sample");
-  const auto hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] + frac * (values[hi] - values[lo]);
+  // Selection, not a sort: order statistic `lo` lands in place with
+  // everything after it no smaller, so the next one is the least of that
+  // tail.  Equal doubles differ in bits only as ±0.0, and interpolating
+  // between zeros yields +0.0 whichever sign each one carries, so the
+  // result is bit-identical to reading a fully sorted sample.
+  const auto at_lo = values.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(values.begin(), at_lo, values.end());
+  const double vlo = *at_lo;
+  const double vhi =
+      lo + 1 < values.size() ? *std::min_element(at_lo + 1, values.end()) : vlo;
+  return interpolate(rank, lo, vlo, vhi);
 }
 
 double mean(std::span<const double> values) {
@@ -88,7 +112,9 @@ double EmpiricalCdf::at(double x) const noexcept {
 
 double EmpiricalCdf::quantile(double q) const {
   if (!(q >= 0.0 && q <= 1.0)) throw std::invalid_argument{"EmpiricalCdf::quantile"};
-  return percentile(sorted_, q * 100.0);
+  const double rank = checked_rank(sorted_.size(), q * 100.0);
+  const auto lo = static_cast<std::size_t>(rank);
+  return interpolate(rank, lo, sorted_[lo], sorted_[std::min(lo + 1, sorted_.size() - 1)]);
 }
 
 std::vector<EmpiricalCdf::Point> EmpiricalCdf::trace(double lo, double hi,

@@ -35,10 +35,12 @@ class RunningStats {
 /// `q` in [0, 100].  Throws std::invalid_argument on empty input.
 [[nodiscard]] double percentile(std::span<const double> values, double q);
 
-/// Same statistic, but sorts `values` in place instead of copying —
+/// Same statistic, but reorders `values` in place instead of copying —
 /// the allocation-free variant for hot loops that already own a scratch
-/// buffer (the dataset build's per-AS p90 filter).  Returns exactly what
-/// `percentile` returns on the same sample.
+/// buffer (the dataset build's per-AS p90 filter).  O(n): it selects the
+/// two order statistics instead of sorting, and leaves `values` a
+/// permutation of its input in no particular order.  Returns exactly what
+/// `percentile` returns on the same sample, bit for bit.
 [[nodiscard]] double percentile_in_place(std::span<double> values, double q);
 
 [[nodiscard]] double mean(std::span<const double> values);

@@ -9,7 +9,9 @@
 // dataset build uses).  Each chunk writes disjoint output and the chunk
 // boundaries depend only on the range and the requested concurrency, so
 // parallel results are bit-identical to the serial ones as long as each
-// index's computation is independent.
+// index's computation is independent.  Per-AS work of very uneven size
+// goes through `for_each_largest_first` instead: one shared cursor over
+// the indices, heaviest first.
 //
 // Nesting: a `parallel_for` issued from inside a worker thread runs inline
 // on that worker (no re-submission), which both avoids deadlocking a pool
@@ -17,6 +19,8 @@
 // outer fan-out the only level of parallelism.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 
@@ -29,6 +33,7 @@
 #include <memory>
 #include <thread>
 #include <type_traits>
+#include <variant>
 #include <vector>
 
 namespace eyeball::util {
@@ -147,5 +152,42 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   bool stopping_ EYEBALL_GUARDED_BY(mutex_) = false;
 };
+
+/// Largest-first dynamic fan-out on the shared pool: runs `body(i)` once
+/// for every index in `indices`, on up to `max_concurrency` threads (0 = one
+/// per pool worker).  The indices are handed out heaviest `weight(i)` first
+/// (ties keep their given order) from one shared cursor, so a heavy index
+/// starts early instead of landing last in some thread's contiguous chunk,
+/// and a thread that finishes takes the next index rather than idling.  The
+/// order only schedules work: when each `body(i)` writes just its own slot,
+/// the result is the same at any concurrency.  Runs inline on the calling
+/// thread when the concurrency is 1 or the caller is a pool worker.
+///
+/// A body that also takes a `Scratch&` gets one default-constructed
+/// `Scratch` per thread, reused for every index that thread takes (a
+/// buffer allocated per thread, not per index).
+template <typename Scratch = std::monostate, typename Weight, typename Body>
+void for_each_largest_first(std::vector<std::size_t> indices, const Weight& weight,
+                            const Body& body, std::size_t max_concurrency) {
+  std::stable_sort(indices.begin(), indices.end(),
+                   [&](std::size_t a, std::size_t b) { return weight(a) > weight(b); });
+  ThreadPool& pool = ThreadPool::shared();
+  const std::size_t ways = max_concurrency == 0 ? pool.worker_count() : max_concurrency;
+  std::atomic<std::size_t> cursor{0};
+  pool.parallel_for(
+      0, std::min(ways, indices.size()),
+      [&](std::size_t, std::size_t) {
+        Scratch scratch{};
+        for (std::size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
+             k < indices.size(); k = cursor.fetch_add(1, std::memory_order_relaxed)) {
+          if constexpr (std::is_invocable_v<const Body&, std::size_t, Scratch&>) {
+            body(indices[k], scratch);
+          } else {
+            body(indices[k]);
+          }
+        }
+      },
+      ways);
+}
 
 }  // namespace eyeball::util

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/artifact.hpp"
 #include "core/snapshot.hpp"
 #include "core/streaming_dataset.hpp"
 #include "p2p/churn.hpp"
@@ -542,6 +543,20 @@ TEST(Serving, ArtifactRestoredEpochsSurviveConcurrentReaderStorm) {
   const auto published = writer.publish();
   ASSERT_NE(published, nullptr);
   ASSERT_TRUE(writer.last_artifact_status().ok()) << writer.last_artifact_status();
+
+  // publish() encodes at ServiceConfig::threads; the file must be the
+  // serial encode of the same epoch, byte for byte.
+  core::StreamingDatasetBuilder same_inputs = w.pipeline.streaming_builder();
+  same_inputs.ingest(w.churn.windows[0]);
+  std::vector<std::byte> serial;
+  ASSERT_TRUE(core::ArtifactCodec::encode(
+                  same_inputs.finalize(1), published->analyses(), published->epoch(),
+                  core::SnapshotCodec::config_fingerprint(w.pipeline.config().dataset),
+                  serial, 1)
+                  .ok());
+  std::vector<std::byte> written;
+  ASSERT_TRUE(util::local_filesystem().read_file(path, written).ok());
+  EXPECT_EQ(written, serial);
 
   serve::EyeballService replica{w.pipeline, two_threads()};
   ASSERT_TRUE(replica.restore_from_artifact(path).ok());

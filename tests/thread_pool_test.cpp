@@ -196,6 +196,44 @@ TEST(ThreadPool, MapReducePropagatesMapException) {
       std::invalid_argument);
 }
 
+/// Per-thread scratch for the largest-first test: counts how many exist.
+std::atomic<std::size_t> g_scratches_made{0};
+struct CountedScratch {
+  CountedScratch() { ++g_scratches_made; }
+};
+
+TEST(LargestFirst, VisitsEachIndexOnceWithOneScratchPerThread) {
+  // A subset of [0, 200) with skewed weights: every listed index must run
+  // exactly once and every other never, at any concurrency, and no more
+  // scratches may be made than threads run (not one per index).
+  std::vector<std::size_t> indices;
+  for (std::size_t i = 0; i < 200; i += 3) indices.push_back(i);
+  const auto weight = [](std::size_t i) { return (i * 37) % 11; };
+  for (const std::size_t threads : {1u, 2u, 3u, 0u}) {
+    std::vector<std::atomic<int>> hits(200);
+    g_scratches_made = 0;
+    util::for_each_largest_first<CountedScratch>(
+        indices, weight, [&](std::size_t i, CountedScratch&) { ++hits[i]; }, threads);
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), i % 3 == 0 ? 1 : 0) << "threads=" << threads << " i=" << i;
+    }
+    const std::size_t ways =
+        threads == 0 ? util::ThreadPool::shared().worker_count() : threads;
+    EXPECT_GE(g_scratches_made.load(), 1U) << "threads=" << threads;
+    EXPECT_LE(g_scratches_made.load(), ways) << "threads=" << threads;
+  }
+}
+
+TEST(LargestFirst, SerialRunTakesHeaviestFirstAndKeepsTieOrder) {
+  const std::vector<std::size_t> weights{2, 5, 2, 9, 5, 0};
+  std::vector<std::size_t> visited;
+  util::for_each_largest_first(
+      std::vector<std::size_t>{0, 1, 2, 3, 4, 5},
+      [&](std::size_t i) { return weights[i]; },
+      [&](std::size_t i) { visited.push_back(i); }, 1);
+  EXPECT_EQ(visited, (std::vector<std::size_t>{3, 1, 4, 0, 2, 5}));
+}
+
 std::vector<geo::GeoPoint> scattered_points(std::size_t count, std::uint64_t seed) {
   util::Rng rng{seed};
   std::vector<geo::GeoPoint> points;
@@ -302,9 +340,10 @@ core::TargetDataset skewed_dataset() {
 }
 
 std::vector<std::byte> encode_epoch(const core::TargetDataset& dataset,
-                                    std::span<const core::AsAnalysis> analyses) {
+                                    std::span<const core::AsAnalysis> analyses,
+                                    std::size_t threads = 1) {
   std::vector<std::byte> bytes;
-  const auto status = core::ArtifactCodec::encode(dataset, analyses, 1, 0, bytes);
+  const auto status = core::ArtifactCodec::encode(dataset, analyses, 1, 0, bytes, threads);
   EXPECT_TRUE(status.ok()) << status.message();
   return bytes;
 }
@@ -343,7 +382,21 @@ TEST(ParallelPipeline, BalancedFanOutByteIdenticalOnSkewedAses) {
   // refresh_analyses fans out at PipelineConfig::threads.
   core::PipelineConfig config = pipeline.config();
 
+  // The encoder's own fan-out, also over an AS whose grid stores no cells
+  // (its record carries zero runs and zero values).
+  std::vector<core::AsAnalysis> with_empty_grid = serial;
+  const kde::DensityGrid& grid = with_empty_grid[1].footprint.grid;
+  with_empty_grid[1].footprint.grid =
+      kde::DensityGrid{grid.box(), grid.cell_km(), grid.cell_count()};
+  ASSERT_EQ(with_empty_grid[1].footprint.grid.stored_cells(), 0U);
+  const auto empty_grid_reference = encode_epoch(dataset, with_empty_grid);
+  ASSERT_NE(empty_grid_reference, reference);
+
   for (const std::size_t threads : {1u, 2u, 3u, 0u}) {
+    EXPECT_EQ(encode_epoch(dataset, serial, threads), reference)
+        << "encode threads=" << threads;
+    EXPECT_EQ(encode_epoch(dataset, with_empty_grid, threads), empty_grid_reference)
+        << "encode with an empty grid, threads=" << threads;
     EXPECT_EQ(encode_epoch(dataset, pipeline.analyze_all(ases, threads)), reference)
         << "analyze_all threads=" << threads;
     config.threads = threads;

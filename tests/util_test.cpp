@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "util/clock.hpp"
@@ -297,17 +300,83 @@ TEST(EmpiricalCdf, QuantileRejectsNan) {
                std::invalid_argument);
 }
 
-TEST(Percentile, InPlaceMatchesCopyingVariantAndSorts) {
+/// The bit patterns of `values`, sorted: equal iff the two samples are
+/// permutations of each other, telling -0.0 from +0.0.
+std::vector<std::uint64_t> sorted_bits(std::span<const double> values) {
+  std::vector<std::uint64_t> bits;
+  for (const double v : values) bits.push_back(std::bit_cast<std::uint64_t>(v));
+  std::ranges::sort(bits);
+  return bits;
+}
+
+TEST(Percentile, InPlaceMatchesCopyingVariantBitForBit) {
   const std::vector<double> values{7, 3, 9, 1, 5, 5, 2};
   for (const double q : {0.0, 10.0, 50.0, 90.0, 100.0}) {
     std::vector<double> scratch = values;
-    EXPECT_DOUBLE_EQ(percentile_in_place(scratch, q), percentile(values, q)) << q;
-    EXPECT_TRUE(std::is_sorted(scratch.begin(), scratch.end()));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(percentile_in_place(scratch, q)),
+              std::bit_cast<std::uint64_t>(percentile(values, q)))
+        << q;
+    // Reordered, not sorted: only the multiset is promised.
+    EXPECT_EQ(sorted_bits(scratch), sorted_bits(values)) << q;
   }
   std::vector<double> empty;
   EXPECT_THROW((void)percentile_in_place(empty, 50), std::invalid_argument);
   std::vector<double> one{1.0};
   EXPECT_THROW((void)percentile_in_place(one, 101), std::invalid_argument);
+}
+
+/// The definition selection replaced: sort a copy, then interpolate
+/// between the order statistics at floor(rank) and the one after it.
+double sort_oracle_percentile(std::vector<double> values, double q) {
+  std::ranges::sort(values);
+  const double rank = q / 100.0 * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const auto hi = std::min(lo + 1, values.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return values[lo] + frac * (values[hi] - values[lo]);
+}
+
+TEST(Percentile, SelectionMatchesSortOracleBitForBit) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Both zeros and both infinities, repeated values, a denormal.
+  const std::vector<double> pool{-0.0, 0.0, kInf, -kInf, 1.5, -2.25, 80.0,
+                                 std::nextafter(80.0, 100.0), 4.9e-324, 1e9};
+  Rng rng{2026};
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = 1 + rng.uniform_index(2000);
+    // Even trials draw only from the pool (heavy ties); odd ones mostly
+    // from a continuum, with pool values mixed in.
+    std::vector<double> values(n);
+    for (double& v : values) {
+      v = trial % 2 == 0 || rng.bernoulli(0.2) ? pool[rng.uniform_index(pool.size())]
+                                               : rng.uniform(-1000.0, 1000.0);
+    }
+    const EmpiricalCdf cdf{values};
+    std::vector<double> quantiles{0.0, 100.0, 50.0, 90.0};
+    for (int k = 0; k < 4; ++k) {
+      // Exactly rank r: frac is 0 there, so vhi meets a zero factor.
+      const auto r = static_cast<double>(rng.uniform_index(n));
+      quantiles.push_back(n == 1 ? 0.0 : r * 100.0 / static_cast<double>(n - 1));
+      quantiles.push_back(rng.uniform(0.0, 100.0));
+    }
+    for (const double q : quantiles) {
+      const std::uint64_t expected =
+          std::bit_cast<std::uint64_t>(sort_oracle_percentile(values, q));
+      std::vector<double> scratch = values;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(percentile_in_place(scratch, q)), expected)
+          << "trial " << trial << " n=" << n << " q=" << q;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(percentile(values, q)), expected)
+          << "trial " << trial << " n=" << n << " q=" << q;
+      EXPECT_EQ(sorted_bits(scratch), sorted_bits(values))
+          << "trial " << trial << ": scratch is not a permutation of the input";
+      // quantile() reads its already-sorted sample at percentile q' * 100.
+      const double fraction = q / 100.0;
+      EXPECT_EQ(
+          std::bit_cast<std::uint64_t>(cdf.quantile(fraction)),
+          std::bit_cast<std::uint64_t>(sort_oracle_percentile(values, fraction * 100.0)))
+          << "trial " << trial << " q=" << q;
+    }
+  }
 }
 
 TEST(MeanMedian, Basic) {

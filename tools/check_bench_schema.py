@@ -91,7 +91,9 @@ def check_dataset(path: pathlib.Path) -> list[str]:
     # whole file to an optimized build via the eyeball_build_type stamp — so
     # requiring the names here means the artifact numbers can never be
     # dropped or recorded from a debug build without this check firing.
-    for required in ("BM_ArtifactWrite", "BM_ArtifactOpen"):
+    # The write axis runs serial (/1) and at pool width (/0).
+    for required in ("BM_ArtifactWrite/1/real_time", "BM_ArtifactWrite/0/real_time",
+                     "BM_ArtifactOpen"):
         if required not in names:
             errors.append(fail(path, f"missing required benchmark '{required}'"))
     return errors
