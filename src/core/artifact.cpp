@@ -24,24 +24,14 @@ namespace eyeball::core {
 namespace {
 
 using byte_io::load_u32;
-using byte_io::load_u64;
 using byte_io::Reader;
 using byte_io::Writer;
 
 static_assert(sizeof(double) == 8 && std::numeric_limits<double>::is_iec559,
               "EYBART1 stores doubles as IEEE-754 bit patterns");
 
-constexpr std::array<std::byte, 8> kHeadMagic{
-    std::byte{'E'}, std::byte{'Y'}, std::byte{'B'}, std::byte{'A'},
-    std::byte{'R'}, std::byte{'T'}, std::byte{'1'}, std::byte{0}};
-constexpr std::array<std::byte, 8> kTailMagic{
-    std::byte{'E'}, std::byte{'Y'}, std::byte{'B'}, std::byte{'A'},
-    std::byte{'R'}, std::byte{'E'}, std::byte{'N'}, std::byte{'D'}};
-
-constexpr std::size_t kHeaderSize = 56;
-constexpr std::size_t kMetaCrcOffset = 48;  // u32 at [48], reserved u32 at [52]
-constexpr std::size_t kTableEntrySize = 40;
-constexpr std::size_t kTailSize = 8;
+/// Head magic, version, epoch and config fingerprint.
+constexpr std::size_t kHeaderSize = byte_io::kHeadSize + 8 + 8;
 
 // Element sizes of the counted arrays inside an AS record.
 constexpr std::size_t kRunSize = 16;
@@ -52,28 +42,45 @@ constexpr std::size_t kPopSize = 36;
 /// An AS record with every array empty: 3 u32 + 19 eight-byte fields.
 constexpr std::size_t kMinRecordSize = 3 * 4 + 19 * 8;
 
-/// Section ids, in the exact file order the table must carry.
-enum SectionId : std::uint32_t {
-  kSecStats = 1,
-  kSecAsRecords = 2,
+/// True for an intact v1-v3 image: those sealed their header and section
+/// table with a meta CRC at [48, 52) over the first 56 + 40 x (u32 at 12)
+/// bytes, that slot read as zero, and carried no footer CRC.
+[[nodiscard]] bool intact_sectioned_image(std::span<const std::byte> bytes) {
+  constexpr std::size_t kOldHeaderSize = 56;
+  constexpr std::size_t kOldCrcAt = 48;
+  if (bytes.size() < kOldHeaderSize) return false;
+  const std::uint32_t version = load_u32(bytes, 8);
+  if (version < 1 || version > 3) return false;
+  const std::uint64_t table_size = std::uint64_t{load_u32(bytes, 12)} * 40;
+  if (table_size > bytes.size() - kOldHeaderSize) return false;
+  const std::span<const std::byte> meta =
+      bytes.first(kOldHeaderSize + static_cast<std::size_t>(table_size));
+  constexpr std::array<std::byte, 4> kZeroSlot{};
+  std::uint32_t crc = util::crc32c_fast(meta.first(kOldCrcAt));
+  crc = util::crc32c_fast(kZeroSlot, crc);
+  crc = util::crc32c_fast(meta.subspan(kOldCrcAt + kZeroSlot.size()), crc);
+  return crc == load_u32(bytes, kOldCrcAt);
+}
+
+constexpr byte_io::Envelope kEnvelope{
+    .head_magic = byte_io::magic("EYBART1\0"),
+    .tail_magic = byte_io::magic("EYBAREND"),
+    .version = ArtifactCodec::kFormatVersion,
+    .min_size = kHeaderSize + byte_io::kStatsFixedSize + byte_io::kFooterSize,
+    .name = "artifact",
+    .too_short = "artifact: file shorter than the fixed envelope",
+    .bad_head_magic = "artifact: bad head magic",
+    .bad_tail_magic = "artifact: bad tail magic",
+    .bad_crc = "artifact: footer CRC mismatch",
+    .intact_earlier_frame = intact_sectioned_image,
 };
-constexpr std::size_t kSectionCount = 2;
-
-[[nodiscard]] constexpr std::size_t align8(std::size_t n) noexcept {
-  return (n + 7U) & ~std::size_t{7};
-}
-
-/// Overwrites the u32 at `at` (the CRC slots of an already laid-out image).
-void put_u32_at(std::span<std::byte> image, std::size_t at, std::uint32_t v) {
-  Writer{image.subspan(at, 4)}.put_u32(v);
-}
 
 [[nodiscard]] util::Status corruption_at(const char* what) {
   return util::Status::corruption(std::string{"artifact: "} + what);
 }
 
 [[nodiscard]] util::Status truncated_record() {
-  return corruption_at("AS record runs past the end of its section");
+  return corruption_at("AS record runs past the end of the image");
 }
 
 /// Calls `stretch(cell, values)` for each maximal stretch of bit-nonzero
@@ -496,7 +503,7 @@ util::Status ArtifactCodec::encode(const TargetDataset& dataset,
   };
 
   // Pass 1: measure every zero-suppressed grid and size its record.
-  // record_end[i] is where record i ends inside the record section once
+  // record_end[i] is where record i ends inside the record region once
   // the serial prefix sum below has run.
   std::vector<SparseCounts> sparse(ases.size());
   std::vector<std::size_t> record_end(ases.size());
@@ -509,54 +516,21 @@ util::Status ArtifactCodec::encode(const TargetDataset& dataset,
       threads);
   std::partial_sum(record_end.begin(), record_end.end(), record_end.begin());
   const std::size_t records_size = record_end.empty() ? 0 : record_end.back();
-  const std::array<std::size_t, kSectionCount> sizes{byte_io::stats_size(dataset.stats()),
-                                                     records_size};
+  const std::size_t records_at = kHeaderSize + byte_io::stats_size(dataset.stats());
 
-  // -- layout: header + table + packed sections + tail ----------------------
-  constexpr std::size_t kMetaSize = kHeaderSize + kSectionCount * kTableEntrySize;
-  std::size_t cursor = kMetaSize;
-  std::array<std::uint64_t, kSectionCount> offsets{};
-  for (std::size_t s = 0; s < kSectionCount; ++s) {
-    cursor = align8(cursor);
-    offsets[s] = cursor;
-    cursor += sizes[s];
-  }
-  const std::size_t file_size = align8(cursor) + kTailSize;
-
-  // The one allocation of the image.  Zero-filled, so the padding between
-  // the sections and before the tail needs no writes.
-  std::vector<std::byte> buffer(file_size);
+  // The one allocation of the image: header, stats, records, footer.
+  std::vector<std::byte> buffer(records_at + records_size + byte_io::kFooterSize);
   const std::span<std::byte> image{buffer};
-  Writer meta{image.first(kMetaSize)};
-  meta.put_bytes(kHeadMagic);
-  meta.put_u32(kFormatVersion);
-  meta.put_u32(static_cast<std::uint32_t>(kSectionCount));
-  meta.put_u64(epoch);
-  meta.put_u64(config_fingerprint);
-  meta.put_u64(file_size);
-  meta.put_u64(ases.size());
-  meta.put_u32(0);  // meta CRC, patched below
-  meta.put_u32(0);  // reserved
-  EYEBALL_DCHECK(meta.remaining() == kSectionCount * kTableEntrySize,
-                 "artifact header layout drifted");
+  Writer head{image.first(records_at)};
+  head.put_bytes(kEnvelope.head_magic);
+  head.put_u32(kFormatVersion);
+  head.put_u64(epoch);
+  head.put_u64(config_fingerprint);
+  byte_io::put_stats(head, dataset.stats());
+  EYEBALL_DCHECK(head.remaining() == 0, "artifact header or stats size drifted");
 
-  constexpr std::size_t kEntryCrcOffset = 32;
-  for (std::size_t s = 0; s < kSectionCount; ++s) {
-    meta.put_u32(static_cast<std::uint32_t>(s + 1));  // section id
-    meta.put_u32(0);                                   // reserved
-    meta.put_u64(offsets[s]);
-    meta.put_u64(sizes[s]);
-    meta.put_u64(0);  // reserved
-    meta.put_u32(0);  // section CRC, patched below
-    meta.put_u32(0);  // reserved
-  }
-
-  Writer stats{image.subspan(offsets[0], sizes[0])};
-  byte_io::put_stats(stats, dataset.stats());
-  EYEBALL_DCHECK(stats.remaining() == 0, "artifact stats size drifted");
-
-  // Pass 2: every record into its own slice of the record section.
-  const std::span<std::byte> records = image.subspan(offsets[1], sizes[1]);
+  // Pass 2: every record into its own slice of the record region.
+  const std::span<std::byte> records = image.subspan(records_at, records_size);
   util::for_each_largest_first(
       order, stored_cells,
       [&](std::size_t i) {
@@ -565,15 +539,7 @@ util::Status ArtifactCodec::encode(const TargetDataset& dataset,
         put_record(record, analyses[i], sparse[i]);
       },
       threads);
-  Writer{image.last(kTailSize)}.put_bytes(kTailMagic);
-
-  // Section CRCs into the table, then the meta CRC over the header (with
-  // its CRC field still zero) + the table.
-  for (std::size_t s = 0; s < kSectionCount; ++s) {
-    put_u32_at(image, kHeaderSize + s * kTableEntrySize + kEntryCrcOffset,
-               util::crc32c_fast(image.subspan(offsets[s], sizes[s])));
-  }
-  put_u32_at(image, kMetaCrcOffset, util::crc32c_fast(image.first(kMetaSize)));
+  byte_io::seal(image, kEnvelope.tail_magic);
 
   out = std::move(buffer);
   return util::Status{};
@@ -617,130 +583,32 @@ util::Status ArtifactView::from_borrowed(std::span<const std::byte> bytes,
 }
 
 util::Status ArtifactView::load(std::span<const std::byte> bytes) {
-  // 1. Envelope: sizes and magics.  Every truncation length fails here (the
-  // recorded file size no longer matches) or at the meta-region bound.
-  if (bytes.size() < kHeaderSize + kTailSize) {
-    return corruption_at("file shorter than the fixed envelope");
+  // 1. Envelope: size, magics, footer CRC, version (byte_io::open_envelope).
+  std::span<const std::byte> body;
+  if (util::Status status = byte_io::open_envelope(bytes, kEnvelope, body); !status.ok()) {
+    return status;
   }
-  // The encoder pads every section to 8 bytes and all fixed regions are
-  // 8-aligned, so a well-formed image's size is always a multiple of 8.
-  // Rejecting unaligned sizes here keeps payload_end 8-aligned, which the
-  // section-table walk's align8 packing arithmetic relies on.
-  if (bytes.size() % 8 != 0) {
-    return corruption_at("file size is not 8-aligned");
-  }
-  if (!std::equal(kHeadMagic.begin(), kHeadMagic.end(), bytes.begin())) {
-    return corruption_at("bad head magic");
-  }
-  const std::uint32_t version = load_u32(bytes, 8);
-  const std::uint32_t section_count = load_u32(bytes, 12);
-  const std::uint64_t recorded_size = load_u64(bytes, 32);
-  // Bound the table before touching it; 1024 is far past any real format
-  // revision and keeps the arithmetic overflow-free.
-  if (section_count > 1024) return corruption_at("implausible section count");
-  const std::size_t table_size = section_count * kTableEntrySize;
-  if (bytes.size() < kHeaderSize + table_size + kTailSize) {
-    return corruption_at("file truncated inside the section table");
-  }
-  if (recorded_size != bytes.size()) {
-    return corruption_at("recorded file size does not match the image");
-  }
-  if (!std::equal(kTailMagic.begin(), kTailMagic.end(),
-                  bytes.end() - static_cast<std::ptrdiff_t>(kTailSize))) {
-    return corruption_at("bad tail magic");
-  }
-
-  // 2. Meta CRC over header + table (with the CRC field zeroed), THEN the
-  // version check: a flipped version byte is kCorruption, a CRC-valid
-  // other version is a genuine kVersionMismatch.  The CRC span follows the
-  // header's own section count, so an intact image of an earlier version
-  // (11 table entries in v1, 10 in v2) passes it and is refused as skew,
-  // never quarantined as corruption.
-  {
-    std::vector<std::byte> meta(bytes.begin(),
-                                bytes.begin() + static_cast<std::ptrdiff_t>(
-                                                    kHeaderSize + table_size));
-    const std::uint32_t stored_crc = load_u32(meta, kMetaCrcOffset);
-    put_u32_at(meta, kMetaCrcOffset, 0);
-    if (util::crc32c_fast(meta) != stored_crc) {
-      return corruption_at("meta CRC mismatch (header or section table damaged)");
-    }
-  }
-  if (version != ArtifactCodec::kFormatVersion) {
-    return util::Status::version_mismatch(
-        "artifact: format version " + std::to_string(version) + ", this build reads " +
-        std::to_string(ArtifactCodec::kFormatVersion));
-  }
-  if (section_count != kSectionCount) {
-    return corruption_at("wrong section count for this format version");
-  }
-  if (load_u32(bytes, kMetaCrcOffset + 4) != 0) {
-    return corruption_at("nonzero reserved header field");
-  }
-
-  // 3. Section-table walk: exact ids, reserved fields zero, exact packing.
-  // 4. Payload CRCs (hardware-accelerated).
-  std::array<std::span<const std::byte>, kSectionCount> payload;
-  {
-    const std::size_t payload_end = bytes.size() - kTailSize;
-    std::uint64_t cursor = kHeaderSize + table_size;
-    for (std::size_t s = 0; s < kSectionCount; ++s) {
-      const std::size_t at = kHeaderSize + s * kTableEntrySize;
-      const std::uint64_t offset = load_u64(bytes, at + 8);
-      const std::uint64_t size = load_u64(bytes, at + 16);
-      if (load_u32(bytes, at) != s + 1) return corruption_at("section ids out of order");
-      if (load_u32(bytes, at + 4) != 0 || load_u64(bytes, at + 24) != 0 ||
-          load_u32(bytes, at + 36) != 0) {
-        return corruption_at("nonzero reserved section-table field");
-      }
-      // Exact packing: each section starts at the previous one's padded
-      // end.  This single equality makes out-of-bounds, overlapping and
-      // misaligned offset-table entries all typed errors.
-      if (offset != align8(cursor)) {
-        return corruption_at("section offset breaks the packing rule");
-      }
-      // Guard the offset before subtracting, so the u64 difference cannot
-      // wrap whatever the envelope checks above let through.
-      if (offset > payload_end || size > payload_end - offset) {
-        return corruption_at("section runs past the end of the image");
-      }
-      // Padding between sections is dead space; require zeros so no byte of
-      // the image is outside some check's coverage.
-      for (std::uint64_t p = cursor; p < offset; ++p) {
-        if (bytes[p] != std::byte{0}) return corruption_at("nonzero section padding");
-      }
-      payload[s] = bytes.subspan(offset, size);
-      if (util::crc32c_fast(payload[s]) != load_u32(bytes, at + 32)) {
-        return corruption_at("section CRC mismatch");
-      }
-      cursor = offset + size;
-    }
-    for (std::uint64_t p = cursor; p < payload_end; ++p) {
-      if (bytes[p] != std::byte{0}) return corruption_at("nonzero trailing padding");
-    }
-  }
-
-  // 5. Stats, and an AS count the record section could hold and the stats
-  // agree with.  The records themselves are checked as materialize()
+  // 2. Epoch, fingerprint and stats, then an AS count the record bytes
+  // could hold.  The records themselves are checked as materialize()
   // decodes them.
+  Reader reader{body};
+  std::uint64_t epoch = 0;
+  std::uint64_t config_fingerprint = 0;
   DatasetStats stats;
-  if (!byte_io::decode_stats(payload[kSecStats - 1], stats)) {
-    return corruption_at("stats window count does not match the section size");
+  if (!reader.read_u64(epoch) || !reader.read_u64(config_fingerprint) ||
+      !byte_io::read_stats(reader, stats)) {
+    return corruption_at("stats record runs past the image");
   }
-  const std::span<const std::byte> records = payload[kSecAsRecords - 1];
-  const std::uint64_t as_count = load_u64(bytes, 40);
-  if (as_count > records.size() / kMinRecordSize) {
-    return corruption_at("AS count exceeds what the record section could hold");
-  }
-  if (as_count != stats.final_ases) {
-    return corruption_at("AS count does not match the stats' final_ases");
+  std::span<const std::byte> records;
+  static_cast<void>(reader.take(reader.remaining(), records));
+  if (stats.final_ases > records.size() / kMinRecordSize) {
+    return corruption_at("stats' final_ases exceeds what the AS records could hold");
   }
 
   // Commit — nothing above mutated the view's published state.
   records_ = records;
-  epoch_ = load_u64(bytes, 16);
-  config_fingerprint_ = load_u64(bytes, 24);
-  as_count_ = static_cast<std::size_t>(as_count);
+  epoch_ = epoch;
+  config_fingerprint_ = config_fingerprint;
   stats_ = std::move(stats);
   return util::Status{};
 }
@@ -751,15 +619,15 @@ util::Status ArtifactView::materialize(std::size_t max_grid_cells,
                                        std::vector<AsAnalysis>& out) const {
   Reader reader{records_};
   std::vector<AsAnalysis> analyses;
-  analyses.reserve(as_count_);  // bounded by the section size in load()
-  for (std::size_t i = 0; i < as_count_; ++i) {
+  analyses.reserve(as_count());  // bounded by the record bytes in load()
+  for (std::size_t i = 0; i < as_count(); ++i) {
     if (util::Status status = decode_record(reader, max_grid_cells, analyses);
         !status.ok()) {
       return status.with_context("AS record " + std::to_string(i));
     }
   }
   if (reader.remaining() != 0) {
-    return corruption_at("AS record section longer than its records");
+    return corruption_at("AS record bytes run past the last record");
   }
   out = std::move(analyses);
   return util::Status{};

@@ -8,36 +8,24 @@
 // ingesting.  The artifact holds the *served* epoch
 // and nothing else (no peer records: replicas answer the paper's §3
 // footprint and PoP queries, which never read them).  A replica's restore
-// opens it (envelope + checksums + stats), then materialize() walks the
+// opens it (envelope + stats), then materialize() walks the
 // per-AS records once into the in-memory analyses the epoch serves from.
 //
-// Format EYBART1 v3 (all integers little-endian, doubles as IEEE-754 bit
-// patterns, every section offset 8-byte aligned):
+// Format EYBART1 v4 (all integers little-endian, doubles as IEEE-754 bit
+// patterns), framed by the envelope it shares with EYBSNAP1
+// (core/byte_io.hpp):
 //
 //   header   "EYBART1\0"  8 B   magic
-//            u32               format version (currently 3)
-//            u32               section count (currently 2)
+//            u32               format version (currently 4)
 //            u64               epoch the artifact was published at
 //            u64               config fingerprint (result-affecting fields,
 //                              same derivation as EYBSNAP1)
-//            u64               total file size in bytes (truncation check)
-//            u64               AS count
-//            u32               meta CRC32C (header above + section table)
-//            u32               reserved (zero)
-//   table    section-count entries x 40 B:
-//            u32               section id (1..2, strictly ascending)
-//            u32               reserved (zero)
-//            u64               file offset of the payload (8-aligned)
-//            u64               payload size in bytes
-//            u64               reserved (zero)
-//            u32               payload CRC32C
-//            u32               reserved (zero)
-//   payload  sections back-to-back in table order, each zero-padded to the
-//            next 8-byte boundary:
-//             1 stats         10 u64 counters, u64 window count, 5 u64/window
-//             2 AS records    one record per AS, in dataset order (strictly
-//                             ASN-ascending), back to back (layout below)
-//   tail     "EYBAREND"  8 B   tail magic
+//   stats    10 u64 counters, u64 window count, 5 u64 per window; the 9th
+//            counter, final_ases, is the AS count
+//   records  one record per AS, in dataset order (strictly ASN-ascending),
+//            back to back (layout below)
+//   footer   u32               CRC32C of every byte above
+//            "EYBAREND"  8 B   tail magic
 //
 // AS record (every "count" is an element count, immediately followed by
 // that many elements):
@@ -68,37 +56,28 @@
 // stored cells (a run crossing a row boundary counts toward both rows), so
 // a replica allocates no more than the runs span.
 //
-// Images of another format version are refused as kVersionMismatch (v1 had
-// 11 sections, v2 had 10 with a per-AS offset index, per-kind arenas and a
-// persisted ASN order): the meta CRC covers the header's own section count,
-// so an intact image of any version passes it and reaches the version
-// check instead of being taken for corruption.
-//
 // open() checks, in order:
-//   1. envelope: minimum size, 8-aligned file size (what the encoder's
-//      padding always produces; keeps payload_end aligned so the packing
-//      arithmetic in step 3 cannot wrap), head magic, tail magic, recorded
-//      file size
-//   2. meta CRC over header + section table (any flipped header/table bit
-//      lands here), then the version check — a bit-flipped version byte
-//      fails the CRC as kCorruption, an intact image of another format
-//      version passes it and reports kVersionMismatch — then the section
-//      count and the header's reserved field
-//   3. section-table walk: exact id order, reserved fields zero, exact
-//      packing (each offset is the previous section's padded end), zero
-//      padding between sections
-//   4. per-section payload CRC (hardware-accelerated crc32c_fast)
-//   5. the stats record, and the AS count against the record section size
-//      and against the stats' final_ases
+//   1. the shared envelope: minimum size, head magic, tail magic, footer
+//      CRC (hardware-accelerated crc32c_fast), then the version.  Any
+//      flipped bit outside the tail magic fails the CRC as kCorruption, so
+//      a damaged version byte never reads as skew; an intact image of
+//      another version is kVersionMismatch.
+//   2. the stats record (its window count bounded by the bytes left), and
+//      its final_ases bounded by the record bytes over the smallest record.
+// Images of v1-v3 carry no footer CRC: they sealed their header and section
+// table (v1 had 11 sections, v2 10, v3 2) with a meta CRC at byte 48.  Only
+// once the footer CRC has failed does open() check that meta CRC, and an
+// image it verifies with a version of 1-3 is refused as kVersionMismatch —
+// intact property of an older binary, never quarantined as corruption.
 // materialize() then checks every record field as it decodes it: ASNs
 // strictly ascending (ServingSnapshot::find binary-searches them), enums in
 // range, the box, the grid shape re-derived by DensityGrid::shape_for, run
 // canonicality (counts >= 1, strictly separated, inside the grid, covering
 // exactly the nonzero values, each value bit-nonzero), peaks inside the
-// grid, every count bounded by the bytes left, the section consumed
-// exactly.  Every byte of the image is covered by a CRC, a zero-padding
-// rule or a magic compare, and every field that sizes an allocation or
-// indexes a grid is checked before it is used.
+// grid, every count bounded by the bytes left, the record bytes consumed
+// exactly.  Every byte of the image is covered by the footer CRC or the
+// tail-magic compare, and every field that sizes an allocation or indexes a
+// grid is checked before it is used.
 //
 // Encode is canonical: a given (dataset, analyses, epoch, fingerprint)
 // produces identical bytes regardless of thread counts or how the samples
@@ -125,7 +104,7 @@ namespace eyeball::core {
 /// builder internals).
 class ArtifactCodec {
  public:
-  static constexpr std::uint32_t kFormatVersion = 3;
+  static constexpr std::uint32_t kFormatVersion = 4;
 
   /// Serializes one epoch into `out` (replaced).  `analyses` must be
   /// parallel to `dataset.ases()` and the stats' final_ases must equal the
@@ -152,9 +131,8 @@ class ArtifactCodec {
 };
 
 /// Reader over one artifact image.  open() maps the file and checks the
-/// envelope, the checksums and the stats; materialize() decodes every AS
-/// record once.  The view owns the mapping; it lives exactly as long as the
-/// view.
+/// envelope and the stats; materialize() decodes every AS record once.
+/// The view owns the mapping; it lives exactly as long as the view.
 class ArtifactView {
  public:
   ArtifactView() = default;
@@ -177,7 +155,8 @@ class ArtifactView {
   [[nodiscard]] std::uint64_t config_fingerprint() const noexcept {
     return config_fingerprint_;
   }
-  [[nodiscard]] std::size_t as_count() const noexcept { return as_count_; }
+  /// The stats' final_ases, bounded at open by the record bytes.
+  [[nodiscard]] std::size_t as_count() const noexcept { return stats_.final_ases; }
   /// Dataset-level stats, windows included (decoded at open).
   [[nodiscard]] const DatasetStats& stats() const noexcept { return stats_; }
 
@@ -195,11 +174,10 @@ class ArtifactView {
 
   /// Backing storage for open(); empty for from_borrowed.
   util::MappedFile map_;
-  /// The AS record section, inside the backing image.
+  /// The AS records, inside the backing image.
   std::span<const std::byte> records_;
   std::uint64_t epoch_ = 0;
   std::uint64_t config_fingerprint_ = 0;
-  std::size_t as_count_ = 0;
   DatasetStats stats_;
 };
 

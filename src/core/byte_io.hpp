@@ -1,24 +1,30 @@
 // Little-endian byte layer shared by the two on-disk codecs (EYBSNAP1 in
-// snapshot.cpp, EYBART1 in artifact.cpp): the cursor both encoders fill
+// snapshot.cpp, EYBART1 in artifact.cpp): the envelope both formats are
+// framed by (seal() and open_envelope()), the cursor both encoders fill
 // their pre-sized images through, unchecked loads for callers that have
 // already bounded the read, the bounds-checked Reader both decoders walk
-// their payloads with, the WindowStats record both formats lay out the
-// same way, and the artifact's DatasetStats record built from it.
-// Internal to core; neither format's layout lives here, only the shared
+// their bodies with, the WindowStats record both formats lay out the same
+// way, and the artifact's DatasetStats record built from it.  Internal to
+// core; neither format's body layout lives here, only the shared
 // vocabulary.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/dataset.hpp"
 #include "util/check.hpp"
+#include "util/crc32c.hpp"
+#include "util/status.hpp"
 
 namespace eyeball::core::byte_io {
 
@@ -156,6 +162,96 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
+// ---- Envelope --------------------------------------------------------------
+//
+// Both durable formats share one frame:
+//
+//   head     8 B head magic, u32 format version
+//   body     the format's own fields
+//   footer   u32 CRC32C of every byte above, then an 8 B tail magic
+//
+// The CRC covers the head and the body, so a flipped bit anywhere but in
+// the tail magic fails it, and the tail compare catches the rest
+// (truncation included).
+
+/// An 8-byte magic from its 8-character spelling (the literal's closing
+/// NUL is dropped).
+[[nodiscard]] consteval std::array<std::byte, 8> magic(const char (&text)[9]) {
+  std::array<std::byte, 8> out{};
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = static_cast<std::byte>(text[i]);
+  return out;
+}
+
+inline constexpr std::size_t kHeadSize = 8 + 4;
+inline constexpr std::size_t kFooterSize = 4 + 8;
+
+/// One format's frame and the words it refuses in.
+struct Envelope {
+  std::array<std::byte, 8> head_magic;
+  std::array<std::byte, 8> tail_magic;
+  /// The one version this build reads.
+  std::uint32_t version;
+  /// The smallest well-formed image, head and footer included.
+  std::size_t min_size;
+  /// Names the format in the version-skew refusal.
+  const char* name;
+  // kCorruption messages, one per check.
+  const char* too_short;
+  const char* bad_head_magic;
+  const char* bad_tail_magic;
+  const char* bad_crc;
+  /// Consulted only once the footer CRC has failed: true for an intact
+  /// image of an earlier framing, which the version check then refuses as
+  /// skew instead of corruption.  Null when the format had no other frame.
+  bool (*intact_earlier_frame)(std::span<const std::byte>) = nullptr;
+};
+
+/// Seals a pre-sized image whose last kFooterSize bytes are the footer:
+/// writes the CRC32C of every byte before it, then the tail magic.
+inline void seal(std::span<std::byte> image, const std::array<std::byte, 8>& tail_magic) {
+  EYEBALL_DCHECK(image.size() >= kHeadSize + kFooterSize,
+                 "image smaller than its envelope");
+  Writer footer{image.last(kFooterSize)};
+  footer.put_u32(util::crc32c_fast(image.first(image.size() - kFooterSize)));
+  footer.put_bytes(tail_magic);
+}
+
+/// Checks `image`'s envelope, in order: minimum size, head magic, tail
+/// magic, footer CRC, then the version.  A CRC failure is kCorruption, so a
+/// bit-flipped version byte never reads as skew; an intact image of another
+/// version is kVersionMismatch.  On success `body` is every byte between
+/// the version and the footer.
+[[nodiscard]] inline util::Status open_envelope(std::span<const std::byte> image,
+                                                const Envelope& envelope,
+                                                std::span<const std::byte>& body) {
+  EYEBALL_DCHECK(envelope.min_size >= kHeadSize + kFooterSize,
+                 "a format's minimum size covers its envelope");
+  if (image.size() < envelope.min_size) {
+    return util::Status::corruption(envelope.too_short);
+  }
+  if (!std::equal(envelope.head_magic.begin(), envelope.head_magic.end(), image.begin())) {
+    return util::Status::corruption(envelope.bad_head_magic);
+  }
+  if (!std::equal(envelope.tail_magic.begin(), envelope.tail_magic.end(),
+                  image.end() - static_cast<std::ptrdiff_t>(envelope.tail_magic.size()))) {
+    return util::Status::corruption(envelope.bad_tail_magic);
+  }
+  const std::span<const std::byte> sealed = image.first(image.size() - kFooterSize);
+  if (util::crc32c_fast(sealed) != load_u32(image, sealed.size()) &&
+      (envelope.intact_earlier_frame == nullptr ||
+       !envelope.intact_earlier_frame(image))) {
+    return util::Status::corruption(envelope.bad_crc);
+  }
+  const std::uint32_t version = load_u32(image, 8);
+  if (version != envelope.version) {
+    return util::Status::version_mismatch(
+        std::string{envelope.name} + " format v" + std::to_string(version) +
+        ", this binary reads v" + std::to_string(envelope.version));
+  }
+  body = sealed.subspan(kHeadSize);
+  return util::Status{};
+}
+
 // DatasetStats record: its 10 counters in declaration order, the window
 // count, then the 5 WindowStats fields per window — all u64.
 inline constexpr std::size_t kStatsFixedSize = 11 * 8;
@@ -182,36 +278,34 @@ inline void put_stats(Writer& out, const DatasetStats& s) {
   for (const WindowStats& w : s.windows) put_window(out, w);
 }
 
-/// Decodes a payload that must hold exactly one stats record.  False (and
-/// `out` untouched) when the size disagrees with the declared window count.
-[[nodiscard]] inline bool decode_stats(std::span<const std::byte> payload,
-                                       DatasetStats& out) {
-  if (payload.size() < kStatsFixedSize) return false;
-  // Divide, never multiply: a hostile count must not overflow the check.
-  const std::uint64_t window_count = load_u64(payload, kStatsFixedSize - 8);
-  const std::size_t tail = payload.size() - kStatsFixedSize;
-  if (tail % kWindowRecordSize != 0 || window_count != tail / kWindowRecordSize) {
-    return false;
+/// Reads one stats record (as put_stats wrote it) at the reader's cursor.
+/// False (and `out` untouched) when it runs past the end; the window count
+/// is bounded by the bytes left before anything is reserved for it.
+[[nodiscard]] inline bool read_stats(Reader& in, DatasetStats& out) {
+  std::array<std::uint64_t, 10> counters{};
+  for (std::uint64_t& counter : counters) {
+    if (!in.read_u64(counter)) return false;
   }
-  const auto at = [&payload](std::size_t i) {
-    return static_cast<std::size_t>(load_u64(payload, i * 8));
-  };
+  std::uint64_t window_count = 0;
+  if (!in.read_count(kWindowRecordSize, window_count)) return false;
+  const auto field = [](std::uint64_t v) { return static_cast<std::size_t>(v); };
   DatasetStats stats;
-  stats.raw_samples = at(0);
-  stats.missing_geo = at(1);
-  stats.high_error = at(2);
-  stats.unmapped_as = at(3);
-  stats.peers_in_small_ases = at(4);
-  stats.ases_below_min_peers = at(5);
-  stats.ases_above_p90_error = at(6);
-  stats.final_peers = at(7);
-  stats.final_ases = at(8);
-  stats.rejected_samples = at(9);
+  stats.raw_samples = field(counters[0]);
+  stats.missing_geo = field(counters[1]);
+  stats.high_error = field(counters[2]);
+  stats.unmapped_as = field(counters[3]);
+  stats.peers_in_small_ases = field(counters[4]);
+  stats.ases_below_min_peers = field(counters[5]);
+  stats.ases_above_p90_error = field(counters[6]);
+  stats.final_peers = field(counters[7]);
+  stats.final_ases = field(counters[8]);
+  stats.rejected_samples = field(counters[9]);
   stats.windows.reserve(static_cast<std::size_t>(window_count));
-  for (std::size_t w = 0; w < window_count; ++w) {
-    const std::size_t base = kStatsFixedSize / 8 + w * (kWindowRecordSize / 8);
+  for (std::uint64_t w = 0; w < window_count; ++w) {
+    std::array<std::uint64_t, 5> f{};
+    for (std::uint64_t& v : f) static_cast<void>(in.read_u64(v));  // bounded above
     stats.windows.push_back(
-        WindowStats{at(base), at(base + 1), at(base + 2), at(base + 3), at(base + 4)});
+        WindowStats{field(f[0]), field(f[1]), field(f[2]), field(f[3]), field(f[4])});
   }
   out = std::move(stats);
   return true;

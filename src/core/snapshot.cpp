@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <charconv>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <utility>
@@ -13,7 +12,6 @@
 #include "core/streaming_dataset.hpp"
 #include "util/annotations.hpp"
 #include "util/check.hpp"
-#include "util/crc32c.hpp"
 #include "util/file.hpp"
 #include "util/mutex.hpp"
 #include "util/rng.hpp"
@@ -25,14 +23,23 @@ namespace {
 using byte_io::Reader;
 
 // Layout constants (see the format comment in snapshot.hpp).
-constexpr char kHeadMagic[8] = {'E', 'Y', 'B', 'S', 'N', 'A', 'P', '1'};
-constexpr char kTailMagic[8] = {'E', 'Y', 'B', 'S', 'N', 'E', 'N', 'D'};
-constexpr std::size_t kHeaderSize = 8 + 4 + 8 + 8 + 8;
+constexpr std::size_t kHeaderSize = byte_io::kHeadSize + 8 + 8 + 8;
 constexpr std::size_t kConfigSize = 3 * 8;
-constexpr std::size_t kFooterSize = 4 + 8;
 /// Header, config block, window count and footer: the size of a snapshot
 /// of a builder that has ingested nothing.
-constexpr std::size_t kEnvelopeSize = kHeaderSize + kConfigSize + 8 + kFooterSize;
+constexpr std::size_t kEmptySize = kHeaderSize + kConfigSize + 8 + byte_io::kFooterSize;
+
+constexpr byte_io::Envelope kEnvelope{
+    .head_magic = byte_io::magic("EYBSNAP1"),
+    .tail_magic = byte_io::magic("EYBSNEND"),
+    .version = SnapshotCodec::kFormatVersion,
+    .min_size = kEmptySize,
+    .name = "snapshot",
+    .too_short = "snapshot truncated: shorter than the minimum envelope",
+    .bad_head_magic = "bad head magic: not a snapshot file",
+    .bad_tail_magic = "bad tail magic: truncated or overwritten snapshot",
+    .bad_crc = "whole-file CRC mismatch",
+};
 /// WindowStats plus the sample count that opens each window record.
 constexpr std::size_t kWindowHeaderSize = byte_io::kWindowRecordSize + 8;
 constexpr std::size_t kSampleSize = 4 + 1;
@@ -144,12 +151,12 @@ std::vector<std::byte> SnapshotCodec::encode(const StreamingDatasetBuilder& buil
   const std::vector<WindowStats>& windows = builder.stats_.windows;
   const std::span<const p2p::PeerSample> admitted{builder.admitted_};
   // Sized once, then filled through a cursor: no per-sample append.
-  std::vector<std::byte> out(kEnvelopeSize + windows.size() * kWindowHeaderSize +
+  std::vector<std::byte> out(kEmptySize + windows.size() * kWindowHeaderSize +
                              admitted.size() * kSampleSize);
   byte_io::Writer w{out};
 
   // Header.
-  w.put_bytes(std::as_bytes(std::span{kHeadMagic}));
+  w.put_bytes(kEnvelope.head_magic);
   w.put_u32(kFormatVersion);
   w.put_u64(generation);
   w.put_u64(config_fingerprint(builder.config_));
@@ -176,10 +183,9 @@ std::vector<std::byte> SnapshotCodec::encode(const StreamingDatasetBuilder& buil
   }
   EYEBALL_DCHECK(next == admitted.size(), "window trail covers the admitted stream");
 
-  // Footer: whole-file CRC over everything so far, then the tail magic.
-  EYEBALL_DCHECK(w.remaining() == kFooterSize, "snapshot size drifted from its layout");
-  w.put_u32(util::crc32c_fast(std::span{out}.first(out.size() - kFooterSize)));
-  w.put_bytes(std::as_bytes(std::span{kTailMagic}));
+  EYEBALL_DCHECK(w.remaining() == byte_io::kFooterSize,
+                 "snapshot size drifted from its layout");
+  byte_io::seal(out, kEnvelope.tail_magic);
   return out;
 }
 
@@ -188,44 +194,18 @@ util::Status SnapshotCodec::decode(std::span<const std::byte> bytes,
                                    StreamingDatasetBuilder& builder,
                                    std::uint64_t* generation)
     EYEBALL_NO_THREAD_SAFETY_ANALYSIS {
-  // ---- Envelope: magics, whole-file CRC, version, fingerprint. ----
-  if (bytes.size() < kEnvelopeSize) {
-    return corrupt("snapshot truncated: shorter than the minimum envelope");
+  // ---- Envelope (magics, whole-file CRC, version), then the fingerprint. ----
+  std::span<const std::byte> body;
+  if (util::Status status = byte_io::open_envelope(bytes, kEnvelope, body); !status.ok()) {
+    return status;
   }
-  if (std::memcmp(bytes.data(), kHeadMagic, sizeof kHeadMagic) != 0) {
-    return corrupt("bad head magic: not a snapshot file");
-  }
-  if (std::memcmp(bytes.data() + bytes.size() - sizeof kTailMagic, kTailMagic,
-                  sizeof kTailMagic) != 0) {
-    return corrupt("bad tail magic: truncated or overwritten snapshot");
-  }
-  const std::span<const std::byte> body = bytes.first(bytes.size() - kFooterSize);
-  Reader footer{bytes.subspan(bytes.size() - kFooterSize)};
-  std::uint32_t stored_file_crc = 0;
-  if (!footer.read_u32(stored_file_crc)) return corrupt("unreadable footer");
-  // CRC before the version check: a damaged version byte is corruption; a
-  // version mismatch verdict is reserved for files that are intact.
-  if (util::crc32c_fast(body) != stored_file_crc) {
-    return corrupt("whole-file CRC mismatch");
-  }
-
   Reader reader{body};
-  std::uint64_t skip = 0;
-  static_cast<void>(reader.read_u64(skip));  // head magic, verified above
-  std::uint32_t version = 0;
   std::uint64_t stored_generation = 0;
   std::uint64_t stored_fingerprint = 0;
   std::uint64_t stored_digest = 0;
-  if (!reader.read_u32(version) || !reader.read_u64(stored_generation) ||
-      !reader.read_u64(stored_fingerprint) || !reader.read_u64(stored_digest)) {
+  if (!reader.read_u64(stored_generation) || !reader.read_u64(stored_fingerprint) ||
+      !reader.read_u64(stored_digest)) {
     return corrupt("unreadable header");
-  }
-  if (version != kFormatVersion) {
-    std::string message = "snapshot format v";
-    message += std::to_string(version);
-    message += ", this binary reads v";
-    message += std::to_string(kFormatVersion);
-    return util::Status::version_mismatch(std::move(message));
   }
   if (stored_fingerprint != config_fingerprint(builder.config_)) {
     return util::Status::config_mismatch(
@@ -313,9 +293,11 @@ util::Status SnapshotCodec::decode(std::span<const std::byte> bytes,
                                   builder.config_};
   std::size_t next = 0;
   for (const WindowStats& stored : windows) {
+    // At pool width: conditioning is byte-identical at any thread count,
+    // so the restoring builder's own ingest knob need not slow its restore.
     scratch.ingest_locked(std::span<const p2p::PeerSample>{samples}.subspan(
                               next, stored.admitted),
-                          builder.config_.threads);
+                          0);
     next += stored.admitted;
     WindowStats& replayed = scratch.stats_.windows.back();
     if (replayed.rejected != 0) {

@@ -2,8 +2,9 @@
 // substrate for longitudinal runs (the paper's six monthly windows span
 // half a year; the conditioning state must survive process restarts).
 //
-// Format EYBSNAP1 v2 (all integers little-endian).  The builder's state is
-// a pure function of the samples it admitted (the streaming-equals-one-shot
+// Format EYBSNAP1 v2 (all integers little-endian), framed by the envelope
+// it shares with EYBART1 (core/byte_io.hpp).  The builder's state is a pure
+// function of the samples it admitted (the streaming-equals-one-shot
 // contract), so the file stores that stream, not what conditioning derived
 // from it:
 //
@@ -24,14 +25,15 @@
 //   footer   u32              CRC32C of everything above
 //            "EYBSNEND"  8 B   tail magic
 //
-// Decode checks the envelope outside-in (magics, whole-file CRC, version,
-// config fingerprint and block, record bounds and counter conservation),
-// then REPLAYS every window through ingest into a scratch builder with this
-// builder's databases and config.  Replay must admit every stored sample
-// (no door rejects, no duplicates) and reproduce each window's
-// cumulative_unique; the restored state is then digested and must equal the
-// header digest.  Only then is the scratch state moved in, so a failed
-// decode never leaves partially-restored state.  The ordering is
+// Decode checks the shared envelope (minimum size, head magic, tail magic,
+// whole-file CRC, version — byte_io::open_envelope), then the config
+// fingerprint and block, record bounds and counter conservation, then
+// REPLAYS every window through ingest, at pool width, into a scratch
+// builder with this builder's databases and config.  Replay must admit
+// every stored sample (no door rejects, no duplicates) and reproduce each
+// window's cumulative_unique; the restored state is then digested and must
+// equal the header digest.  Only then is the scratch state moved in, so a
+// failed decode never leaves partially-restored state.  The ordering is
 // deliberate: a bit-flipped version byte fails the file CRC and reports
 // kCorruption, while a genuinely other format (valid CRC, other version)
 // reports kVersionMismatch.

@@ -8,20 +8,20 @@
 //      fault class at every offset class — a damaged image must be refused
 //      typed (or the write itself must fail and leave the previous artifact
 //      serving); never a successful decode of wrong bytes.
-//   2. Image mutation: EVERY single-bit flip over the header + section
-//      table + tail region, strided flips across every payload section, and
-//      EVERY truncation length — each mutated image must be refused with
-//      kCorruption.  The format makes this provable: every byte of the file
-//      is covered by the meta CRC, a section CRC, a zero-padding rule, or
-//      the tail-magic compare.
-//   3. Hostile structure: section-table entries and AS-record fields
-//      rewritten with RECOMPUTED CRCs (out-of-bounds, overlapping and
-//      misaligned sections, out-of-range enums, nonzero reserved fields,
-//      inconsistent grid geometry, non-canonical runs, counts of 2^60,
-//      trailing record bytes) — past the checksums on purpose, so open's
-//      table walk or materialize's field checks are what refuse them.
+//   2. Image mutation: EVERY single-bit flip over the 28-byte header and
+//      the 12-byte footer, strided flips across the stats and the AS
+//      records, and EVERY truncation length — each mutated image must be
+//      refused with kCorruption.  The format makes this provable: every
+//      byte of the file is covered by the footer CRC or the tail-magic
+//      compare.
+//   3. Hostile structure: header, stats and AS-record fields rewritten
+//      behind a RESEALED footer CRC (a future version, window and AS counts
+//      past the image, out-of-range enums, inconsistent grid geometry,
+//      non-canonical runs, counts of 2^60, trailing record bytes) — past
+//      the checksum on purpose, so open's bounds or materialize's field
+//      checks are what refuse them.
 //
-// Plus format skew: intact images of both earlier format versions are
+// Plus format skew: intact images of every earlier format version are
 // refused as kVersionMismatch, and a replica restoring from one leaves the
 // file in place instead of quarantining it.
 //
@@ -60,17 +60,18 @@ using util::FileFault;
 using util::Status;
 using util::StatusCode;
 
-constexpr std::size_t kHeaderSize = 56;
-constexpr std::size_t kTableEntrySize = 40;
-constexpr std::size_t kSectionCount = 2;
-constexpr std::size_t kMetaSize = kHeaderSize + kSectionCount * kTableEntrySize;
-/// Table entries of the two sections.
-constexpr std::size_t kStatsEntry = kHeaderSize;
-constexpr std::size_t kRecordsEntry = kHeaderSize + kTableEntrySize;
+/// Head magic, version, epoch, config fingerprint.
+constexpr std::size_t kHeaderSize = 28;
+/// The footer CRC32C and the 8-byte tail magic.
+constexpr std::size_t kFooterSize = 12;
+/// The stats record follows the header; its ninth counter is final_ases,
+/// its eleventh the window count.
+constexpr std::size_t kFinalAsesAt = kHeaderSize + 8 * 8;
+constexpr std::size_t kWindowCountAt = kHeaderSize + 10 * 8;
 
 /// A deliberately SMALL epoch: the exhaustive sweeps below scale with the
-/// image size (every truncation length, every meta-region bit), so the
-/// fixture takes one truncated window and a lowered AS threshold.
+/// image size (every truncation length), so the fixture takes one
+/// truncated window and a lowered AS threshold.
 struct FaultWorld {
   const testing::PipelineFixture& f = shared_fixture();
   core::PipelineConfig config = [] {
@@ -146,23 +147,17 @@ void write_u64(std::span<std::byte> bytes, std::size_t at, std::uint64_t v) {
   }
 }
 
-/// Recomputes the meta CRC after a deliberate header/table rewrite, so the
-/// mutation reaches the structural checks instead of dying at the checksum.
-void fix_meta_crc(std::span<std::byte> image) {
-  std::vector<std::byte> meta(image.begin(),
-                              image.begin() + static_cast<std::ptrdiff_t>(kMetaSize));
-  write_u32(meta, 48, 0);
-  write_u32(image, 48, util::crc32c(meta));
+/// Recomputes the footer CRC after a deliberate rewrite, so the mutation
+/// reaches the structural checks instead of dying at the checksum.
+void reseal(std::span<std::byte> image) {
+  const std::size_t sealed = image.size() - kFooterSize;
+  write_u32(image, sealed, util::crc32c(image.first(sealed)));
 }
 
-/// Recomputes section `index`'s payload CRC from the (possibly mutated)
-/// payload bytes, then re-fixes the meta CRC the rewrite invalidated.
-void fix_section_crc(std::span<std::byte> image, std::size_t index) {
-  const std::size_t entry = kHeaderSize + index * kTableEntrySize;
-  const auto offset = static_cast<std::size_t>(read_u64(image, entry + 8));
-  const auto stored = static_cast<std::size_t>(read_u64(image, entry + 16));
-  write_u32(image, entry + 32, util::crc32c(image.subspan(offset, stored)));
-  fix_meta_crc(image);
+/// File offset of the first AS record: past the header and the stats.
+[[nodiscard]] std::size_t records_at(std::span<const std::byte> image) {
+  return kWindowCountAt + 8 +
+         40 * static_cast<std::size_t>(read_u64(image, kWindowCountAt));
 }
 
 /// What a replica of the fault world does with an image: open it, then
@@ -206,7 +201,7 @@ struct Record0 {
 
 [[nodiscard]] Record0 record0(std::span<const std::byte> image) {
   Record0 r;
-  std::size_t at = static_cast<std::size_t>(read_u64(image, kRecordsEntry + 8));
+  std::size_t at = records_at(image);
   r.asn = at;
   r.level = at + 4;
   r.continent = at + 8;
@@ -234,21 +229,21 @@ struct Record0 {
 
 // ---- Sweep 2: exhaustive bit flips and truncations -----------------------
 
-TEST(ArtifactFaults, EveryMetaRegionBitFlipIsTypedCorruption) {
+TEST(ArtifactFaults, EveryHeaderAndFooterBitFlipIsTypedCorruption) {
   const auto& w = fault_world();
   ASSERT_GT(w.dataset.ases().size(), 0u)
       << "fixture produced no ASes — sweeps below would be vacuous";
-  ASSERT_GT(w.image.size(), kMetaSize + 8);
+  ASSERT_GT(w.image.size(), kHeaderSize + kFooterSize);
 
   std::size_t silent = 0;
   std::vector<std::byte> mutated;
-  // Every bit of the header + section table, plus every bit of the final
-  // 16 bytes (closing padding + tail magic).  Everything in this region is
-  // covered by the meta CRC, the envelope checks or the tail compare, so
-  // every flip must refuse as kCorruption.
+  // Every bit of the header (magic, version, epoch, fingerprint) and of the
+  // footer (CRC, tail magic).  The CRC covers the header and the tail
+  // compare covers the magic, so every flip must refuse as kCorruption —
+  // a flipped version bit included, which must never read as skew.
   std::vector<std::size_t> positions;
-  for (std::size_t at = 0; at < kMetaSize; ++at) positions.push_back(at);
-  for (std::size_t at = w.image.size() - 16; at < w.image.size(); ++at) {
+  for (std::size_t at = 0; at < kHeaderSize; ++at) positions.push_back(at);
+  for (std::size_t at = w.image.size() - kFooterSize; at < w.image.size(); ++at) {
     positions.push_back(at);
   }
   for (const std::size_t at : positions) {
@@ -267,12 +262,12 @@ TEST(ArtifactFaults, StridedPayloadBitFlipsAreTypedCorruption) {
   const auto& w = fault_world();
   std::size_t silent = 0;
   std::vector<std::byte> mutated;
-  // Payload region: every section's stored bytes (and inter-section
-  // padding) are CRC-covered, so a flip anywhere must refuse.  Strided to
-  // keep the suite's runtime bounded; the stride is coprime-ish with the
-  // record sizes so hits land on every field family over the sweep.
-  const std::size_t begin = kMetaSize;
-  const std::size_t end = w.image.size() - 16;
+  // Payload region: the stats and every AS record are CRC-covered, so a
+  // flip anywhere must refuse.  Strided to keep the suite's runtime
+  // bounded; the stride is coprime-ish with the record sizes so hits land
+  // on every field family over the sweep.
+  const std::size_t begin = kHeaderSize;
+  const std::size_t end = w.image.size() - kFooterSize;
   const std::size_t stride = std::max<std::size_t>(1, (end - begin) / 1024);
   for (std::size_t at = begin; at < end; at += stride) {
     for (int bit = 0; bit < 8; ++bit) {
@@ -305,195 +300,66 @@ TEST(ArtifactFaults, EveryTruncationLengthIsTypedCorruption) {
   EXPECT_TRUE(status.ok()) << status.message();
 }
 
-// ---- Sweep 3: hostile structure behind valid checksums -------------------
+// ---- Sweep 3: hostile structure behind a valid checksum ------------------
 
-TEST(ArtifactFaults, HostileSectionTablesAreRefusedByTheTableWalk) {
+TEST(ArtifactFaults, ResealedVersionAndCountRewritesAreTypedRefusals) {
   const auto& w = fault_world();
+  ASSERT_EQ(read_u64(w.image, kFinalAsesAt), w.dataset.ases().size());
   std::size_t silent = 0;
   std::vector<std::byte> mutated;
 
   const auto fresh = [&] { mutated = w.image; return std::span<std::byte>{mutated}; };
 
-  {  // out-of-line offset (gap): breaks the exact-packing rule
-    auto m = fresh();
-    write_u64(m, kRecordsEntry + 8, read_u64(m, kRecordsEntry + 8) + 8);
-    fix_meta_crc(m);
-    silent += expect_refused(mutated, {StatusCode::kCorruption}, "offset +8");
-  }
-  {  // overlapping offset: points back into the previous section
-    auto m = fresh();
-    write_u64(m, kRecordsEntry + 8, read_u64(m, kRecordsEntry + 8) - 8);
-    fix_meta_crc(m);
-    silent += expect_refused(mutated, {StatusCode::kCorruption}, "offset -8");
-  }
-  {  // misaligned offset
-    auto m = fresh();
-    write_u64(m, kRecordsEntry + 8, read_u64(m, kRecordsEntry + 8) + 4);
-    fix_meta_crc(m);
-    silent += expect_refused(mutated, {StatusCode::kCorruption}, "offset +4");
-  }
-  {  // last section claims bytes past the end of the image
-    auto m = fresh();
-    write_u64(m, kRecordsEntry + 16, w.image.size());
-    fix_meta_crc(m);
-    silent += expect_refused(mutated, {StatusCode::kCorruption}, "size past end");
-  }
-  {  // a grown stored_size shifts the later section off the packing rule
-    auto m = fresh();
-    write_u64(m, kStatsEntry + 16, read_u64(m, kStatsEntry + 16) + 8);
-    fix_meta_crc(m);
-    silent += expect_refused(mutated, {StatusCode::kCorruption}, "stored_size +8");
-  }
-  {  // section ids out of order
-    auto m = fresh();
-    write_u32(m, kRecordsEntry, 3);
-    fix_meta_crc(m);
-    silent += expect_refused(mutated, {StatusCode::kCorruption}, "id disorder");
-  }
-  {  // future format version, CRC-valid: the one typed NON-corruption header
-     // refusal
+  {  // future format version, CRC-valid: the one typed NON-corruption
+     // envelope refusal
     auto m = fresh();
     write_u32(m, 8, core::ArtifactCodec::kFormatVersion + 1);
-    fix_meta_crc(m);
+    reseal(m);
     silent += expect_refused(mutated, {StatusCode::kVersionMismatch}, "version +1");
   }
-  {  // AS count inflated: one record more than the section holds
+  {  // AS count (the stats' final_ases) one past the records: every record
+     // decodes, then materialize runs out of bytes for the extra one
     auto m = fresh();
-    write_u64(m, 40, read_u64(m, 40) + 1);
-    fix_meta_crc(m);
-    silent += expect_refused(mutated, {StatusCode::kCorruption}, "as_count +1");
+    write_u64(m, kFinalAsesAt, read_u64(m, kFinalAsesAt) + 1);
+    reseal(m);
+    silent += expect_refused(mutated, {StatusCode::kCorruption}, "final_ases +1");
   }
-  {  // AS count far past what the record section could hold
+  {  // AS count far past what the record bytes could hold: refused at open,
+     // before materialize reserves anything for it
     auto m = fresh();
-    write_u64(m, 40, std::uint64_t{1} << 60);
-    fix_meta_crc(m);
-    silent += expect_refused(mutated, {StatusCode::kCorruption}, "as_count huge");
+    write_u64(m, kFinalAsesAt, std::uint64_t{1} << 60);
+    reseal(m);
+    core::ArtifactView view;
+    const Status opened = core::ArtifactView::from_borrowed(mutated, view);
+    EXPECT_EQ(opened.code(), StatusCode::kCorruption) << opened;
   }
-  {  // recorded file size wrong (caught by the envelope before the CRC)
+  {  // window count far past the image: refused before any reservation
     auto m = fresh();
-    write_u64(m, 32, read_u64(m, 32) + 8);
-    fix_meta_crc(m);
-    silent += expect_refused(mutated, {StatusCode::kCorruption}, "file_size +8");
-  }
-  EXPECT_EQ(silent, 0u);
-}
-
-TEST(ArtifactFaults, UnalignedImageSizesAreRefusedAtTheEnvelope) {
-  // The encoder pads every section to 8 bytes, so a well-formed image's
-  // size is always a multiple of 8 and open refuses anything
-  // else outright.  Grow the image by 1..7 zero bytes ahead of the tail
-  // magic, with the recorded size and meta CRC made consistent, so the
-  // alignment rule itself is the only thing left to refuse on.
-  const auto& w = fault_world();
-  std::size_t silent = 0;
-  for (std::size_t extra = 1; extra < 8; ++extra) {
-    std::vector<std::byte> mutated(w.image.begin(), w.image.end() - 8);
-    mutated.insert(mutated.end(), extra, std::byte{0});
-    mutated.insert(mutated.end(), w.image.end() - 8, w.image.end());
-    const std::span<std::byte> m{mutated};
-    write_u64(m, 32, mutated.size());
-    fix_meta_crc(m);
-    silent += expect_refused(mutated, {StatusCode::kCorruption},
-                             "grow by " + std::to_string(extra));
-  }
-  EXPECT_EQ(silent, 0u);
-}
-
-TEST(ArtifactFaults, UnalignedPayloadEndCannotWrapTheSectionBoundsCheck) {
-  // Regression for a u64 underflow in the section-table walk: shorten a
-  // section by 4 bytes in both the table and the image and end the file
-  // right there, so payload_end lands BETWEEN the new cursor and the
-  // align8'd offset the table still records for the next section.  The
-  // bounds check used to compute `payload_end - offset` in that geometry,
-  // wrapping to a huge value and waving an arbitrary stored_size through
-  // to an out-of-bounds CRC read.  Must refuse typed (and this whole
-  // suite runs under ASan, so a surviving wild read is an abort).
-  const auto& w = fault_world();
-  const auto off = static_cast<std::size_t>(read_u64(w.image, kStatsEntry + 8));
-  const auto size = static_cast<std::size_t>(read_u64(w.image, kStatsEntry + 16));
-  ASSERT_GE(size, 8u) << "fixture stats section too small to shorten";
-
-  std::vector<std::byte> mutated(
-      w.image.begin(), w.image.begin() + static_cast<std::ptrdiff_t>(off + size - 4));
-  mutated.insert(mutated.end(), w.image.end() - 8, w.image.end());  // tail magic
-  const std::span<std::byte> m{mutated};
-  write_u64(m, kStatsEntry + 16, size - 4);
-  write_u64(m, 32, mutated.size());
-  fix_section_crc(m, 0);
-  EXPECT_EQ(expect_refused(mutated, {StatusCode::kCorruption}, "unaligned payload_end"),
-            0u);
-}
-
-TEST(ArtifactFaults, StatsFinalAsesDisagreeingWithTheAsCountIsRefusedAtOpen) {
-  // stats.final_ases + 1 behind a re-sealed stats CRC: every record still
-  // decodes, so only the count check stands between this image and an
-  // epoch whose stats() claim one AS more than it serves.
-  const auto& w = fault_world();
-  const auto stats_at = static_cast<std::size_t>(read_u64(w.image, kStatsEntry + 8));
-  const std::size_t final_ases_at = stats_at + 8 * 8;  // the ninth counter
-  ASSERT_EQ(read_u64(w.image, final_ases_at), w.dataset.ases().size());
-  std::vector<std::byte> mutated = w.image;
-  const std::span<std::byte> m{mutated};
-  write_u64(m, final_ases_at, w.dataset.ases().size() + 1);
-  fix_section_crc(m, 0);
-  core::ArtifactView view;
-  const Status opened = core::ArtifactView::from_borrowed(mutated, view);
-  EXPECT_EQ(opened.code(), StatusCode::kCorruption) << opened;
-}
-
-TEST(ArtifactFaults, NonzeroReservedFieldsAreTypedCorruption) {
-  // The header's reserved u32 and each table entry's three reserved fields
-  // (v1's encoding tag and raw size among them) must be zero.  Set behind a
-  // recomputed meta CRC, so the reserved-field rule itself refuses them.
-  const auto& w = fault_world();
-  std::size_t silent = 0;
-  {
-    std::vector<std::byte> mutated = w.image;
-    const std::span<std::byte> m{mutated};
-    write_u32(m, 52, 1);
-    fix_meta_crc(m);
-    silent += expect_refused(mutated, {StatusCode::kCorruption}, "header reserved");
-  }
-  for (std::size_t s = 0; s < kSectionCount; ++s) {
-    const std::size_t entry = kHeaderSize + s * kTableEntrySize;
-    const std::string label = "section " + std::to_string(s + 1);
-    {  // v1's encoding slot: 1 was zstd
-      std::vector<std::byte> mutated = w.image;
-      const std::span<std::byte> m{mutated};
-      write_u32(m, entry + 4, 1);
-      fix_meta_crc(m);
-      silent += expect_refused(mutated, {StatusCode::kCorruption}, label + " u32@4");
-    }
-    {  // v1's raw-size slot, holding what v1 wrote there for a raw section
-      std::vector<std::byte> mutated = w.image;
-      const std::span<std::byte> m{mutated};
-      write_u64(m, entry + 24, read_u64(w.image, entry + 16) + 1);
-      fix_meta_crc(m);
-      silent += expect_refused(mutated, {StatusCode::kCorruption}, label + " u64@24");
-    }
-    {
-      std::vector<std::byte> mutated = w.image;
-      const std::span<std::byte> m{mutated};
-      write_u32(m, entry + 36, 1);
-      fix_meta_crc(m);
-      silent += expect_refused(mutated, {StatusCode::kCorruption}, label + " u32@36");
-    }
+    write_u64(m, kWindowCountAt, std::uint64_t{1} << 60);
+    reseal(m);
+    core::ArtifactView view;
+    const Status opened = core::ArtifactView::from_borrowed(mutated, view);
+    EXPECT_EQ(opened.code(), StatusCode::kCorruption) << opened;
   }
   EXPECT_EQ(silent, 0u);
 }
 
 /// An intact EYBART1 image of an empty epoch in an earlier format version,
-/// laid out field by field: v1 had eleven table entries (the fourth being
-/// its peer arena) with the raw size repeated at entry byte 24, v2 had ten
-/// with that slot zero.  Either way an all-zero 88-byte stats record and
-/// every other section empty.  Byte-equal to what that version's encoder
-/// wrote for an empty dataset at this epoch and fingerprint.
+/// laid out field by field: a 56-byte header sealed by a meta CRC at byte
+/// 48, then v1's eleven table entries (the fourth being its peer arena,
+/// with the raw size repeated at entry byte 24), v2's ten (that slot zero)
+/// or v3's two.  Either way an all-zero 88-byte stats record, every other
+/// section empty, and the tail magic with no footer CRC.  Byte-equal to
+/// what that version's encoder wrote for an empty dataset at this epoch
+/// and fingerprint.
 [[nodiscard]] std::vector<std::byte> empty_previous_image(std::uint32_t version,
                                                           std::uint64_t epoch,
                                                           std::uint64_t fingerprint) {
-  const std::size_t sections = version == 1 ? 11 : 10;
+  const std::size_t sections = version == 1 ? 11 : version == 2 ? 10 : 2;
+  constexpr std::size_t kOldHeaderSize = 56;
+  constexpr std::size_t kTableEntrySize = 40;
   constexpr std::size_t kStatsSize = 88;
-  const std::size_t payload_begin = kHeaderSize + sections * kTableEntrySize;
+  const std::size_t payload_begin = kOldHeaderSize + sections * kTableEntrySize;
   const std::size_t file_size = payload_begin + kStatsSize + 8;
   std::vector<std::byte> image(file_size, std::byte{0});
   const std::span<std::byte> m{image};
@@ -507,7 +373,7 @@ TEST(ArtifactFaults, NonzeroReservedFieldsAreTypedCorruption) {
   write_u64(m, 40, 0);
   const std::uint32_t stats_crc = util::crc32c(m.subspan(payload_begin, kStatsSize));
   for (std::size_t s = 0; s < sections; ++s) {
-    const std::size_t entry = kHeaderSize + s * kTableEntrySize;
+    const std::size_t entry = kOldHeaderSize + s * kTableEntrySize;
     const std::size_t size = s == 0 ? kStatsSize : 0;
     write_u32(m, entry, static_cast<std::uint32_t>(s + 1));
     write_u64(m, entry + 8, s == 0 ? payload_begin : payload_begin + kStatsSize);
@@ -526,11 +392,12 @@ TEST(ArtifactFaults, NonzeroReservedFieldsAreTypedCorruption) {
 }
 
 TEST(ArtifactFaults, PreviousFormatVersionsAreSkewNotCorruption) {
-  // v1's and v2's tables are longer than v3's, but the meta CRC covers the
-  // header's own section count, so an intact older image passes it and is
-  // refused at the version check — never mistaken for a damaged v3 image.
+  // v1-v3 carry no footer CRC, so theirs fails; open then checks the meta
+  // CRC those versions sealed their header and table with, and an intact
+  // older image is refused at the version check — never mistaken for a
+  // damaged v4 image.
   const auto& w = fault_world();
-  for (const std::uint32_t version : {1u, 2u}) {
+  for (const std::uint32_t version : {1u, 2u, 3u}) {
     SCOPED_TRACE("format v" + std::to_string(version));
     const std::vector<std::byte> image = empty_previous_image(version, 1, w.fingerprint);
     core::ArtifactView view;
@@ -552,6 +419,12 @@ TEST(ArtifactFaults, PreviousFormatVersionsAreSkewNotCorruption) {
     EXPECT_TRUE(std::filesystem::exists(path));
     EXPECT_FALSE(std::filesystem::exists(path + std::string{util::kQuarantineSuffix}));
     std::filesystem::remove(path);
+
+    // The same image with a flipped epoch bit fails that meta CRC too: a
+    // damaged older image is corruption, not skew.
+    std::vector<std::byte> damaged = image;
+    damaged[16] ^= std::byte{1};
+    EXPECT_EQ(expect_refused(damaged, {StatusCode::kCorruption}, "damaged older image"), 0u);
   }
 }
 
@@ -562,21 +435,21 @@ TEST(ArtifactFaults, HostileRecordFieldsAreRefusedByMaterialize) {
   std::size_t silent = 0;
   std::vector<std::byte> mutated;
 
-  // Each case rewrites one field of AS record 0 behind a recomputed CRC, so
+  // Each case rewrites one field of AS record 0 behind a resealed CRC, so
   // the image opens and only materialize's field checks stand between it
   // and a wrong answer, a huge allocation or a wild write.
   const auto hostile_u64 = [&](std::size_t at, std::uint64_t value, const char* label) {
     mutated = w.image;
     const std::span<std::byte> m{mutated};
     write_u64(m, at, value);
-    fix_section_crc(m, 1);
+    reseal(m);
     silent += expect_refused(mutated, {StatusCode::kCorruption}, label);
   };
   const auto hostile_u32 = [&](std::size_t at, std::uint32_t value, const char* label) {
     mutated = w.image;
     const std::span<std::byte> m{mutated};
     write_u32(m, at, value);
-    fix_section_crc(m, 1);
+    reseal(m);
     silent += expect_refused(mutated, {StatusCode::kCorruption}, label);
   };
   constexpr std::uint64_t kHuge = std::uint64_t{1} << 60;
@@ -611,18 +484,12 @@ TEST(ArtifactFaults, HostileRecordFieldsAreRefusedByMaterialize) {
     hostile_u32(r.peaks + 32, static_cast<std::uint32_t>(read_u64(w.image, r.rows)),
                 "peak row outside the grid");
   }
-  {  // Eight bytes after the last record: the section must be consumed
-     // exactly.  The record section is the last one, so growing it by 8
-     // keeps the packing; the table, file size and CRCs are made consistent.
-    const auto off = static_cast<std::size_t>(read_u64(w.image, kRecordsEntry + 8));
-    const auto size = static_cast<std::size_t>(read_u64(w.image, kRecordsEntry + 16));
+  {  // Eight bytes after the last record, ahead of the footer: the record
+     // bytes must be consumed exactly.
     mutated = w.image;
-    mutated.insert(mutated.begin() + static_cast<std::ptrdiff_t>(off + size), 8,
+    mutated.insert(mutated.end() - static_cast<std::ptrdiff_t>(kFooterSize), 8,
                    std::byte{0});
-    const std::span<std::byte> m{mutated};
-    write_u64(m, kRecordsEntry + 16, size + 8);
-    write_u64(m, 32, mutated.size());
-    fix_section_crc(m, 1);
+    reseal(mutated);
     silent += expect_refused(mutated, {StatusCode::kCorruption}, "trailing record bytes");
   }
   EXPECT_EQ(silent, 0u);
@@ -644,11 +511,11 @@ TEST(ArtifactFaults, HostileCellRunsAreRefusedByMaterialize) {
     mutated = w.image;
     const std::span<std::byte> m{mutated};
     write_u64(m, r.runs + field_at, value);
-    fix_section_crc(m, 1);
+    reseal(m);
     silent += expect_refused(mutated, {StatusCode::kCorruption}, label);
   };
 
-  // Run 0 of AS 0 rewritten behind a recomputed CRC: only the run
+  // Run 0 of AS 0 rewritten behind a resealed CRC: only the run
   // canonicality checks stand between these and a wild scatter.
   hostile_run(8, 0, "run count 0");
   hostile_run(8, std::uint64_t{1} << 60, "run count huge");
@@ -663,7 +530,7 @@ TEST(ArtifactFaults, HostileCellRunsAreRefusedByMaterialize) {
     mutated = w.image;
     const std::span<std::byte> m{mutated};
     write_u64(m, r.values, 0);
-    fix_section_crc(m, 1);
+    reseal(m);
     silent += expect_refused(mutated, {StatusCode::kCorruption}, "bit-zero value");
   }
   EXPECT_EQ(silent, 0u);
@@ -672,7 +539,7 @@ TEST(ArtifactFaults, HostileCellRunsAreRefusedByMaterialize) {
 TEST(ArtifactFaults, GridAboveTheCellBudgetIsRefusedByMaterialize) {
   // Shrink AS 0's cell size and re-derive its rows/cols: the image is
   // structurally valid (the runs and peaks still sit inside the larger
-  // grid, every CRC is recomputed), so open accepts it.  But no grid this
+  // grid, the footer CRC is resealed), so open accepts it.  But no grid this
   // pipeline's estimator builds exceeds its KDE cell budget, and decoding
   // this one would allocate rows x cols doubles — materialize must refuse
   // it before allocating.
@@ -697,7 +564,7 @@ TEST(ArtifactFaults, GridAboveTheCellBudgetIsRefusedByMaterialize) {
   write_u64(m, r.rows, static_cast<std::uint64_t>(shape.rows));
   write_u64(m, r.cols, static_cast<std::uint64_t>(shape.cols));
   write_u64(m, r.cell_km, std::bit_cast<std::uint64_t>(cell_km));
-  fix_section_crc(m, 1);
+  reseal(m);
 
   core::ArtifactView view;
   const Status opened = core::ArtifactView::from_borrowed(mutated, view);
@@ -805,16 +672,16 @@ TEST(ArtifactFaults, MisalignedBorrowedImageDecodesIdentically) {
 TEST(ArtifactFaults, EveryWriteFaultClassAtEveryOffsetClassIsSafe) {
   const auto& w = fault_world();
   const std::size_t file_size = w.image.size();
-  ASSERT_GT(file_size, kMetaSize);
+  ASSERT_GT(file_size, kHeaderSize + kFooterSize);
 
   const std::vector<std::uint64_t> offsets = {
-      0,                    // head magic
-      9,                    // format version
-      49,                   // meta CRC
-      kHeaderSize + 8,      // first table entry's offset field
-      kMetaSize + 1,        // first payload byte
-      file_size / 2,        // payload interior
-      file_size - 4,        // tail magic
+      0,                       // head magic
+      9,                       // format version
+      21,                      // config fingerprint
+      kHeaderSize + 1,         // first stats byte
+      file_size / 2,           // record interior
+      file_size - 10,          // footer CRC
+      file_size - 4,           // tail magic
       std::uint64_t{1} << 40,  // beyond the file: fault must not fire
   };
   const FileFault::Kind kinds[] = {

@@ -92,17 +92,20 @@ const ArtifactWorld& world() {
   return testing::scratch_path("artifact_test_" + name);
 }
 
-/// File offset of section 2 (the AS records), read from the section table:
-/// everything from here to the tail is the batching-independent payload.
-[[nodiscard]] std::size_t second_section_offset(std::span<const std::byte> bytes) {
-  // header 56 B, table entries 40 B each, offset at entry byte 8.
-  const std::size_t at = 56 + 40 + 8;
-  std::uint64_t offset = 0;
+/// The AS records: every byte after the stats record and before the
+/// footer, the batching-independent part of the image.
+[[nodiscard]] std::span<const std::byte> record_bytes(std::span<const std::byte> bytes) {
+  // Header 28 B, then the stats record: 11 u64 (the window count last),
+  // 40 B per window.  The footer is the u32 CRC and the 8 B tail magic.
+  const std::size_t window_count_at = 28 + 10 * 8;
+  std::uint64_t windows = 0;
   for (int i = 0; i < 8; ++i) {
-    offset |= static_cast<std::uint64_t>(bytes[at + static_cast<std::size_t>(i)])
-              << (8 * i);
+    windows |= static_cast<std::uint64_t>(
+                   bytes[window_count_at + static_cast<std::size_t>(i)])
+               << (8 * i);
   }
-  return static_cast<std::size_t>(offset);
+  const std::size_t begin = window_count_at + 8 + static_cast<std::size_t>(windows) * 40;
+  return bytes.subspan(begin, bytes.size() - 12 - begin);
 }
 
 /// No cell budget: decode every grid the image holds.
@@ -177,10 +180,9 @@ TEST(Artifact, EncodeOutsideWindowTrailIsSplitInvariant) {
   const auto& w = world();
   // Same samples, different batching: one ingest per window vs one ingest
   // of the concatenation.  The conditioning outcome is identical, so the
-  // entire payload from the AS records on must be byte-identical; only the
-  // stats section (which records the batching history on purpose — see
-  // DatasetStats::windows) and the offsets/CRCs that depend on its size
-  // may differ.
+  // AS records must be byte-identical; only the stats record (which
+  // records the batching history on purpose — see DatasetStats::windows)
+  // and the footer CRC over it may differ.
   std::vector<p2p::PeerSample> concatenated;
   for (const auto& window : w.churn.windows) {
     concatenated.insert(concatenated.end(), window.begin(), window.end());
@@ -196,12 +198,11 @@ TEST(Artifact, EncodeOutsideWindowTrailIsSplitInvariant) {
   const std::vector<std::byte> merged =
       encode_or_die(dataset, analyses, 7, w.fingerprint);
 
-  const std::span<const std::byte> split_tail =
-      std::span{split}.subspan(second_section_offset(split));
-  const std::span<const std::byte> merged_tail =
-      std::span{merged}.subspan(second_section_offset(merged));
-  ASSERT_EQ(split_tail.size(), merged_tail.size());
-  EXPECT_TRUE(std::equal(split_tail.begin(), split_tail.end(), merged_tail.begin()));
+  const std::span<const std::byte> split_records = record_bytes(split);
+  const std::span<const std::byte> merged_records = record_bytes(merged);
+  ASSERT_EQ(split_records.size(), merged_records.size());
+  EXPECT_TRUE(std::equal(split_records.begin(), split_records.end(),
+                         merged_records.begin()));
   EXPECT_EQ(dataset.stats(), w.dataset.stats());
 }
 
@@ -289,8 +290,8 @@ TEST(Artifact, EmptyEpochRoundTrips) {
 TEST(Artifact, RecordsWithEveryArrayEmptyRoundTrip) {
   // The smallest record an AS can have: an all-zero grid (no runs), no
   // region string, partitions, segments, peaks or PoPs.  open() bounds the
-  // AS count by the record section's size over this minimum, so a section
-  // made only of such records must still open and decode.
+  // AS count by the record bytes over this minimum, so an image whose
+  // records are all this small must still open and decode.
   const auto& w = world();
   const geo::BoundingBox box{45.0, 45.5, 9.0, 9.5};
   std::vector<core::AsPeerSet> ases;

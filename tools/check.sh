@@ -29,7 +29,7 @@ STAGES=(
   "thread-safety|EYEBALL_THREAD_SAFETY=ON Clang build: capability analysis as errors + compile-fail probes [skipped when clang++ is absent]"
   "lint|tools/eyeball_lint.py self-test + repo scan, BENCH_*.json schema check, bench_diff self-test"
   "strict|EYEBALL_STRICT=ON (-Wconversion -Wdouble-promotion -Werror) build"
-  "bench-smoke|each bm_* binary runs one cheap benchmark, bm_dataset also its snapshot save and restore axes and the threaded artifact write (bit-rot guard; a missing or failing binary is a hard stage failure)"
+  "bench-smoke|each bm_* binary runs one cheap benchmark, bm_dataset also its snapshot save and restore axes, the threaded artifact write and the artifact open (bit-rot guard; a missing or failing binary is a hard stage failure)"
   "format|clang-format --dry-run --Werror via the format-check target [skipped when clang-format is absent]"
 )
 
@@ -221,6 +221,16 @@ run_bench() {
     echo "check.sh: bench binary '${bin}' is missing — bench-smoke fails hard" >&2
     return 1
   fi
+  # A filter that matches nothing still exits 0, so a renamed axis would
+  # silently drop out of the smoke run: require every filter to list one.
+  local arg
+  for arg in "$@"; do
+    if [[ "${arg}" == --benchmark_filter=* &&
+          -z "$("${bin}" --benchmark_list_tests "${arg}" 2>/dev/null)" ]]; then
+      echo "check.sh: ${arg} matches no benchmark in '${bin}'" >&2
+      return 1
+    fi
+  done
   "${bin}" "$@"
 }
 
@@ -242,13 +252,17 @@ bench_smoke_stage() {
   # state and writes the sample log, the restore loop replays it: the
   # streaming builder's durable state end to end.
   run_bench bm_dataset \
-    --benchmark_filter='BM_SnapshotSave$' --benchmark_min_time=0.01 || return 1
+    --benchmark_filter='BM_SnapshotSave/repeats:3$' --benchmark_min_time=0.01 || return 1
   run_bench bm_dataset \
-    --benchmark_filter='BM_SnapshotRestore$' --benchmark_min_time=0.01 || return 1
+    --benchmark_filter='BM_SnapshotRestore/repeats:3/real_time$' --benchmark_min_time=0.01 || return 1
   # The artifact encoder at pool width: both per-AS passes fan out, so this
   # drives the threaded size-then-fill path end to end through the write.
   run_bench bm_dataset \
     --benchmark_filter='BM_ArtifactWrite/0/real_time$' --benchmark_min_time=0.01 || return 1
+  # A replica's restore: mmap, the shared envelope check, the stats, then
+  # every AS record decoded.
+  run_bench bm_dataset \
+    --benchmark_filter='BM_ArtifactOpen$' --benchmark_min_time=0.01 || return 1
   local serving_out
   serving_out="$(mktemp /tmp/eyeball_bench_serving.XXXXXX.json)" || return 1
   run_bench bm_serving "${serving_out}" || { rm -f "${serving_out}"; return 1; }
