@@ -595,9 +595,11 @@ util::Status ArtifactView::load(std::span<const std::byte> bytes) {
   std::uint64_t epoch = 0;
   std::uint64_t config_fingerprint = 0;
   DatasetStats stats;
-  if (!reader.read_u64(epoch) || !reader.read_u64(config_fingerprint) ||
-      !byte_io::read_stats(reader, stats)) {
-    return corruption_at("stats record runs past the image");
+  if (!reader.read_u64(epoch) || !reader.read_u64(config_fingerprint)) {
+    return corruption_at("header runs past the image");
+  }
+  if (util::Status status = byte_io::read_stats(reader, stats); !status.ok()) {
+    return corruption_at(status.message().c_str());
   }
   std::span<const std::byte> records;
   static_cast<void>(reader.take(reader.remaining(), records));

@@ -278,16 +278,43 @@ inline void put_stats(Writer& out, const DatasetStats& s) {
   for (const WindowStats& w : s.windows) put_window(out, w);
 }
 
+/// Reads one window record (as put_window wrote it) at the reader's cursor
+/// and checks its conservation, offered == duplicates + admitted +
+/// rejected.  kCorruption (and `out` untouched) when it runs past the end
+/// or the counters do not add up.
+[[nodiscard]] inline util::Status read_window(Reader& in, WindowStats& out) {
+  std::array<std::uint64_t, 5> fields{};
+  for (std::uint64_t& field : fields) {
+    if (!in.read_u64(field)) return util::Status::corruption("unreadable window record");
+  }
+  const auto [offered, duplicates, admitted, cumulative_unique, rejected] = fields;
+  // Subtract, never add: hostile counters must not wrap the check.
+  if (admitted > offered || duplicates > offered - admitted ||
+      rejected != offered - admitted - duplicates) {
+    return util::Status::corruption(
+        "window counters do not add up: offered != duplicates + admitted + rejected");
+  }
+  const auto field = [](std::uint64_t v) { return static_cast<std::size_t>(v); };
+  out = WindowStats{field(offered), field(duplicates), field(admitted),
+                    field(cumulative_unique), field(rejected)};
+  return util::Status{};
+}
+
 /// Reads one stats record (as put_stats wrote it) at the reader's cursor.
-/// False (and `out` untouched) when it runs past the end; the window count
-/// is bounded by the bytes left before anything is reserved for it.
-[[nodiscard]] inline bool read_stats(Reader& in, DatasetStats& out) {
+/// kCorruption (and `out` untouched) when it runs past the end or a window
+/// fails read_window; the window count is bounded by the bytes left before
+/// anything is reserved for it.
+[[nodiscard]] inline util::Status read_stats(Reader& in, DatasetStats& out) {
   std::array<std::uint64_t, 10> counters{};
   for (std::uint64_t& counter : counters) {
-    if (!in.read_u64(counter)) return false;
+    if (!in.read_u64(counter)) {
+      return util::Status::corruption("stats record runs past the image");
+    }
   }
   std::uint64_t window_count = 0;
-  if (!in.read_count(kWindowRecordSize, window_count)) return false;
+  if (!in.read_count(kWindowRecordSize, window_count)) {
+    return util::Status::corruption("window count exceeds the image");
+  }
   const auto field = [](std::uint64_t v) { return static_cast<std::size_t>(v); };
   DatasetStats stats;
   stats.raw_samples = field(counters[0]);
@@ -300,15 +327,12 @@ inline void put_stats(Writer& out, const DatasetStats& s) {
   stats.final_peers = field(counters[7]);
   stats.final_ases = field(counters[8]);
   stats.rejected_samples = field(counters[9]);
-  stats.windows.reserve(static_cast<std::size_t>(window_count));
-  for (std::uint64_t w = 0; w < window_count; ++w) {
-    std::array<std::uint64_t, 5> f{};
-    for (std::uint64_t& v : f) static_cast<void>(in.read_u64(v));  // bounded above
-    stats.windows.push_back(
-        WindowStats{field(f[0]), field(f[1]), field(f[2]), field(f[3]), field(f[4])});
+  stats.windows.resize(static_cast<std::size_t>(window_count));
+  for (WindowStats& window : stats.windows) {
+    if (util::Status status = read_window(in, window); !status.ok()) return status;
   }
   out = std::move(stats);
-  return true;
+  return util::Status{};
 }
 
 }  // namespace eyeball::core::byte_io

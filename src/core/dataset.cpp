@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <numeric>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -129,20 +130,6 @@ namespace {
   return a.asn < b.asn;
 }
 
-/// Samples per SoA staging block: big enough to amortize the batched
-/// lookup calls, small enough that the arenas (a few doubles + two cached
-/// records per lane) stay cache-resident.
-constexpr std::size_t kConditionBlock = 4096;
-
-/// Per-lane verdict of the staged conditioning passes, in the exact drop
-/// precedence of the scalar pipeline.
-enum LaneState : std::uint8_t {
-  kEligible = 0,
-  kMissingGeo,
-  kRejected,
-  kHighError,
-};
-
 /// Open-addressed ASN -> bucket-index table (linear probing, power-of-two):
 /// the per-survivor grouping cost is one hash probe into a table that fits
 /// in L1, instead of the old per-sample std::map tree walk.
@@ -193,30 +180,6 @@ class AsnBucketIndex {
   std::vector<std::uint32_t> keys_;   // ASN per occupied slot
 };
 
-/// SoA staging arenas for one conditioning block.  Each pass below streams
-/// one or two of these arrays sequentially instead of re-walking an array
-/// of fat per-peer structs, so the filter loops are cache-friendly and the
-/// non-trig arithmetic vectorizes.
-///
-/// Concurrency contract: strictly shard-private.  One ConditionArena is a
-/// block-scoped local of condition_chunk(), so each shard's arena lives on
-/// that shard's stack and can never be observed by another thread — scoped
-/// ownership needs no capability annotation (there is no member for a
-/// second thread to name).  The shared inputs it reads (mapper, config,
-/// the sample span, both databases) are const.
-struct ConditionArena {
-  std::vector<net::Ipv4Address> ips;
-  std::vector<std::optional<geodb::GeoRecord>> primary, secondary;
-  std::vector<double> lat_a, lon_a, lat_b, lon_b;
-  std::vector<double> err;
-  std::vector<gazetteer::CityId> city;
-  std::vector<std::uint8_t> state;
-
-  explicit ConditionArena(std::size_t n)
-      : ips(n), primary(n), secondary(n), lat_a(n), lon_a(n), lat_b(n), lon_b(n),
-        err(n), city(n), state(n) {}
-};
-
 }  // namespace
 
 ConditionShard condition_chunk(std::span<const p2p::PeerSample> samples, std::size_t lo,
@@ -226,79 +189,45 @@ ConditionShard condition_chunk(std::span<const p2p::PeerSample> samples, std::si
                                const DatasetConfig& config) {
   ConditionShard shard;
   AsnBucketIndex index;
-  ConditionArena arena{std::min(kConditionBlock, hi - lo)};
-
-  for (std::size_t base = lo; base < hi; base += kConditionBlock) {
-    const std::size_t n = std::min(kConditionBlock, hi - base);
-
-    // Pass 1: gather the block's IPs and geo-map them through both databases
-    // in one batched call each (the paper requires city-level records from
-    // both databases; missing ones drop ~2.4 M peers).
-    for (std::size_t i = 0; i < n; ++i) arena.ips[i] = samples[base + i].ip;
-    const std::span<const net::Ipv4Address> ips{arena.ips.data(), n};
-    primary.lookup_batch(ips, {arena.primary.data(), n});
-    secondary.lookup_batch(ips, {arena.secondary.data(), n});
-
-    // Pass 2: scatter the record coordinates into the SoA lanes and settle
-    // presence/validity.  A corrupt database row (NaN / out-of-range
-    // coordinates) must be rejected here: past this point its location
-    // feeds the distance computation and, if kept, the KDE — both poisoned
-    // by a single NaN.
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto& a = arena.primary[i];
-      const auto& b = arena.secondary[i];
-      if (!a || !b) {
-        arena.state[i] = kMissingGeo;
+  for (const p2p::PeerSample& sample : samples.subspan(lo, hi - lo)) {
+    // The paper requires city-level records from both databases (missing
+    // ones drop ~2.4 M peers); the secondary is not asked once the primary
+    // has none.
+    const std::optional<geodb::GeoRecord> a = primary.lookup(sample.ip);
+    const std::optional<geodb::GeoRecord> b =
+        a ? secondary.lookup(sample.ip) : std::nullopt;
+    if (!b) {
+      ++shard.dropped.missing_geo;
+      continue;
+    }
+    // A corrupt database row (NaN / out-of-range coordinates) must be
+    // rejected here: past this point its location feeds the distance
+    // computation and, if kept, the KDE — both poisoned by a single NaN.
+    if (!geo::is_valid(a->location) || !geo::is_valid(b->location)) {
+      ++shard.dropped.rejected;
+      continue;
+    }
+    // The inter-database error proxy, then the threshold verdict.  When both
+    // databases report the same zip centroid bit for bit (both drew the
+    // "exact" outcome — the majority of samples), the haversine chain
+    // evaluates to exactly +0.0 (every difference term is +0, sin(+0) is +0,
+    // asin(+0) is +0), so the equality fast path keeps the identical value
+    // while skipping four libm calls.
+    double error = 0.0;
+    if (a->location != b->location) {
+      error = geo::distance_km(a->location, b->location);
+      if (error > config.max_geo_error_km) {
+        ++shard.dropped.high_error;
         continue;
       }
-      arena.lat_a[i] = a->location.lat_deg;
-      arena.lon_a[i] = a->location.lon_deg;
-      arena.lat_b[i] = b->location.lat_deg;
-      arena.lon_b[i] = b->location.lon_deg;
-      arena.city[i] = a->city_id;
-      arena.state[i] =
-          geo::is_valid(a->location) && geo::is_valid(b->location) ? kEligible
-                                                                   : kRejected;
     }
-
-    // Pass 3: the inter-database error proxy over the coordinate lanes,
-    // then the threshold verdict.  Same distance_km call on the same
-    // inputs as the scalar loop — error values stay bit-identical.  When
-    // both databases report the same zip centroid bit-for-bit (both drew
-    // the "exact" outcome — the majority of samples), the haversine chain
-    // evaluates to exactly +0.0 (every difference term is +0, sin(+0) is
-    // +0, asin(+0) is +0), so the equality fast path returns the identical
-    // value while skipping four libm calls.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (arena.state[i] != kEligible) continue;
-      if (arena.lat_a[i] == arena.lat_b[i] && arena.lon_a[i] == arena.lon_b[i]) {
-        arena.err[i] = 0.0;
-        continue;
-      }
-      arena.err[i] = geo::distance_km({arena.lat_a[i], arena.lon_a[i]},
-                                      {arena.lat_b[i], arena.lon_b[i]});
-      if (arena.err[i] > config.max_geo_error_km) arena.state[i] = kHighError;
+    const auto asn = mapper.map(sample.ip);
+    if (!asn) {
+      ++shard.dropped.unmapped_as;
+      continue;
     }
-
-    // Pass 4: fold verdicts in sample order (exact scalar drop precedence),
-    // LPM-map survivors, and append to the flat AS buckets.
-    for (std::size_t i = 0; i < n; ++i) {
-      switch (arena.state[i]) {
-        case kMissingGeo: ++shard.dropped.missing_geo; continue;
-        case kRejected: ++shard.dropped.rejected; continue;
-        case kHighError: ++shard.dropped.high_error; continue;
-        default: break;
-      }
-      const auto asn = mapper.map(arena.ips[i]);
-      if (!asn) {
-        ++shard.dropped.unmapped_as;
-        continue;
-      }
-      shard.by_as[index.find_or_add(net::value_of(*asn), shard.by_as)]
-          .peers.push_back(PeerRecord{arena.ips[i], samples[base + i].app,
-                                      {arena.lat_a[i], arena.lon_a[i]}, arena.err[i],
-                                      arena.city[i]});
-    }
+    shard.by_as[index.find_or_add(net::value_of(*asn), shard.by_as)].peers.push_back(
+        PeerRecord{sample.ip, sample.app, a->location, error, a->city_id});
   }
 
   // First-seen bucket order -> ascending ASN, the order merge_shard_ordered

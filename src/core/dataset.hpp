@@ -190,18 +190,19 @@ struct ConditionCounters {
 
 /// One shard's private stage-1 output: peer buckets in ascending-ASN order
 /// plus the partial drop counters.  No shard ever touches another's state.
-/// The buckets are a flat vector (grouped through an open-addressed index
-/// during the chunk, sorted once at the end) rather than an ordered map:
-/// the per-survivor hot path is one hash probe instead of a tree walk.
+/// The buckets are a flat vector, grouped through an open-addressed ASN
+/// index as the samples are walked and sorted once at the end.
 struct ConditionShard {
   std::vector<AsPeerSet> by_as;
   ConditionCounters dropped;
 };
 
-/// Stage 1 over samples[lo, hi): geo-map each IP through both databases,
-/// apply the inter-database error filter, and LPM-group survivors into the
-/// shard's private buckets.  Pure function of its inputs (the databases are
-/// const and deterministic per IP), so shards parallelize lock-free.
+/// Stage 1 over samples[lo, hi), one sample at a time in sample order: look
+/// the IP up in both databases, then drop it as missing_geo, rejected
+/// (invalid coordinates), high_error or unmapped_as, first verdict wins;
+/// each survivor is appended to its AS's bucket.  Pure function of its
+/// inputs (the databases are const and deterministic per IP), so shards
+/// parallelize lock-free.
 [[nodiscard]] ConditionShard condition_chunk(std::span<const p2p::PeerSample> samples,
                                              std::size_t lo, std::size_t hi,
                                              const geodb::GeoDatabase& primary,

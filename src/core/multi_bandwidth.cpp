@@ -1,9 +1,6 @@
 #include "core/multi_bandwidth.hpp"
 
 #include <algorithm>
-#include <optional>
-
-#include "util/thread_pool.hpp"
 
 namespace eyeball::core {
 
@@ -14,22 +11,8 @@ MultiBandwidthRefiner::MultiBandwidthRefiner(const gazetteer::Gazetteer& gazette
 
 RefinedPops MultiBandwidthRefiner::refine(const AsPeerSet& peers) const {
   const PopCityMapper mapper{gaz_};
-  // The two KDE passes share no state; overlap them when concurrency is
-  // requested and we are not already inside a pool worker (a nested wait
-  // on a saturated pool would deadlock).
-  std::optional<AsFootprint> coarse_fp;
-  std::optional<AsFootprint> fine_fp;
-  if (config_.threads > 1 && !util::ThreadPool::on_worker_thread()) {
-    auto fine_future = util::ThreadPool::shared().submit(
-        [&] { return estimator_.estimate(peers, config_.fine_bandwidth_km); });
-    coarse_fp = estimator_.estimate(peers, config_.coarse_bandwidth_km);
-    fine_fp = fine_future.get();
-  } else {
-    coarse_fp = estimator_.estimate(peers, config_.coarse_bandwidth_km);
-    fine_fp = estimator_.estimate(peers, config_.fine_bandwidth_km);
-  }
-  const auto coarse = mapper.map(*coarse_fp);
-  const auto fine = mapper.map(*fine_fp);
+  const auto coarse = mapper.map(estimator_.estimate(peers, config_.coarse_bandwidth_km));
+  const auto fine = mapper.map(estimator_.estimate(peers, config_.fine_bandwidth_km));
 
   RefinedPops out;
   out.pops.unmapped_peaks = coarse.unmapped_peaks;

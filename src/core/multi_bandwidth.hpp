@@ -21,10 +21,6 @@ struct MultiBandwidthConfig {
   /// A fine peak participates in a split only if its score is at least
   /// this fraction of the coarse peak's score.
   double min_split_share = 0.2;
-  /// When > 1, the independent coarse and fine KDE passes run concurrently
-  /// on util::ThreadPool::shared().  The refinement itself is unchanged, so
-  /// results are identical across settings.
-  std::size_t threads = 1;
 };
 
 struct RefinedPops {

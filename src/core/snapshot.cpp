@@ -253,22 +253,15 @@ util::Status SnapshotCodec::decode(std::span<const std::byte> bytes,
   std::vector<p2p::PeerSample> samples;
   samples.reserve(reader.remaining() / kSampleSize);
   for (std::uint64_t k = 0; k < window_count; ++k) {
-    std::array<std::uint64_t, 5> fields{};
-    for (std::uint64_t& field : fields) {
-      if (!reader.read_u64(field)) return corrupt("unreadable window record");
-    }
-    const auto [offered, duplicates, admitted, cumulative_unique, rejected] = fields;
-    // Subtract, never add: hostile counters must not wrap the check.
-    if (admitted > offered || duplicates > offered - admitted ||
-        rejected != offered - admitted - duplicates) {
-      return corrupt("window counters do not add up: offered != duplicates + admitted "
-                     "+ rejected");
+    WindowStats window;
+    if (util::Status status = byte_io::read_window(reader, window); !status.ok()) {
+      return status;
     }
     std::uint64_t count = 0;
     if (!reader.read_count(kSampleSize, count)) {
       return corrupt("sample count exceeds the file");
     }
-    if (count != admitted) {
+    if (count != window.admitted) {
       return corrupt("sample count disagrees with the window's admitted count");
     }
     for (std::uint64_t i = 0; i < count; ++i) {
@@ -279,10 +272,7 @@ util::Status SnapshotCodec::decode(std::span<const std::byte> bytes,
       }
       samples.push_back(p2p::PeerSample{net::Ipv4Address{ip}, static_cast<p2p::App>(app)});
     }
-    windows.push_back(WindowStats{
-        static_cast<std::size_t>(offered), static_cast<std::size_t>(duplicates),
-        static_cast<std::size_t>(admitted), static_cast<std::size_t>(cumulative_unique),
-        static_cast<std::size_t>(rejected)});
+    windows.push_back(window);
   }
   if (reader.remaining() != 0) return corrupt("trailing bytes after the last window");
 

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 
@@ -46,18 +45,6 @@ class GeoDatabase {
   /// shipped implementations satisfy this: lookups read only immutable
   /// state (tries, tables, per-IP-seeded RNG streams).
   [[nodiscard]] virtual std::optional<GeoRecord> lookup(net::Ipv4Address ip) const = 0;
-
-  /// Batched lookup: `out[i] = lookup(ips[i])` for every i.  The base
-  /// implementation is exactly that loop; implementations may override to
-  /// amortize per-call costs over the batch, but results must stay
-  /// element-for-element identical to the scalar path (the conditioning
-  /// arenas fan whole sample blocks through this and the byte-identity
-  /// tests compare against per-IP lookups).  Same thread-safety contract as
-  /// lookup().  `out.size()` must be >= `ips.size()`.
-  virtual void lookup_batch(std::span<const net::Ipv4Address> ips,
-                            std::span<std::optional<GeoRecord>> out) const {
-    for (std::size_t i = 0; i < ips.size(); ++i) out[i] = lookup(ips[i]);
-  }
 
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 };

@@ -1,5 +1,5 @@
 // CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected 0x82F63B78) — the
-// checksum guarding every snapshot section and the whole-file footer.
+// whole-file footer checksum both durable formats are sealed with.
 //
 // Castagnoli rather than the zlib polynomial because its error-detection
 // properties are strictly better at these block sizes and it is the de
@@ -52,9 +52,9 @@ inline constexpr std::array<std::uint32_t, 256> kCrc32cTable = make_crc32c_table
 /// Same polynomial, same results, built for bulk: uses the SSE4.2 CRC32
 /// instruction when the host supports it (runtime dispatch; ~an order of
 /// magnitude past the byte-at-a-time table) and falls back to the table
-/// otherwise.  Both on-disk codecs checksum with it: the artifact open path
-/// (core/artifact.hpp) checksums every section of a memory-mapped file once
-/// before the first query, so the checksum IS the hot loop there.
+/// otherwise.  Both on-disk codecs checksum with it: opening an artifact
+/// (core/artifact.hpp) checksums the whole memory-mapped image once before
+/// the first query, so the checksum is a hot loop there.
 /// Equality with crc32c(), the reference, over arbitrary inputs is pinned
 /// by util_test.
 [[nodiscard]] std::uint32_t crc32c_fast(std::span<const std::byte> data,

@@ -93,11 +93,12 @@ class LocalFileSystem final : public FileSystem {
                    std::vector<std::byte>& out) override {
     std::FILE* file = std::fopen(path.c_str(), "rb");
     if (file == nullptr) return errno_status("open", path);
-    out.clear();
+    std::vector<std::byte> bytes;
     std::array<std::byte, 1 << 16> chunk;
     for (;;) {
       const std::size_t got = std::fread(chunk.data(), 1, chunk.size(), file);
-      out.insert(out.end(), chunk.begin(), chunk.begin() + static_cast<std::ptrdiff_t>(got));
+      bytes.insert(bytes.end(), chunk.begin(),
+                   chunk.begin() + static_cast<std::ptrdiff_t>(got));
       if (got < chunk.size()) {
         if (std::ferror(file) != 0) {
           const Status status = errno_status("read", path);
@@ -108,6 +109,7 @@ class LocalFileSystem final : public FileSystem {
       }
     }
     if (std::fclose(file) != 0) return errno_status("close", path);
+    out = std::move(bytes);
     return Status{};
   }
 

@@ -108,7 +108,8 @@ class FileSystem {
   /// Truncate-creates `path` for writing.
   [[nodiscard]] virtual Status open_for_write(const std::string& path,
                                               std::unique_ptr<WritableFile>& out) = 0;
-  /// Reads the whole file into `out` (replacing its contents).
+  /// Reads the whole file into `out`: replaced on success, untouched on
+  /// failure.
   [[nodiscard]] virtual Status read_file(const std::string& path,
                                          std::vector<std::byte>& out) = 0;
   /// POSIX rename semantics: atomic replace of `to` within one filesystem.

@@ -16,10 +16,11 @@
 //      compare.
 //   3. Hostile structure: header, stats and AS-record fields rewritten
 //      behind a RESEALED footer CRC (a future version, window and AS counts
-//      past the image, out-of-range enums, inconsistent grid geometry,
-//      non-canonical runs, counts of 2^60, trailing record bytes) — past
-//      the checksum on purpose, so open's bounds or materialize's field
-//      checks are what refuse them.
+//      past the image, window counters that break conservation,
+//      out-of-range enums, inconsistent grid geometry, non-canonical runs,
+//      counts of 2^60, trailing record bytes) — past the checksum on
+//      purpose, so open's bounds or materialize's field checks are what
+//      refuse them.
 //
 // Plus format skew: intact images of every earlier format version are
 // refused as kVersionMismatch, and a replica restoring from one leaves the
@@ -68,6 +69,8 @@ constexpr std::size_t kFooterSize = 12;
 /// its eleventh the window count.
 constexpr std::size_t kFinalAsesAt = kHeaderSize + 8 * 8;
 constexpr std::size_t kWindowCountAt = kHeaderSize + 10 * 8;
+/// Window 0's record follows the window count; `offered` is its first field.
+constexpr std::size_t kFirstWindowAt = kWindowCountAt + 8;
 
 /// A deliberately SMALL epoch: the exhaustive sweeps below scale with the
 /// image size (every truncation length), so the fixture takes one
@@ -336,6 +339,16 @@ TEST(ArtifactFaults, ResealedVersionAndCountRewritesAreTypedRefusals) {
   {  // window count far past the image: refused before any reservation
     auto m = fresh();
     write_u64(m, kWindowCountAt, std::uint64_t{1} << 60);
+    reseal(m);
+    core::ArtifactView view;
+    const Status opened = core::ArtifactView::from_borrowed(mutated, view);
+    EXPECT_EQ(opened.code(), StatusCode::kCorruption) << opened;
+  }
+  {  // window 0's offered one past duplicates + admitted + rejected: the
+     // trail breaks conservation, refused at open like the snapshot's
+    ASSERT_GE(read_u64(w.image, kWindowCountAt), 1U);
+    auto m = fresh();
+    write_u64(m, kFirstWindowAt, read_u64(m, kFirstWindowAt) + 1);
     reseal(m);
     core::ArtifactView view;
     const Status opened = core::ArtifactView::from_borrowed(mutated, view);

@@ -142,6 +142,21 @@ TEST(LocalFileSystem, MissingFileIsNotFoundAndListDirIsSorted) {
   EXPECT_EQ(names, (std::vector<std::string>{"aa", "bb"}));
 }
 
+TEST(LocalFileSystem, FailedReadLeavesTheBufferUntouched) {
+  const std::string dir = scratch_dir("read_failure");
+  auto& fs = util::local_filesystem();
+  const auto kept = bytes_of("old");
+  std::vector<std::byte> out = kept;
+
+  // A directory opens for reading and then fails at the first read.
+  const Status directory = fs.read_file(dir, out);
+  EXPECT_EQ(directory.code(), StatusCode::kIoError) << directory;
+  EXPECT_EQ(out, kept);
+
+  EXPECT_EQ(fs.read_file(dir + "/absent", out).code(), StatusCode::kNotFound);
+  EXPECT_EQ(out, kept);
+}
+
 // ---- Read-only mappings: the artifact's zero-copy substrate. ----
 
 TEST(MappedFile, MapsRealFilesAndReportsTypedFailures) {

@@ -10,11 +10,11 @@
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/artifact.hpp"
-#include "core/multi_bandwidth.hpp"
 #include "kde/estimator.hpp"
 #include "pipeline_fixture.hpp"
 #include "util/rng.hpp"
@@ -447,32 +447,18 @@ TEST(ParallelDataset, ShardedBuildByteIdenticalAcrossThreadCounts) {
     expect_same_dataset(reference, fixture.pipeline.build_dataset(samples, threads),
                         threads);
   }
-}
 
-TEST(ParallelPipeline, MultiBandwidthRefineMatchesSerial) {
-  const auto& fixture = testing::shared_fixture();
-  const auto ases = fixture.dataset.ases();
-  ASSERT_FALSE(ases.empty());
-  const core::GeoFootprintEstimator estimator{fixture.pipeline.config().footprint};
-
-  core::MultiBandwidthConfig serial_config;
-  serial_config.threads = 1;
-  core::MultiBandwidthConfig parallel_config;
-  parallel_config.threads = 2;
-  const core::MultiBandwidthRefiner serial{fixture.gaz, estimator, serial_config};
-  const core::MultiBandwidthRefiner parallel{fixture.gaz, estimator, parallel_config};
-
-  const auto& as = ases.front();
-  const auto a = serial.refine(as);
-  const auto b = parallel.refine(as);
-  EXPECT_EQ(a.splits, b.splits);
-  ASSERT_EQ(a.pops.pops.size(), b.pops.pops.size());
-  EXPECT_EQ(a.pops.unmapped_peaks, b.pops.unmapped_peaks);
-  for (std::size_t i = 0; i < a.pops.pops.size(); ++i) {
-    EXPECT_EQ(a.pops.pops[i].city, b.pops.pops[i].city);
-    EXPECT_EQ(a.pops.pops[i].score, b.pops.pops[i].score);
-    EXPECT_EQ(a.pops.pops[i].peak_density, b.pops.pops[i].peak_density);
-    EXPECT_EQ(a.pops.pops[i].peak_location, b.pops.pops[i].peak_location);
+  // Prefixes from one sample (fewer samples than shards) to a few thousand,
+  // so the shard boundaries fall at many different sample offsets.
+  for (const std::size_t n : {1u, 4095u, 4096u, 4097u, 12305u}) {
+    ASSERT_LE(n, samples.size());
+    SCOPED_TRACE("prefix of " + std::to_string(n) + " samples");
+    const auto prefix = samples.first(n);
+    const auto prefix_reference = fixture.pipeline.build_dataset(prefix, 1);
+    for (const std::size_t threads : {2u, 0u}) {
+      expect_same_dataset(prefix_reference, fixture.pipeline.build_dataset(prefix, threads),
+                          threads);
+    }
   }
 }
 

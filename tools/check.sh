@@ -29,7 +29,7 @@ STAGES=(
   "thread-safety|EYEBALL_THREAD_SAFETY=ON Clang build: capability analysis as errors + compile-fail probes [skipped when clang++ is absent]"
   "lint|tools/eyeball_lint.py self-test + repo scan, BENCH_*.json schema check, bench_diff self-test"
   "strict|EYEBALL_STRICT=ON (-Wconversion -Wdouble-promotion -Werror) build"
-  "bench-smoke|each bm_* binary runs one cheap benchmark, bm_dataset also its snapshot save and restore axes, the threaded artifact write and the artifact open (bit-rot guard; a missing or failing binary is a hard stage failure)"
+  "bench-smoke|each bm_* binary runs one cheap benchmark, bm_dataset also one streaming ingest window, its snapshot save and restore axes, the threaded artifact write and the artifact open (bit-rot guard; a missing or failing binary is a hard stage failure)"
   "format|clang-format --dry-run --Werror via the format-check target [skipped when clang-format is absent]"
 )
 
@@ -248,6 +248,11 @@ bench_smoke_stage() {
     --benchmark_filter='BM_HaversineDistance' --benchmark_min_time=0.01 || return 1
   run_bench bm_dataset \
     --benchmark_filter='BM_DatasetFind' --benchmark_min_time=0.01 || return 1
+  # One streaming window through conditioning: both geo lookups, the drop
+  # verdicts and the bucket appends, sample by sample.
+  run_bench bm_dataset \
+    --benchmark_filter='BM_StreamingIngestLastWindow/1/real_time$' \
+    --benchmark_min_time=0.01 || return 1
   # Their setup ingests the crawl windows; the save loop digests the derived
   # state and writes the sample log, the restore loop replays it: the
   # streaming builder's durable state end to end.
